@@ -46,6 +46,10 @@ ORACLE_ZERO_CONFIGS = ((1, 2), (2, 3), (2, 5), (3, 7))
 PAIRING_CONFIGS = ((5, 2), (7, 3), (8, 3))
 LATTICE_CONFIGS = ((2, 3), (2, 4), (4, 6))
 
+# the blocks suite marks about n*n residue pairs for each modulus n <= --max;
+# larger estimated totals are refused
+BLOCKS_WORK_CEILING = 1_000_000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -151,6 +155,12 @@ def cmd_edges(args: argparse.Namespace) -> int:
 
 def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     limit = args.max if args.max is not None else 30
+    work = limit * (limit + 1) * (2 * limit + 1) // 6
+    if work > BLOCKS_WORK_CEILING:
+        raise BoundTooLarge(
+            f"blocks up to --max {limit} would mark about {work} residue pairs, "
+            f"above the ceiling {BLOCKS_WORK_CEILING}"
+        )
     pair_limit = min(limit, 20)
     table = {n: count_blocks(n) for n in range(1, limit + 1)}
     formula_bad = [n for n in range(1, limit + 1) if table[n] != dedekind_psi(n)]

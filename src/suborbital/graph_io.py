@@ -10,6 +10,7 @@ vertical rays toward infinity).
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 
 from .errors import (
     InvalidBound,
@@ -18,7 +19,7 @@ from .errors import (
     MalformedDocument,
     VersionMismatch,
 )
-from .graphs import DirectedEdge, GraphSpec, SuborbitalGraph, enumerate_graph
+from .graphs import GraphSpec, SuborbitalGraph, enumerate_graph
 from .rational import ProjectiveRational
 
 __all__ = [
@@ -44,6 +45,9 @@ _DOC_KEYS = (
 _EDGE_KEYS = ("src", "dst", "sign")
 _SIGN_TEXT = {1: "+", -1: "-"}
 _TEXT_SIGN = {"+": 1, "-": -1}
+
+# a document edge as parsed: (src, dst, sign)
+_Edge = tuple[ProjectiveRational, ProjectiveRational, int]
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
@@ -123,11 +127,11 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidSpec as exc:
         raise InvariantViolation(f"graph parameters invalid: {exc}") from None
 
-    doc_vertices = [
+    doc_vertices = tuple(
         _parse_vertex(item, f"vertices[{i}]")
         for i, item in enumerate(document["vertices"])
-    ]
-    doc_edges: list[tuple[ProjectiveRational, ProjectiveRational, int]] = []
+    )
+    doc_edges: list[_Edge] = []
     for i, item in enumerate(document["edges"]):
         _require(isinstance(item, dict), f"edges[{i}] must be an object")
         _require(
@@ -147,53 +151,72 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidBound as exc:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
-    _check_vertices(doc_vertices, expected)
-    _check_edges(doc_edges, expected)
+    _check_list("vertex", "vertices", doc_vertices, expected.vertices,
+                str, _unknown_vertex)
+    _check_list("edge", "edges", tuple(doc_edges),
+                tuple((e.src, e.dst, e.sign) for e in expected.edges),
+                _edge_text, _unknown_edge)
     return expected
 
 
-def _check_vertices(
-    doc_vertices: list[ProjectiveRational], expected: SuborbitalGraph
-) -> None:
-    have = set(doc_vertices)
-    want = expected.vertex_set()
-    for vertex in doc_vertices:
-        if vertex not in want:
-            raise InvariantViolation(
-                f"vertex {vertex} does not belong to this graph's vertex set"
-            )
-    for vertex in expected.vertices:
-        if vertex not in have:
-            raise InvariantViolation(f"vertex {vertex} missing from document")
-    if tuple(doc_vertices) != expected.vertices:
-        raise InvariantViolation("vertex list is not in canonical sorted order")
+def _edge_text(edge: _Edge) -> str:
+    src, dst, sign = edge
+    return f"{src} -> {dst} [{_SIGN_TEXT[sign]}]"
 
 
-def _check_edges(
-    doc_edges: list[tuple[ProjectiveRational, ProjectiveRational, int]],
-    expected: SuborbitalGraph,
+def _unknown_vertex(
+    vertex: ProjectiveRational, want: tuple[ProjectiveRational, ...]
+) -> str | None:
+    if vertex in set(want):
+        return None
+    return f"vertex {vertex} does not belong to this graph's vertex set"
+
+
+def _unknown_edge(edge: _Edge, want: tuple[_Edge, ...]) -> str | None:
+    src, dst, sign = edge
+    known = {(s, d): g for s, d, g in want}.get((src, dst))
+    if known is None:
+        return f"edge {src} -> {dst} fails the edge conditions for this graph"
+    if known != sign:
+        return (
+            f"edge {src} -> {dst} has sign {_SIGN_TEXT[sign]}, "
+            f"expected {_SIGN_TEXT[known]}"
+        )
+    return None
+
+
+def _check_list(
+    noun: str,
+    field: str,
+    have: tuple,
+    want: tuple,
+    show: Callable[..., str],
+    unknown: Callable[..., str | None],
 ) -> None:
-    want = {(e.src, e.dst): e.sign for e in expected.edges}
-    for src, dst, sign in doc_edges:
-        known = want.get((src, dst))
-        if known is None:
-            raise InvariantViolation(
-                f"edge {src} -> {dst} fails the edge conditions for this graph"
-            )
-        if known != sign:
-            raise InvariantViolation(
-                f"edge {src} -> {dst} has sign {_SIGN_TEXT[sign]}, "
-                f"expected {_SIGN_TEXT[known]}"
-            )
-    have = {(src, dst) for src, dst, _ in doc_edges}
-    for edge in expected.edges:
-        if (edge.src, edge.dst) not in have:
-            raise InvariantViolation(f"edge {edge} missing from document")
-    flat = tuple(
-        DirectedEdge(src, dst, sign) for src, dst, sign in doc_edges
+    """Compare one document list with the fresh enumeration in one pass.
+
+    At the first index where the lists differ, the message names the
+    document's item if the enumeration lacks it (unknown gives that
+    message), else the expected item if the document lacks it, else both
+    items, which are then out of order.
+    """
+    if have == want:
+        return
+    i = next(
+        (i for i, (a, b) in enumerate(zip(have, want)) if a != b),
+        min(len(have), len(want)),
     )
-    if flat != expected.edges:
-        raise InvariantViolation("edge list is not in canonical sorted order")
+    message = unknown(have[i], want) if i < len(have) else None
+    if message is None and i < len(want) and want[i] not in have[i:]:
+        message = f"{noun} {show(want[i])} missing from document"
+    if message is None:
+        found = show(have[i]) if i < len(have) else "the end of the list"
+        wanted = show(want[i]) if i < len(want) else "the end of the list"
+        message = (
+            f"{noun} list is not in canonical sorted order: "
+            f"{field}[{i}] is {found}, expected {wanted}"
+        )
+    raise InvariantViolation(message)
 
 
 def emit_dot(graph: SuborbitalGraph) -> str:

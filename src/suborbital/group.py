@@ -25,10 +25,6 @@ __all__ = [
     "gamma00",
     "gamma0_pair",
     "gamma00_pair",
-    "compose",
-    "invert",
-    "mobius_apply",
-    "is_member",
     "stabilizer_generator",
     "block_equivalent",
 ]
@@ -223,24 +219,6 @@ def gamma0_pair(l: int, m: int) -> SubgroupSpec:
 
 def gamma00_pair(l: int, m: int) -> SubgroupSpec:
     return SubgroupSpec(GAMMA00_PAIR, (l, m))
-
-
-def compose(g: UnimodularMatrix, h: UnimodularMatrix) -> UnimodularMatrix:
-    """Matrix product g*h, canonicalized."""
-    return g * h
-
-
-def invert(g: UnimodularMatrix) -> UnimodularMatrix:
-    """Group inverse: the canonical lift of [[d, -b], [-c, a]]."""
-    return g.inverse()
-
-
-def mobius_apply(g: UnimodularMatrix, v: ProjectiveRational) -> ProjectiveRational:
-    return g.apply(v)
-
-
-def is_member(g: UnimodularMatrix, spec: SubgroupSpec) -> bool:
-    return spec.contains(g)
 
 
 def stabilizer_generator(point: ProjectiveRational) -> UnimodularMatrix:

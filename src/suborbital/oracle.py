@@ -154,8 +154,11 @@ class OrbitalReport:
     soundness_failures lists orbital pairs inside the height window that
     the edge predicate rejected; a correct build keeps it empty.
     completeness_misses lists predicate edges the bounded orbital never
-    reached; those shrink as the entry bound grows and are reported, not
-    failed.
+    reached; they are reported, not failed.  The predicate ignores the
+    group's other modulus, so where that exceeds 1 the edges whose
+    carrier is not a member stay missed at every entry bound: for F[1, 2]
+    against gamma0_pair(2, 2) at height 30 the misses level off at 372
+    from entry bound 30 on.
     """
 
     spec: GraphSpec

@@ -17,8 +17,6 @@ __all__ = [
     "ProjectiveRational",
     "INFINITY",
     "ZERO",
-    "make_rational",
-    "compare",
     "mod_inverse",
     "factorize",
     "dedekind_psi",
@@ -107,23 +105,6 @@ class ProjectiveRational:
 
 INFINITY = ProjectiveRational(1, 0)
 ZERO = ProjectiveRational(0, 1)
-
-
-def make_rational(num: int, den: int) -> ProjectiveRational:
-    """Build the canonical reduced form of num/den.
-
-    Every n/0 collapses to the single point 1/0; 0/n collapses to 0/1.
-    Raises ZeroOverZero for (0, 0).
-    """
-    return ProjectiveRational(num, den)
-
-
-def compare(a: ProjectiveRational, b: ProjectiveRational) -> int:
-    """Three-way comparison: -1, 0 or +1 as a is less than, equal to or
-    greater than b, with 1/0 strictly greatest."""
-    lhs = a.num * b.den
-    rhs = b.num * a.den
-    return (lhs > rhs) - (lhs < rhs)
 
 
 def mod_inverse(u: int, m: int) -> int:

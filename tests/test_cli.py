@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import suborbital.cli as cli_module
 from suborbital.cli import main
 
 
@@ -106,6 +107,19 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "blocks", "--max", "20")
         assert code == 0
         assert "ok" in out
+
+    def test_blocks_max_has_work_ceiling(self, capsys, monkeypatch):
+        # the refusal comes from the estimate alone: no block is counted
+        monkeypatch.setattr(cli_module, "count_blocks", None)
+        for argv in (("--suite", "blocks"), ("--suite", "all")):
+            code, out, err = run(capsys, "verify", *argv, "--max", "1000000")
+            assert code == 3
+            assert out == ""
+            # sum of n*n over n <= 10**6
+            assert "333333833333500000" in err
+        monkeypatch.undo()
+        for limit in ("30", "35"):
+            assert run(capsys, "verify", "--suite", "blocks", "--max", limit)[0] == 0
 
     def test_selfpaired_single(self, capsys):
         code, out, _ = run(

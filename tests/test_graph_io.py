@@ -158,8 +158,19 @@ class TestParseErrors:
     def test_unsorted_vertices_detected(self):
         data = json.loads(self.doc)
         data["vertices"].reverse()
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation) as err:
             parse_json(json.dumps(data))
+        first, expected = data["vertices"][0], data["vertices"][-1]
+        assert f"vertices[0] is {first}, expected {expected}" in str(err.value)
+
+    def test_swapped_edges_detected(self):
+        data = json.loads(self.doc)
+        edges = data["edges"]
+        edges[3], edges[4] = edges[4], edges[3]
+        with pytest.raises(InvariantViolation) as err:
+            parse_json(json.dumps(data))
+        found, expected = (f"{e['src']} -> {e['dst']} [{e['sign']}]" for e in edges[3:5])
+        assert f"edges[3] is {found}, expected {expected}" in str(err.value)
 
     def test_invalid_parameters_detected(self):
         with pytest.raises(InvariantViolation):

@@ -30,9 +30,9 @@ from suborbital.graphs import (
     transitivity_witness,
     vertex_map_matrix,
 )
-from suborbital.group import UnimodularMatrix, block_equivalent, gamma0_pair, is_member
+from suborbital.group import UnimodularMatrix, block_equivalent, gamma0_pair
 from suborbital.oracle import compare_edges_vs_orbital, enumerate_group, verify_self_paired
-from suborbital.rational import INFINITY, ZERO, make_rational
+from suborbital.rational import INFINITY, ZERO, ProjectiveRational
 
 F12 = GraphSpec(family="finf", u=1, modulus=2)
 F32 = GraphSpec(family="fzero", u=2, modulus=3)
@@ -87,10 +87,10 @@ class TestGraphSpec:
             GraphSpec(family="finf", u=1, modulus=2, reversed=True)
 
     def test_base_pairs(self):
-        assert F12.base_pair() == (INFINITY, make_rational(1, 2))
-        assert F32.base_pair() == (ZERO, make_rational(3, 2))
+        assert F12.base_pair() == (INFINITY, ProjectiveRational(1, 2))
+        assert F32.base_pair() == (ZERO, ProjectiveRational(3, 2))
         partner = paired_partner(F32)
-        assert partner.base_pair() == (make_rational(3, 2), ZERO)
+        assert partner.base_pair() == (ProjectiveRational(3, 2), ZERO)
 
     def test_labels(self):
         assert F12.label() == "F[1, 2]"
@@ -99,79 +99,77 @@ class TestGraphSpec:
 
     def test_block_membership(self):
         assert F12.block_contains(INFINITY)
-        assert F12.block_contains(make_rational(5, 6))
-        assert not F12.block_contains(make_rational(1, 3))
+        assert F12.block_contains(ProjectiveRational(5, 6))
+        assert not F12.block_contains(ProjectiveRational(1, 3))
         assert F32.block_contains(ZERO)
-        assert F32.block_contains(make_rational(-3, 4))
-        assert not F32.block_contains(make_rational(2, 3))
+        assert F32.block_contains(ProjectiveRational(-3, 4))
+        assert not F32.block_contains(ProjectiveRational(2, 3))
         assert not F32.block_contains(INFINITY)
 
 
 class TestDirectedEdge:
     def test_sign_must_match_order(self):
-        hi, lo = make_rational(1, 2), make_rational(1, 4)
-        assert DirectedEdge(hi, lo, 1).sign == 1
-        assert DirectedEdge(lo, hi, -1).sign == -1
-        with pytest.raises(InvariantViolation):
-            DirectedEdge(hi, lo, -1)
-        with pytest.raises(InvariantViolation):
-            DirectedEdge(lo, hi, 1)
+        hi, lo = ProjectiveRational(1, 2), ProjectiveRational(1, 4)
+        assert DirectedEdge(hi, lo).sign == 1
+        assert DirectedEdge(lo, hi).sign == -1
+        assert DirectedEdge(INFINITY, lo).sign == 1
+        assert DirectedEdge(lo, INFINITY).sign == -1
 
     def test_no_loops(self):
-        v = make_rational(1, 2)
+        v = ProjectiveRational(1, 2)
         with pytest.raises(InvariantViolation):
-            DirectedEdge(v, v, 1)
+            DirectedEdge(v, v)
 
     def test_str(self):
-        e = DirectedEdge(INFINITY, make_rational(1, 2), 1)
+        e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         assert str(e) == "1/0 -> 1/2 [+]"
 
 
 class TestEdgeCheck:
     def test_base_edge_of_infinity_family(self):
-        assert edge_check(F12, INFINITY, make_rational(1, 2)) == 1
+        assert edge_check(F12, INFINITY, ProjectiveRational(1, 2)) == 1
 
     def test_reverse_of_base_edge(self):
         # the group element (1, -1; 2, -1) carries the base pair
         # (1/0, 1/2) onto (1/2, 1/0), so the reversed pair must be an
         # edge by invariance; its sign is negative because 1/2 < 1/0
         g = UnimodularMatrix(1, -1, 2, -1)
-        assert is_member(g, gamma0_pair(2, 1))
-        assert g.apply(INFINITY) == make_rational(1, 2)
-        assert g.apply(make_rational(1, 2)) == INFINITY
-        assert edge_check(F12, make_rational(1, 2), INFINITY) == -1
+        assert gamma0_pair(2, 1).contains(g)
+        assert g.apply(INFINITY) == ProjectiveRational(1, 2)
+        assert g.apply(ProjectiveRational(1, 2)) == INFINITY
+        assert edge_check(F12, ProjectiveRational(1, 2), INFINITY) == -1
 
     def test_base_edge_of_zero_family(self):
-        assert edge_check(F32, ZERO, make_rational(3, 2)) == -1
+        assert edge_check(F32, ZERO, ProjectiveRational(3, 2)) == -1
 
     def test_non_edges(self):
-        assert edge_check(F12, INFINITY, make_rational(1, 3)) is None
-        assert edge_check(F12, make_rational(1, 4), make_rational(3, 4)) is None
-        assert edge_check(F32, ZERO, make_rational(3, 4)) is None
-        assert edge_check(F32, ZERO, make_rational(3, 1)) is None
+        assert edge_check(F12, INFINITY, ProjectiveRational(1, 3)) is None
+        assert edge_check(F12, ProjectiveRational(1, 4), ProjectiveRational(3, 4)) is None
+        assert edge_check(F32, ZERO, ProjectiveRational(3, 4)) is None
+        assert edge_check(F32, ZERO, ProjectiveRational(3, 1)) is None
 
     def test_edge_direction_is_not_symmetric_for_zero_family(self):
         # 3/4 -> 0/1 is an edge while its reverse is not; only the
         # self-paired graphs contain both orientations
-        assert edge_check(F32, make_rational(3, 4), ZERO) == 1
-        assert edge_check(F32, ZERO, make_rational(-3, 4)) == 1
+        assert edge_check(F32, ProjectiveRational(3, 4), ZERO) == 1
+        assert edge_check(F32, ZERO, ProjectiveRational(-3, 4)) == 1
 
     def test_loops_absent(self):
         for spec in (F12, F32):
-            for v in (INFINITY, ZERO, make_rational(1, 2)):
+            for v in (INFINITY, ZERO, ProjectiveRational(1, 2)):
                 assert edge_check(spec, v, v) is None
 
     def test_interior_edge(self):
-        assert edge_check(F12, make_rational(1, 2), make_rational(1, 4)) == 1
+        assert edge_check(F12, ProjectiveRational(1, 2), ProjectiveRational(1, 4)) == 1
 
     def test_congruence_uses_both_vertex_lifts(self):
         # -1/3 is a Gamma0(3,1) image of the base vertex 1/0 via
         # (1, 0; -3, 1), reachable only when lifts of sign -1 are tried
         spec = GraphSpec(family="finf", u=1, modulus=3)
         g = UnimodularMatrix(1, 0, -3, 1)
-        assert is_member(g, gamma0_pair(3, 1))
-        src, dst = g.apply(INFINITY), g.apply(make_rational(1, 3))
-        assert src == make_rational(-1, 3)
+        assert gamma0_pair(3, 1).contains(g)
+        src, dst = g.apply(INFINITY), g.apply(ProjectiveRational(1, 3))
+        assert src == ProjectiveRational(-1, 3)
         assert edge_check(spec, src, dst) is not None
 
 
@@ -193,6 +191,23 @@ class TestEnumerateGraph:
         assert report.soundness_failures == ()
         assert report.completeness_misses == ()
         report = compare_edges_vs_orbital(F32, gamma0_pair(1, 3), 20, 4)
+        assert report.soundness_failures == ()
+        assert report.completeness_misses == ()
+
+    @pytest.mark.parametrize("family", ["finf", "fzero"])
+    @pytest.mark.parametrize(
+        "u, m", [(u, m) for m in (8, 12) for u in range(1, m) if math.gcd(u, m) == 1]
+    )
+    def test_exact_orbit_where_one_has_more_than_two_square_roots(
+        self, family, u, m
+    ):
+        # mod 8 and mod 12 have four square roots of 1, so a test of
+        # r*r == 1 in place of r == 1 or -1 accepts extra edges; only
+        # completeness against the orbit shows them
+        spec = GraphSpec(family=family, u=u, modulus=m)
+        group = gamma0_pair(m, 1) if family == "finf" else gamma0_pair(1, m)
+        report = compare_edges_vs_orbital(spec, group, 60, 40)
+        assert report.edge_count > 0
         assert report.soundness_failures == ()
         assert report.completeness_misses == ()
 
@@ -302,7 +317,7 @@ class TestPairedPartner:
         spec = GraphSpec(family="fzero", u=2, modulus=5)
         partner = paired_partner(spec)
         src, dst = partner.base_pair()
-        assert (src, dst) == (make_rational(5, 2), ZERO)
+        assert (src, dst) == (ProjectiveRational(5, 2), ZERO)
         assert edge_check(partner, src, dst) == 1
 
 
@@ -310,13 +325,13 @@ class TestVertexMap:
     def test_example_matrix(self):
         witness = vertex_map_matrix(2, 4, 5, 3)
         assert witness.matrix == UnimodularMatrix(-1, 3, -2, 5)
-        assert witness.matrix.apply(make_rational(3, 2)) == make_rational(3, 4)
+        assert witness.matrix.apply(ProjectiveRational(3, 2)) == ProjectiveRational(3, 4)
         assert witness.in_group is False
 
     def test_modulus_one_always_mappable(self):
         witness = vertex_map_matrix(3, 3, 4, 1)
         assert witness.matrix == UnimodularMatrix(-2, 1, -9, 4)
-        assert witness.matrix.apply(make_rational(1, 3)) == make_rational(1, 3)
+        assert witness.matrix.apply(ProjectiveRational(1, 3)) == ProjectiveRational(1, 3)
 
     def test_not_mappable(self):
         with pytest.raises(NotMappable):
@@ -340,7 +355,7 @@ class TestVertexMap:
         except NotMappable:
             assert (u2 - u1 * u2 - u1) % m != 0
             return
-        assert witness.matrix.apply(make_rational(m, u1)) == make_rational(m, u2)
+        assert witness.matrix.apply(ProjectiveRational(m, u1)) == ProjectiveRational(m, u2)
 
 
 class TestTransitivityWitness:
@@ -352,16 +367,16 @@ class TestTransitivityWitness:
         assert g.apply(e.src) == e.src and g.apply(e.dst) == e.dst
 
     def test_base_edge_to_interior_edge(self):
-        e1 = DirectedEdge(INFINITY, make_rational(1, 2), 1)
-        e2 = DirectedEdge(make_rational(1, 2), make_rational(1, 4), 1)
+        e1 = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
+        e2 = DirectedEdge(ProjectiveRational(1, 2), ProjectiveRational(1, 4))
         g = transitivity_witness(F12, e1, e2, gamma0_pair(2, 1), 10)
         assert g == UnimodularMatrix(1, 0, 2, 1)
         assert g.apply(e1.src) == e2.src
         assert g.apply(e1.dst) == e2.dst
-        assert is_member(g, gamma0_pair(2, 1))
+        assert gamma0_pair(2, 1).contains(g)
 
     def test_no_witness_across_blocks(self):
-        e1 = DirectedEdge(INFINITY, make_rational(1, 2), 1)
-        outside = DirectedEdge(make_rational(1, 1), make_rational(1, 3), 1)
+        e1 = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
+        outside = DirectedEdge(ProjectiveRational(1, 1), ProjectiveRational(1, 3))
         assert not block_equivalent(e1.src, outside.src, 2)
         assert transitivity_witness(F12, e1, outside, gamma0_pair(2, 1), 10) is None

@@ -23,7 +23,7 @@ from suborbital.oracle import (
     verify_lattice_identity,
     verify_self_paired,
 )
-from suborbital.rational import INFINITY, dedekind_psi, make_rational
+from suborbital.rational import INFINITY, ProjectiveRational, dedekind_psi
 
 F12 = GraphSpec(family="finf", u=1, modulus=2)
 F32 = GraphSpec(family="fzero", u=2, modulus=3)
@@ -111,25 +111,25 @@ class TestEnumerateGroup:
 
 class TestOrbitalPairs:
     def test_identity_only_sample(self):
-        base = (INFINITY, make_rational(1, 2))
+        base = (INFINITY, ProjectiveRational(1, 2))
         sample = BoundedGroupSample(full_group(), 1, (IDENTITY,))
         orbital = orbital_pairs(sample, base)
         assert orbital.pairs == (base,)
 
     def test_contains_translated_pair(self):
         sample = enumerate_group(gamma0_pair(2, 1), 5)
-        orbital = orbital_pairs(sample, (INFINITY, make_rational(1, 2)))
-        assert (make_rational(1, 2), make_rational(1, 4)) in orbital.pair_set()
+        orbital = orbital_pairs(sample, (INFINITY, ProjectiveRational(1, 2)))
+        assert (ProjectiveRational(1, 2), ProjectiveRational(1, 4)) in orbital.pair_set()
 
     def test_base_always_present(self):
         for group in (full_group(), gamma0_pair(3, 2)):
             sample = enumerate_group(group, 4)
-            base = (INFINITY, make_rational(1, 3))
+            base = (INFINITY, ProjectiveRational(1, 3))
             assert base in orbital_pairs(sample, base).pair_set()
 
     def test_diagonal_base_stays_diagonal(self):
         sample = enumerate_group(full_group(), 4)
-        v = make_rational(1, 2)
+        v = ProjectiveRational(1, 2)
         for a, b in orbital_pairs(sample, (v, v)).pairs:
             assert a == b
 
