@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .errors import BoundTooLarge, InvalidSpec, SuborbitalError
+from .errors import BoundTooLarge, InvalidSpec, SuborbitalError, refuse_above
 from .graph_io import emit_dot, emit_json, emit_svg
 from .graphs import (
     FAMILY_INFINITY,
@@ -76,9 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_edges.add_argument("--reversed", action="store_true",
                          help="emit the reversed-orientation partner family")
     p_edges.add_argument("--width", type=int, default=640,
-                         help="svg width in pixels (minimum 64)")
-    p_edges.add_argument("--force", action="store_true",
-                         help="allow height bounds above the safety ceiling")
+                         help="svg width in pixels (64 to 100000)")
     p_edges.set_defaults(handler=cmd_edges)
 
     p_verify = sub.add_parser(
@@ -143,7 +141,7 @@ def cmd_edges(args: argparse.Namespace) -> int:
     spec = GraphSpec(
         family=args.family, u=args.u, modulus=args.mod, reversed=args.reversed
     )
-    graph = enumerate_graph(spec, args.bound, force=args.force)
+    graph = enumerate_graph(spec, args.bound)
     if args.format == "json":
         print(emit_json(graph))
     elif args.format == "dot":
@@ -155,12 +153,8 @@ def cmd_edges(args: argparse.Namespace) -> int:
 
 def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     limit = args.max if args.max is not None else 30
-    work = limit * (limit + 1) * (2 * limit + 1) // 6
-    if work > BLOCKS_WORK_CEILING:
-        raise BoundTooLarge(
-            f"blocks up to --max {limit} would mark about {work} residue pairs, "
-            f"above the ceiling {BLOCKS_WORK_CEILING}"
-        )
+    refuse_above(f"estimated residue pairs for --max {limit}",
+                 limit * (limit + 1) * (2 * limit + 1) // 6, BLOCKS_WORK_CEILING)
     pair_limit = min(limit, 20)
     table = {n: count_blocks(n) for n in range(1, limit + 1)}
     formula_bad = [n for n in range(1, limit + 1) if table[n] != dedekind_psi(n)]

@@ -30,7 +30,15 @@ class InvalidBound(SuborbitalError):
 
 
 class BoundTooLarge(SuborbitalError):
-    """Requested enumeration exceeds the configured resource ceiling."""
+    """A request's estimated work exceeds its resource ceiling."""
+
+
+def refuse_above(what: str, estimate: int, ceiling: int) -> None:
+    """Refuse, stating the estimate, a request priced above its ceiling."""
+    if estimate > ceiling:
+        bits = estimate.bit_length()  # str() fails past a few thousand digits
+        shown = str(estimate) if bits <= 10_000 else f"more than 2**{bits - 1}"
+        raise BoundTooLarge(f"{what} is {shown}, above the ceiling {ceiling}")
 
 
 class NotMappable(SuborbitalError):

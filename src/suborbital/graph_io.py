@@ -18,6 +18,7 @@ from .errors import (
     InvariantViolation,
     MalformedDocument,
     VersionMismatch,
+    refuse_above,
 )
 from .graphs import GraphSpec, SuborbitalGraph, enumerate_graph
 from .rational import ProjectiveRational
@@ -91,11 +92,12 @@ def parse_json(text: str) -> SuborbitalGraph:
     Structural problems raise MalformedDocument, a foreign version
     string raises VersionMismatch, and a document whose vertex or edge
     lists disagree with a fresh enumeration raises InvariantViolation
-    naming the first offending item.
+    naming the first offending item.  A height bound whose enumeration
+    enumerate_graph would refuse raises BoundTooLarge.
     """
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
         raise MalformedDocument(f"not valid JSON: {exc}") from None
     _require(isinstance(document, dict), "top level must be an object")
     _require("format_version" in document, "missing key format_version")
@@ -233,6 +235,8 @@ def emit_dot(graph: SuborbitalGraph) -> str:
 
 
 _STROKE = {1: "#205080", -1: "#a03030"}
+# wider drawings are refused, far below where float coordinates overflow
+WIDTH_CEILING = 100_000
 
 
 def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
@@ -242,10 +246,11 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
     vertices is the semicircle over the segment joining them, and an
     edge meeting 1/0 is a vertical ray clipped at the top border.  Every
     edge is one path element with an arrowhead marker; nothing else in
-    the document is a path.
+    the document is a path.  Widths run from 64 px to WIDTH_CEILING.
     """
     if width_px < 64:
         raise InvalidBound(f"width must be at least 64 px, got {width_px}")
+    refuse_above("the svg width in px", width_px, WIDTH_CEILING)
     width = width_px
     height = width // 2 + 48
     pad = 16.0

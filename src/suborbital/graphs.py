@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    BoundTooLarge,
     InvalidBound,
     InvalidSpec,
     InvariantViolation,
     NotMappable,
+    refuse_above,
 )
 from .group import SubgroupSpec, UnimodularMatrix, gamma0_pair
 from .rational import INFINITY, ZERO, ProjectiveRational, mod_inverse
@@ -41,14 +41,11 @@ __all__ = [
     "VertexMapWitness",
     "vertex_map_matrix",
     "transitivity_witness",
-    "HEIGHT_CEILING",
+    "PAIR_CEILING",
 ]
 
 FAMILY_INFINITY = "finf"
 FAMILY_ZERO = "fzero"
-
-# enumerate_graph refuses larger height bounds unless explicitly forced
-HEIGHT_CEILING = 10_000
 
 
 @dataclass(frozen=True)
@@ -223,21 +220,27 @@ def _block_vertices(spec: GraphSpec, bound: int) -> list[ProjectiveRational]:
     return out
 
 
-def enumerate_graph(
-    spec: GraphSpec, height_bound: int, force: bool = False
-) -> "SuborbitalGraph":
+def _vertex_estimate(spec: GraphSpec, bound: int) -> int:
+    """O(1) upper bound on len(_block_vertices(spec, bound))."""
+    return (2 * bound + 1) * (bound // spec.modulus) + 2
+
+
+# enumerate_graph tests every ordered vertex pair; more pairs are refused
+PAIR_CEILING = 10**9
+
+
+def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     """All vertices of the base vertex's block up to the height bound, and
     every ordered pair among them that edge_check accepts.
 
     Output ordering is deterministic: vertices and edges are sorted by
-    their (num, den) keys.  Bounds above HEIGHT_CEILING need force=True.
+    their (num, den) keys.  Raises InvalidBound below 1 and BoundTooLarge
+    when the squared vertex estimate exceeds PAIR_CEILING.
     """
     if height_bound < 1:
         raise InvalidBound(f"height bound must be >= 1, got {height_bound}")
-    if height_bound > HEIGHT_CEILING and not force:
-        raise BoundTooLarge(
-            f"height bound {height_bound} exceeds ceiling {HEIGHT_CEILING}"
-        )
+    refuse_above(f"estimated vertex pairs to height {height_bound}",
+                 _vertex_estimate(spec, height_bound) ** 2, PAIR_CEILING)
     vertices = _block_vertices(spec, height_bound)
     m = spec.modulus
     u = spec.forward_u()
@@ -322,7 +325,6 @@ def vertex_map_matrix(u1: int, u2: int, l: int, m: int) -> VertexMapWitness:
 
 
 def transitivity_witness(
-    spec: GraphSpec,
     e1: DirectedEdge,
     e2: DirectedEdge,
     group: SubgroupSpec,

@@ -10,11 +10,10 @@ evidence rather than circularity.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BoundTooLarge, InvalidBound, InvalidModulus, InvalidSpec
+from .errors import InvalidBound, InvalidModulus, InvalidSpec, refuse_above
 from .graphs import (
     FAMILY_INFINITY,
     DirectedEdge,
@@ -34,8 +33,7 @@ from .group import (
 from .rational import ProjectiveRational
 
 __all__ = [
-    "DEFAULT_SCAN_CEILING",
-    "SCAN_CEILING_VAR",
+    "SCAN_CEILING",
     "BoundedGroupSample",
     "OrbitalSample",
     "enumerate_group",
@@ -48,23 +46,6 @@ __all__ = [
     "SelfPairedReport",
     "verify_self_paired",
 ]
-
-DEFAULT_SCAN_CEILING = 60
-SCAN_CEILING_VAR = "SUBORBITAL_SCAN_CEILING"
-
-
-def scan_ceiling() -> int:
-    """Active entry-bound ceiling; the environment variable overrides."""
-    raw = os.environ.get(SCAN_CEILING_VAR)
-    if raw is None:
-        return DEFAULT_SCAN_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidBound(
-            f"{SCAN_CEILING_VAR} must be an integer, got {raw!r}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class BoundedGroupSample:
@@ -84,6 +65,10 @@ class OrbitalSample:
 
     def pair_set(self) -> frozenset[tuple[ProjectiveRational, ProjectiveRational]]:
         return frozenset(self.pairs)
+
+
+# larger entry bounds are refused; the scan grows with the bound's square
+SCAN_CEILING = 60
 
 
 @lru_cache(maxsize=8)
@@ -122,11 +107,7 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
     """
     if entry_bound < 1:
         raise InvalidBound(f"entry bound must be >= 1, got {entry_bound}")
-    ceiling = scan_ceiling()
-    if entry_bound > ceiling:
-        raise BoundTooLarge(
-            f"entry bound {entry_bound} exceeds scan ceiling {ceiling}"
-        )
+    refuse_above("the entry bound", entry_bound, SCAN_CEILING)
     return BoundedGroupSample(group, entry_bound, _member_scan(group, entry_bound))
 
 
@@ -138,13 +119,6 @@ def orbital_pairs(
     seen = {(g.apply(base[0]), g.apply(base[1])) for g in sample.elements}
     ordered = sorted(seen, key=lambda p: p[0].key() + p[1].key())
     return OrbitalSample(base, tuple(ordered))
-
-
-def _group_modulus_for(spec: GraphSpec, group: SubgroupSpec) -> int:
-    if group.family != GAMMA0_PAIR:
-        raise InvalidSpec("orbital comparison expects a gamma0_pair group")
-    l, m = group.params
-    return l if spec.family == FAMILY_INFINITY else m
 
 
 @dataclass(frozen=True)
@@ -229,7 +203,10 @@ def compare_edges_vs_orbital(
     height_bound: int,
 ) -> OrbitalReport:
     """Compare the enumerated edge set against raw group images of the base pair."""
-    if _group_modulus_for(spec, group) != spec.modulus:
+    if group.family != GAMMA0_PAIR:
+        raise InvalidSpec("orbital comparison expects a gamma0_pair group")
+    l, m = group.params
+    if (l if spec.family == FAMILY_INFINITY else m) != spec.modulus:
         raise InvalidSpec(
             f"group {group.label()} does not match graph modulus {spec.modulus}"
         )
@@ -341,6 +318,10 @@ class LatticeReport:
         return lines
 
 
+# verify_lattice_identity forms every product of two scans; more are refused
+PRODUCT_CEILING = 1_000_000
+
+
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
     """Scan-check the intersection and product lattice identities."""
     if n1 < 1 or n2 < 1:
@@ -359,11 +340,12 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     join = gamma0(math.gcd(n1, n2))
     left = enumerate_group(principal(n1), entry_bound)
     right = enumerate_group(gamma0(n2), entry_bound)
+    products = len(left.elements) * len(right.elements)
+    refuse_above(f"the lattice product count at entry bound {entry_bound}",
+                 products, PRODUCT_CEILING)
     bad_product: list[UnimodularMatrix] = []
-    checked = 0
     for p in left.elements:
         for q in right.elements:
-            checked += 1
             product = p * q
             if not join.contains(product):
                 bad_product.append(product)
@@ -373,7 +355,7 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
         entry_bound=entry_bound,
         scanned=len(everything.elements),
         intersection_violations=bad_meet,
-        products_checked=checked,
+        products_checked=products,
         product_violations=tuple(bad_product),
     )
 

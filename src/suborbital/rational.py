@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from functools import total_ordering
 
-from .errors import InvalidModulus, NotInvertible, ZeroOverZero
+from .errors import InvalidModulus, NotInvertible, ZeroOverZero, refuse_above
 
 __all__ = [
     "ProjectiveRational",
@@ -121,14 +121,20 @@ def mod_inverse(u: int, m: int) -> int:
         raise NotInvertible(f"{u} has no inverse mod {m}") from None
 
 
+# factorize tries divisors up to isqrt(n); larger square roots are refused
+TRIAL_DIVISION_CEILING = 10**7
+
+
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as ((p, k), ...) with strictly increasing p.
 
-    factorize(1) is the empty tuple.  Plain trial division; inputs here
-    are desk scale.
+    factorize(1) is the empty tuple.  Plain trial division, so BoundTooLarge
+    refuses n whose isqrt exceeds TRIAL_DIVISION_CEILING.
     """
     if n < 1:
         raise InvalidModulus(f"factorize needs n >= 1, got {n}")
+    refuse_above("the trial division bound isqrt(n)", math.isqrt(n),
+                 TRIAL_DIVISION_CEILING)
     out: list[tuple[int, int]] = []
     p = 2
     while p * p <= n:

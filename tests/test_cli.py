@@ -4,6 +4,8 @@ Commands run in-process through main(argv); one test drives the
 installed console script end to end.
 """
 
+import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -11,7 +13,10 @@ import sys
 import pytest
 
 import suborbital.cli as cli_module
-from suborbital.cli import main
+import suborbital.graphs as graphs_module
+import suborbital.oracle as oracle_module
+from suborbital.cli import build_parser, main
+from suborbital.group import UnimodularMatrix
 
 
 def run(capsys, *argv):
@@ -81,6 +86,36 @@ class TestEdgesCommand:
         assert code == 3
         assert "ceiling" in err
 
+    def test_huge_bound_refused_from_the_estimate(self, capsys, monkeypatch):
+        # no vertex is generated: the pair estimate alone refuses
+        monkeypatch.setattr(graphs_module, "_block_vertices", None)
+        code, out, err = run(
+            capsys, "edges", "--family", "finf", "--u", "1", "--mod", "2",
+            "--bound", "10000",
+        )
+        assert code == 3
+        assert out == ""
+        # ((2*10000 + 1) * (10000 // 2) + 2) ** 2
+        assert "10001000425020004" in err
+
+    def test_estimate_too_long_to_print_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "edges", "--family", "finf", "--u", "1", "--mod", "1",
+            "--bound", str(10**1500),
+        )
+        assert code == 3
+        assert out == ""
+        assert "more than 2**" in err
+
+    def test_huge_svg_width_is_resource_limit(self, capsys):
+        code, out, err = run(
+            capsys, "edges", "--family", "finf", "--u", "1", "--mod", "2",
+            "--bound", "4", "--format", "svg", "--width", str(10**400),
+        )
+        assert code == 3
+        assert out == ""
+        assert "ceiling 100000" in err
+
     def test_reversed_only_for_zero_family(self, capsys):
         code, _, _ = run(
             capsys, "edges", "--family", "finf", "--u", "1", "--mod", "2",
@@ -120,6 +155,18 @@ class TestVerifyCommand:
         monkeypatch.undo()
         for limit in ("30", "35"):
             assert run(capsys, "verify", "--suite", "blocks", "--max", limit)[0] == 0
+
+    def test_lattice_has_work_ceiling(self, capsys, monkeypatch):
+        # the refusal comes from the estimate alone: no product is formed
+        monkeypatch.setattr(UnimodularMatrix, "__mul__", None)
+        code, out, err = run(
+            capsys, "verify", "--suite", "lattice", "--n1", "1", "--n2", "1",
+            "--entry-bound", "60",
+        )
+        assert code == 3
+        assert out == ""
+        # 17626 scanned members on each side
+        assert "310675876" in err
 
     def test_selfpaired_single(self, capsys):
         code, out, _ = run(
@@ -180,7 +227,7 @@ class TestVerifyCommand:
         assert data[0]["ok"] is True
 
     def test_env_ceiling_gives_resource_exit(self, capsys, monkeypatch):
-        monkeypatch.setenv("SUBORBITAL_SCAN_CEILING", "10")
+        monkeypatch.setattr(oracle_module, "SCAN_CEILING", 10)
         code, _, err = run(
             capsys, "verify", "--suite", "selfpaired", "--mod", "7", "--u", "2",
             "--entry-bound", "60",
@@ -204,6 +251,14 @@ class TestSmallCommands:
     def test_phi_pair(self, capsys):
         assert run(capsys, "phi-pair", "2", "3") == (0, "7\n", "")
 
+    def test_trial_division_ceiling(self, capsys):
+        for argv in (("psi", str(10**40)), ("phi-pair", "1", str(10**40))):
+            code, out, err = run(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            # isqrt(10**40)
+            assert "100000000000000000000," in err
+
     def test_partner(self, capsys):
         assert run(capsys, "partner", "--u", "3", "--mod", "7") == (0, "F[-7, 5]\n", "")
         code, _, _ = run(capsys, "partner", "--u", "2", "--mod", "4")
@@ -225,3 +280,45 @@ class TestSmallCommands:
         )
         assert result.returncode == 0
         assert result.stdout == "7\n"
+
+
+def _contract_cases():
+    """(argv, option) for every int option of every subcommand at +-10**400.
+
+    The other int options get their default, or 1 when they have none,
+    and every combination of the choice options is run.
+    """
+    commands = next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, sub in commands.choices.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        ints = [a for a in actions if a.type is int]
+        picks = [a for a in actions if a.choices]
+        small = {a: a.default if isinstance(a.default, int) else 1 for a in ints}
+        for chosen in itertools.product(*(a.choices for a in picks)):
+            for target, extreme in itertools.product(ints, (10**400, -(10**400))):
+                values = {**dict(zip(picks, chosen)), **small, target: extreme}
+                argv = [name]
+                for action, value in values.items():
+                    argv += action.option_strings[:1] + [str(value)]
+                yield argv, "/".join(target.option_strings) or target.dest
+
+
+class TestExitCodeContract:
+    def test_extreme_int_options_keep_the_exit_codes(self, capsys):
+        failures = []
+        cases = list(_contract_cases())
+        for argv, option in cases:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:
+                code = f"uncaught {type(exc).__name__}"
+            err = capsys.readouterr().err
+            if code not in (0, 1, 2, 3) or "Traceback" in err:
+                failures.append((argv[0], option, code))
+        assert len(cases) > 100
+        assert failures == []

@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+import suborbital.graphs as graphs_module
 from suborbital.errors import (
+    BoundTooLarge,
     InvalidBound,
     InvariantViolation,
     MalformedDocument,
@@ -172,6 +174,22 @@ class TestParseErrors:
         found, expected = (f"{e['src']} -> {e['dst']} [{e['sign']}]" for e in edges[3:5])
         assert f"edges[3] is {found}, expected {expected}" in str(err.value)
 
+    def test_unreadable_sizes_are_malformed(self):
+        text = emit_json(TEST_GRAPHS[0])
+        assert '"height_bound":4,' in text
+        too_long = text.replace('"height_bound":4,', '"height_bound":' + "1" * 5000 + ",")
+        for doc in (too_long, "[" * 200_000):
+            with pytest.raises(MalformedDocument, match="not valid JSON"):
+                parse_json(doc)
+
+    def test_huge_height_bound_refused_from_the_estimate(self, monkeypatch):
+        # no vertex is generated: the pair estimate alone refuses
+        monkeypatch.setattr(graphs_module, "_block_vertices", None)
+        text = rebuild(emit_json(TEST_GRAPHS[0]), height_bound=10_000)
+        # ((2*10000 + 1) * (10000 // 2) + 2) ** 2 for F[1, 2]
+        with pytest.raises(BoundTooLarge, match="10001000425020004"):
+            parse_json(text)
+
     def test_invalid_parameters_detected(self):
         with pytest.raises(InvariantViolation):
             parse_json(rebuild(self.doc, u=2, modulus=4, vertices=[], edges=[]))
@@ -245,6 +263,13 @@ class TestSvg:
         with pytest.raises(InvalidBound):
             emit_svg(TEST_GRAPHS[0], 63)
         assert emit_svg(TEST_GRAPHS[0], 64)
+
+    def test_width_ceiling(self):
+        with pytest.raises(BoundTooLarge, match="100001, above the ceiling 100000"):
+            emit_svg(TEST_GRAPHS[0], 100_001)
+        with pytest.raises(BoundTooLarge):
+            emit_svg(TEST_GRAPHS[0], 10**400)
+        assert 'width="100000"' in emit_svg(TEST_GRAPHS[0], 100_000)
 
     def test_geometry(self):
         graph = TEST_GRAPHS[0]

@@ -223,11 +223,34 @@ class TestEnumerateGraph:
             enumerate_graph(F12, 10_001)
 
     def test_force_overrides_ceiling(self, monkeypatch):
-        monkeypatch.setattr(graphs_module, "HEIGHT_CEILING", 6)
+        # the pair estimates of F[1, 2] at heights 6 and 7 are 41**2 and 47**2
+        monkeypatch.setattr(graphs_module, "PAIR_CEILING", 41**2)
         with pytest.raises(BoundTooLarge):
             enumerate_graph(F12, 7)
-        graph = enumerate_graph(F12, 7, force=True)
-        assert len(graph.edges) == 44
+
+    def test_refusal_comes_from_the_estimate(self, monkeypatch):
+        # no vertex is generated: the pair estimate alone refuses
+        monkeypatch.setattr(graphs_module, "_block_vertices", None)
+        # ((2*10000 + 1) * (10000 // 2) + 2) ** 2
+        with pytest.raises(BoundTooLarge, match="10001000425020004"):
+            enumerate_graph(F12, 10_000)
+
+    def test_pair_ceiling_admits_modulus_one_up_to_height_125(self):
+        f11 = GraphSpec(family="finf", u=1, modulus=1)
+        estimate = graphs_module._vertex_estimate
+        assert estimate(f11, 125) ** 2 <= graphs_module.PAIR_CEILING
+        assert estimate(f11, 126) ** 2 > graphs_module.PAIR_CEILING
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_vertex_estimate_bounds_the_block(self, family, reversed_):
+        # the block does not depend on u
+        for m in range(1, 9):
+            spec = GraphSpec(family=family, u=1, modulus=m, reversed=reversed_)
+            for bound in range(1, 41):
+                have = len(graphs_module._block_vertices(spec, bound))
+                assert graphs_module._vertex_estimate(spec, bound) >= have
 
     def test_every_edge_satisfies_determinant_condition(self):
         for spec, bound in ((F12, 8), (F32, 8)):
@@ -362,14 +385,14 @@ class TestTransitivityWitness:
     def test_identity_for_same_edge(self):
         graph = enumerate_graph(F12, 4)
         e = graph.edges[0]
-        g = transitivity_witness(F12, e, e, gamma0_pair(2, 1), 5)
+        g = transitivity_witness(e, e, gamma0_pair(2, 1), 5)
         assert g is not None
         assert g.apply(e.src) == e.src and g.apply(e.dst) == e.dst
 
     def test_base_edge_to_interior_edge(self):
         e1 = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         e2 = DirectedEdge(ProjectiveRational(1, 2), ProjectiveRational(1, 4))
-        g = transitivity_witness(F12, e1, e2, gamma0_pair(2, 1), 10)
+        g = transitivity_witness(e1, e2, gamma0_pair(2, 1), 10)
         assert g == UnimodularMatrix(1, 0, 2, 1)
         assert g.apply(e1.src) == e2.src
         assert g.apply(e1.dst) == e2.dst
@@ -379,4 +402,4 @@ class TestTransitivityWitness:
         e1 = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         outside = DirectedEdge(ProjectiveRational(1, 1), ProjectiveRational(1, 3))
         assert not block_equivalent(e1.src, outside.src, 2)
-        assert transitivity_witness(F12, e1, outside, gamma0_pair(2, 1), 10) is None
+        assert transitivity_witness(e1, outside, gamma0_pair(2, 1), 10) is None

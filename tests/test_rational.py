@@ -10,7 +10,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from suborbital.errors import InvalidModulus, NotInvertible, ZeroOverZero
+from suborbital.errors import BoundTooLarge, InvalidModulus, NotInvertible, ZeroOverZero
 from suborbital.rational import (
     INFINITY,
     ZERO,
@@ -200,6 +200,14 @@ class TestFactorizationAndPsi:
             for p, k in factorize(n):
                 product *= p**k
             assert product == n
+
+    def test_trial_division_ceiling(self):
+        # refused from isqrt(n) alone, before any division
+        with pytest.raises(BoundTooLarge, match="100000000000000000000,"):
+            factorize(10**40)
+        with pytest.raises(BoundTooLarge):
+            dedekind_psi((10**7 + 1) ** 2)
+        assert factorize(10**14) == ((2, 14), (5, 14))
 
     def test_psi_examples(self):
         assert dedekind_psi(1) == 1
