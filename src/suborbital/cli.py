@@ -16,7 +16,7 @@ import math
 import sys
 
 from .errors import BoundTooLarge, InvalidSpec, SuborbitalError, refuse_above
-from .graph_io import emit_dot, emit_json, emit_svg
+from .graph_io import check_svg_width, emit_dot, emit_json, emit_svg
 from .graphs import (
     FAMILY_INFINITY,
     FAMILY_ZERO,
@@ -141,6 +141,8 @@ def cmd_edges(args: argparse.Namespace) -> int:
     spec = GraphSpec(
         family=args.family, u=args.u, modulus=args.mod, reversed=args.reversed
     )
+    if args.format == "svg":
+        check_svg_width(args.width)  # before the graph is built
     graph = enumerate_graph(spec, args.bound)
     if args.format == "json":
         print(emit_json(graph))

@@ -29,6 +29,7 @@ __all__ = [
     "parse_json",
     "emit_dot",
     "emit_svg",
+    "check_svg_width",
 ]
 
 FORMAT_VERSION = "1"
@@ -239,6 +240,13 @@ _STROKE = {1: "#205080", -1: "#a03030"}
 WIDTH_CEILING = 100_000
 
 
+def check_svg_width(width_px: int) -> None:
+    """Refuse a width below 64 px (InvalidBound) or above WIDTH_CEILING."""
+    if width_px < 64:
+        raise InvalidBound(f"width must be at least 64 px, got {width_px}")
+    refuse_above("the svg width in px", width_px, WIDTH_CEILING)
+
+
 def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
     """Static SVG 1.1 drawing of the graph as half-plane geodesics.
 
@@ -248,9 +256,7 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
     edge is one path element with an arrowhead marker; nothing else in
     the document is a path.  Widths run from 64 px to WIDTH_CEILING.
     """
-    if width_px < 64:
-        raise InvalidBound(f"width must be at least 64 px, got {width_px}")
-    refuse_above("the svg width in px", width_px, WIDTH_CEILING)
+    check_svg_width(width_px)
     width = width_px
     height = width // 2 + 48
     pad = 16.0

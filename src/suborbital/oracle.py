@@ -404,11 +404,25 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     The search runs over the full group: an exchanging element exists
     independently of congruence restrictions or not at all, and the
     predicate under test quantifies over plain determinant-one matrices.
+
+    When one exists it is unique up to sign; for the finf pair (1/0, u/m)
+    it is [[u, -(u*u + 1)/m], [m, -u]], and the fzero pairs use the same
+    entries up to order and sign.  An entry bound below its largest entry
+    cannot decide the question and raises InvalidBound.
     """
+    sample = enumerate_group(full_group(), entry_bound)  # its bound checks first
+    predicted = is_self_paired(spec)
+    u, m = spec.forward_u(), spec.modulus
+    needed = max(u, m, (u * u + 1) // m)
+    if predicted and entry_bound < needed:
+        raise InvalidBound(
+            f"entry bound {entry_bound} cannot reach the element exchanging "
+            f"the base pair of {spec.label()}; it needs entry bound {needed}"
+        )
     alpha, beta = spec.base_pair()
     witness = None
-    for g in enumerate_group(full_group(), entry_bound).elements:
+    for g in sample.elements:
         if g.apply(alpha) == beta and g.apply(beta) == alpha:
             witness = g
             break
-    return SelfPairedReport(spec, entry_bound, is_self_paired(spec), witness)
+    return SelfPairedReport(spec, entry_bound, predicted, witness)

@@ -87,7 +87,7 @@ class TestEdgesCommand:
         assert "ceiling" in err
 
     def test_huge_bound_refused_from_the_estimate(self, capsys, monkeypatch):
-        # no vertex is generated: the pair estimate alone refuses
+        # no vertex is generated: the work estimate alone refuses
         monkeypatch.setattr(graphs_module, "_block_vertices", None)
         code, out, err = run(
             capsys, "edges", "--family", "finf", "--u", "1", "--mod", "2",
@@ -95,13 +95,13 @@ class TestEdgesCommand:
         )
         assert code == 3
         assert out == ""
-        # ((2*10000 + 1) * (10000 // 2) + 2) ** 2
-        assert "10001000425020004" in err
+        # 100005002 vertices plus 2400140001 lattice lookups
+        assert "2500145003" in err
 
     def test_estimate_too_long_to_print_is_refused(self, capsys):
         code, out, err = run(
             capsys, "edges", "--family", "finf", "--u", "1", "--mod", "1",
-            "--bound", str(10**1500),
+            "--bound", str(10**2000),
         )
         assert code == 3
         assert out == ""
@@ -115,6 +115,18 @@ class TestEdgesCommand:
         assert code == 3
         assert out == ""
         assert "ceiling 100000" in err
+
+    @pytest.mark.parametrize("width, code", [("10", 2), ("200000", 3)])
+    def test_svg_width_refused_before_enumerating(
+        self, capsys, monkeypatch, width, code
+    ):
+        monkeypatch.setattr(graphs_module, "_block_vertices", None)
+        got, out, err = run(
+            capsys, "edges", "--family", "finf", "--u", "1", "--mod", "2",
+            "--bound", "4", "--format", "svg", "--width", width,
+        )
+        assert (got, out) == (code, "")
+        assert "width" in err
 
     def test_reversed_only_for_zero_family(self, capsys):
         code, _, _ = run(
@@ -174,6 +186,34 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "not self-paired, no witness" in out
+
+    def test_selfpaired_bound_below_the_witness_is_refused(self, capsys):
+        # the only exchanging element of (1/0, 1/1) is [[1, -2], [1, -1]]
+        code, out, err = run(
+            capsys, "verify", "--suite", "selfpaired", "--mod", "1", "--u", "1",
+            "--entry-bound", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "needs entry bound 2" in err
+        code, out, _ = run(
+            capsys, "verify", "--suite", "selfpaired", "--mod", "1", "--u", "1",
+            "--entry-bound", "2",
+        )
+        assert code == 0
+        assert "witness [[1, -2], [1, -1]] -- agreement" in out
+
+    def test_selfpaired_missed_witness_is_a_failure(self, capsys, monkeypatch):
+        # the bound reaches the witness, but the search is made to miss it
+        monkeypatch.setattr(
+            oracle_module, "enumerate_group",
+            lambda group, bound: oracle_module.BoundedGroupSample(group, bound, ()),
+        )
+        code, out, _ = run(
+            capsys, "verify", "--suite", "selfpaired", "--mod", "1", "--u", "1",
+            "--entry-bound", "2",
+        )
+        assert code == 1
+        assert "DISAGREEMENT" in out
 
     def test_lattice_zero_bound_is_invalid_arguments(self, capsys):
         code, _, _ = run(

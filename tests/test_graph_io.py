@@ -183,11 +183,11 @@ class TestParseErrors:
                 parse_json(doc)
 
     def test_huge_height_bound_refused_from_the_estimate(self, monkeypatch):
-        # no vertex is generated: the pair estimate alone refuses
+        # no vertex is generated: the work estimate alone refuses
         monkeypatch.setattr(graphs_module, "_block_vertices", None)
         text = rebuild(emit_json(TEST_GRAPHS[0]), height_bound=10_000)
-        # ((2*10000 + 1) * (10000 // 2) + 2) ** 2 for F[1, 2]
-        with pytest.raises(BoundTooLarge, match="10001000425020004"):
+        # 100005002 vertices plus 2400140001 lattice lookups for F[1, 2]
+        with pytest.raises(BoundTooLarge, match="2500145003"):
             parse_json(text)
 
     def test_invalid_parameters_detected(self):

@@ -223,23 +223,28 @@ class TestEnumerateGraph:
             enumerate_graph(F12, 10_001)
 
     def test_force_overrides_ceiling(self, monkeypatch):
-        # the pair estimates of F[1, 2] at heights 6 and 7 are 41**2 and 47**2
-        monkeypatch.setattr(graphs_module, "PAIR_CEILING", 41**2)
+        # the work estimates of F[1, 2] at heights 6 and 7 are 366 and 422
+        monkeypatch.setattr(graphs_module, "ENUMERATION_CEILING", 366)
         with pytest.raises(BoundTooLarge):
             enumerate_graph(F12, 7)
 
     def test_refusal_comes_from_the_estimate(self, monkeypatch):
-        # no vertex is generated: the pair estimate alone refuses
+        # no vertex is generated: the work estimate alone refuses
         monkeypatch.setattr(graphs_module, "_block_vertices", None)
-        # ((2*10000 + 1) * (10000 // 2) + 2) ** 2
-        with pytest.raises(BoundTooLarge, match="10001000425020004"):
+        # 100005002 vertices plus 2400140001 lattice lookups
+        with pytest.raises(BoundTooLarge, match="2500145003"):
             enumerate_graph(F12, 10_000)
 
-    def test_pair_ceiling_admits_modulus_one_up_to_height_125(self):
+    def test_enumeration_ceiling_admits_modulus_one_up_to_height_725(self):
+        # F[1, 1] at height 725 has 640,192 vertices and 2,560,762 edges
         f11 = GraphSpec(family="finf", u=1, modulus=1)
-        estimate = graphs_module._vertex_estimate
-        assert estimate(f11, 125) ** 2 <= graphs_module.PAIR_CEILING
-        assert estimate(f11, 126) ** 2 > graphs_module.PAIR_CEILING
+
+        def estimate(bound):
+            return (graphs_module._vertex_estimate(f11, bound)
+                    + graphs_module._candidate_estimate(f11, bound))
+
+        assert estimate(725) <= graphs_module.ENUMERATION_CEILING
+        assert estimate(726) > graphs_module.ENUMERATION_CEILING
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
@@ -251,6 +256,42 @@ class TestEnumerateGraph:
             for bound in range(1, 41):
                 have = len(graphs_module._block_vertices(spec, bound))
                 assert graphs_module._vertex_estimate(spec, bound) >= have
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_candidate_estimate_bounds_the_lookups(self, family, reversed_):
+        # the lattice points looked up do not depend on u either
+        for m in range(1, 9):
+            spec = GraphSpec(family=family, u=1, modulus=m, reversed=reversed_)
+            for bound in range(1, 41):
+                have = sum(
+                    1
+                    for v in graphs_module._block_vertices(spec, bound)
+                    for _ in graphs_module._lattice_heads(v.num, v.den, m, bound)
+                )
+                assert graphs_module._candidate_estimate(spec, bound) >= have
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_solver_matches_quadratic_scan(self, family, reversed_):
+        # every ordered vertex pair through edge_check; m = 1 puts 1/0 in
+        # the fzero block, and bounds below m leave only the base vertices
+        for m in range(1, 13):
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
+                for bound in (1, 2, 3, 7, 13, 30):
+                    graph = enumerate_graph(spec, bound)
+                    scanned = [
+                        DirectedEdge(v, w)
+                        for v in graph.vertices
+                        for w in graph.vertices
+                        if edge_check(spec, v, w) is not None
+                    ]
+                    assert graph.edges == tuple(sorted(scanned, key=DirectedEdge.key))
 
     def test_every_edge_satisfies_determinant_condition(self):
         for spec, bound in ((F12, 8), (F32, 8)):

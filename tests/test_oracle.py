@@ -241,6 +241,26 @@ class TestVerifySelfPaired:
         # the pair (0/1, 3/2)
         assert not report.predicted and not report.found and report.agrees
 
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_witness_needs_exactly_its_largest_entry(self, family, reversed_):
+        # [[u, -(u*u + 1)/m], [m, -u]] up to order and sign, with the
+        # forward unit; one below its largest entry is refused
+        for modulus in range(1, 13):
+            for u in range(1, max(modulus, 2)):
+                if (u * u + 1) % modulus:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=modulus,
+                                 reversed=reversed_)
+                w = spec.forward_u()
+                needed = max(w, modulus, (w * w + 1) // modulus)
+                report = verify_self_paired(spec, needed)
+                assert report.found and report.agrees
+                assert max(abs(x) for x in report.witness.entries) == needed
+                with pytest.raises(InvalidBound, match=f"needs entry bound {needed}"):
+                    verify_self_paired(spec, needed - 1)
+
     def test_sweep_small_moduli(self):
         for modulus in range(2, 9):
             for u in range(1, modulus):
