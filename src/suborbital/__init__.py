@@ -13,7 +13,6 @@ from .errors import (
     InvariantViolation,
     MalformedDocument,
     NotInvertible,
-    NotMappable,
     SuborbitalError,
     VersionMismatch,
     ZeroOverZero,
@@ -35,12 +34,8 @@ from .group import (
     full_group,
     gamma0,
     gamma0_pair,
-    gamma00,
     gamma00_pair,
-    gamma1,
-    gamma_upper0,
     principal,
-    stabilizer_generator,
 )
 from .graphs import (
     FAMILY_INFINITY,
@@ -48,13 +43,10 @@ from .graphs import (
     DirectedEdge,
     GraphSpec,
     SuborbitalGraph,
-    VertexMapWitness,
     edge_check,
     enumerate_graph,
     is_self_paired,
     paired_partner,
-    transitivity_witness,
-    vertex_map_matrix,
 )
 from .oracle import (
     BoundedGroupSample,
@@ -63,6 +55,7 @@ from .oracle import (
     count_blocks,
     enumerate_group,
     orbital_pairs,
+    transitivity_witness,
     verify_lattice_identity,
     verify_self_paired,
 )
@@ -79,7 +72,6 @@ __all__ = [
     "InvalidSpec",
     "InvalidBound",
     "BoundTooLarge",
-    "NotMappable",
     "MalformedDocument",
     "VersionMismatch",
     "InvariantViolation",
@@ -95,13 +87,9 @@ __all__ = [
     "SubgroupSpec",
     "full_group",
     "principal",
-    "gamma1",
     "gamma0",
-    "gamma_upper0",
-    "gamma00",
     "gamma0_pair",
     "gamma00_pair",
-    "stabilizer_generator",
     "block_equivalent",
     "GraphSpec",
     "DirectedEdge",
@@ -112,13 +100,11 @@ __all__ = [
     "enumerate_graph",
     "is_self_paired",
     "paired_partner",
-    "vertex_map_matrix",
-    "VertexMapWitness",
-    "transitivity_witness",
     "BoundedGroupSample",
     "OrbitalSample",
     "enumerate_group",
     "orbital_pairs",
+    "transitivity_witness",
     "compare_edges_vs_orbital",
     "count_blocks",
     "verify_lattice_identity",

@@ -183,16 +183,31 @@ def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     return ok, lines, data
 
 
+def _single_config(args: argparse.Namespace, what: str, *flags: str) -> bool:
+    """Whether any of a suite's single-configuration flags is set; once one
+    is, InvalidSpec names all of them unless all are set."""
+    given = [getattr(args, flag) is not None for flag in flags]
+    if any(given) and not all(given):
+        names = [f"--{flag}" for flag in flags]
+        need = ", ".join(names) if len(names) > 2 else "both " + " and ".join(names)
+        raise InvalidSpec(f"a single {what} needs {need}")
+    return any(given)
+
+
+def _collect(suite: str, reports: list) -> tuple[bool, list[str], dict]:
+    """(ok, text lines, JSON data) of one suite's reports."""
+    ok = all(report.ok for report in reports)
+    lines = [line for report in reports for line in report.text_lines()]
+    data = [report.to_dict() for report in reports]
+    return ok, lines, {"suite": suite, "reports": data, "ok": ok}
+
+
 def _oracle_configs(
     args: argparse.Namespace,
 ) -> list[tuple[GraphSpec, int, int, int, int]]:
     entry = args.entry_bound if args.entry_bound is not None else 20
     height = args.height_bound if args.height_bound is not None else 30
-    if args.u is not None or args.family is not None:
-        if args.family is None or args.u is None or args.l is None or args.m is None:
-            raise InvalidSpec(
-                "a single oracle configuration needs --family, --u, --l, --m"
-            )
+    if _single_config(args, "oracle configuration", "family", "u", "l", "m"):
         modulus = args.l if args.family == FAMILY_INFINITY else args.m
         spec = GraphSpec(family=args.family, u=args.u, modulus=modulus)
         return [(spec, args.l, args.m, entry, height)]
@@ -209,21 +224,14 @@ def _oracle_configs(
 
 
 def _suite_oracle(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
-    ok = True
-    lines: list[str] = []
-    reports = []
-    for spec, l, m, entry, height in _oracle_configs(args):
-        report = compare_edges_vs_orbital(spec, gamma0_pair(l, m), entry, height)
-        ok = ok and report.ok
-        lines.extend(report.text_lines())
-        reports.append(report.to_dict())
-    return ok, lines, {"suite": "oracle", "reports": reports, "ok": ok}
+    return _collect("oracle", [
+        compare_edges_vs_orbital(spec, gamma0_pair(l, m), entry, height)
+        for spec, l, m, entry, height in _oracle_configs(args)
+    ])
 
 
 def _suite_selfpaired(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
-    if args.u is not None or args.mod is not None:
-        if args.u is None or args.mod is None:
-            raise InvalidSpec("a single selfpaired check needs both --u and --mod")
+    if _single_config(args, "selfpaired check", "u", "mod"):
         configs = [(args.u, args.mod)]
     else:
         configs = [
@@ -232,24 +240,18 @@ def _suite_selfpaired(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
             for u in range(1, l)
             if math.gcd(u, l) == 1
         ]
-    ok = True
-    lines = []
-    reports = []
-    for u, modulus in configs:
-        spec = GraphSpec(family=FAMILY_INFINITY, u=u, modulus=modulus)
-        entry = args.entry_bound if args.entry_bound is not None else 4 * modulus
-        report = verify_self_paired(spec, entry)
-        ok = ok and report.agrees
-        lines.append(report.text_line())
-        reports.append(report.to_dict())
-    return ok, lines, {"suite": "selfpaired", "reports": reports, "ok": ok}
+    return _collect("selfpaired", [
+        verify_self_paired(
+            GraphSpec(family=FAMILY_INFINITY, u=u, modulus=modulus),
+            args.entry_bound if args.entry_bound is not None else 4 * modulus,
+        )
+        for u, modulus in configs
+    ])
 
 
 def _suite_pairing(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     height = args.height_bound if args.height_bound is not None else 30
-    if args.u is not None or args.mod is not None:
-        if args.u is None or args.mod is None:
-            raise InvalidSpec("a single pairing check needs both --u and --mod")
+    if _single_config(args, "pairing check", "u", "mod"):
         configs = [(args.mod, args.u)]
     else:
         configs = list(PAIRING_CONFIGS)
@@ -283,21 +285,13 @@ def _suite_pairing(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
 
 def _suite_lattice(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     entry = args.entry_bound if args.entry_bound is not None else 12
-    if args.n1 is not None or args.n2 is not None:
-        if args.n1 is None or args.n2 is None:
-            raise InvalidSpec("a single lattice check needs both --n1 and --n2")
+    if _single_config(args, "lattice check", "n1", "n2"):
         configs = [(args.n1, args.n2)]
     else:
         configs = list(LATTICE_CONFIGS)
-    ok = True
-    lines = []
-    reports = []
-    for n1, n2 in configs:
-        report = verify_lattice_identity(n1, n2, entry)
-        ok = ok and report.ok
-        lines.extend(report.text_lines())
-        reports.append(report.to_dict())
-    return ok, lines, {"suite": "lattice", "reports": reports, "ok": ok}
+    return _collect("lattice", [
+        verify_lattice_identity(n1, n2, entry) for n1, n2 in configs
+    ])
 
 
 _SUITES = {

@@ -41,10 +41,6 @@ def refuse_above(what: str, estimate: int, ceiling: int) -> None:
         raise BoundTooLarge(f"{what} is {shown}, above the ceiling {ceiling}")
 
 
-class NotMappable(SuborbitalError):
-    """No integer matrix with the requested vertex images exists."""
-
-
 class MalformedDocument(SuborbitalError):
     """Serialized graph document is structurally unreadable."""
 

@@ -19,14 +19,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidBound,
-    InvalidSpec,
-    InvariantViolation,
-    NotMappable,
-    refuse_above,
-)
-from .group import SubgroupSpec, UnimodularMatrix, gamma0_pair
+from .errors import InvalidBound, InvalidSpec, InvariantViolation, refuse_above
 from .rational import INFINITY, ZERO, ProjectiveRational, mod_inverse
 
 __all__ = [
@@ -39,9 +32,6 @@ __all__ = [
     "enumerate_graph",
     "is_self_paired",
     "paired_partner",
-    "VertexMapWitness",
-    "vertex_map_matrix",
-    "transitivity_witness",
     "ENUMERATION_CEILING",
 ]
 
@@ -79,10 +69,6 @@ class GraphSpec:
         if self.reversed and self.family != FAMILY_ZERO:
             raise InvalidSpec("only fzero graphs have a reversed form")
 
-    @property
-    def base_point(self) -> ProjectiveRational:
-        return INFINITY if self.family == FAMILY_INFINITY else ZERO
-
     def forward_u(self) -> int:
         """The unit the edge congruences actually use.
 
@@ -101,12 +87,6 @@ class GraphSpec:
         if self.reversed:
             return (target, ZERO)
         return (ZERO, target)
-
-    def block_contains(self, v: ProjectiveRational) -> bool:
-        """Whether v is block-equivalent to the family's base point."""
-        if self.family == FAMILY_INFINITY:
-            return v.den % self.modulus == 0
-        return v.num % self.modulus == 0
 
     def label(self) -> str:
         if self.family == FAMILY_INFINITY:
@@ -353,56 +333,3 @@ def paired_partner(spec: GraphSpec) -> GraphSpec:
     m = spec.modulus
     partner_u = mod_inverse(spec.u, m) if m > 1 else 1
     return GraphSpec(FAMILY_ZERO, partner_u, m, not spec.reversed)
-
-
-@dataclass(frozen=True)
-class VertexMapWitness:
-    """Result of vertex_map_matrix: the matrix plus a membership report."""
-
-    matrix: UnimodularMatrix
-    in_group: bool
-
-
-def vertex_map_matrix(u1: int, u2: int, l: int, m: int) -> VertexMapWitness:
-    """The explicit matrix sending m/u1 to m/u2, when one exists.
-
-    The construction needs m to divide u2 - u1*u2 - u1; otherwise the
-    candidate has a fractional entry and NotMappable is raised.  The
-    returned matrix always has determinant 1 and the stated image, but
-    membership in gamma0_pair(l, m) is only reported, never assumed.
-    """
-    if l < 1 or m < 1:
-        raise InvalidSpec(f"moduli must be >= 1, got ({l}, {m})")
-    if math.gcd(u1, m) != 1 or math.gcd(u2, m) != 1:
-        raise InvalidSpec(f"u1 and u2 must be units mod {m}")
-    numerator = u2 - u1 * u2 - u1
-    if numerator % m != 0:
-        raise NotMappable(
-            f"{m} does not divide {numerator}; no matrix maps "
-            f"{m}/{u1} to {m}/{u2} by this construction"
-        )
-    matrix = UnimodularMatrix(1 - u1, m, numerator // m, u2 + 1)
-    return VertexMapWitness(matrix, gamma0_pair(l, m).contains(matrix))
-
-
-def transitivity_witness(
-    e1: DirectedEdge,
-    e2: DirectedEdge,
-    group: SubgroupSpec,
-    entry_bound: int,
-) -> UnimodularMatrix | None:
-    """First bounded group element carrying edge e1 onto edge e2.
-
-    The candidates come from the oracle's exhaustive scan in its
-    deterministic order; each hit is accepted only if both vertex images
-    match exactly.  Returns None when no candidate within the entry
-    bound works, which is also what happens for endpoints in different
-    blocks.
-    """
-    from .oracle import enumerate_group  # deferred: oracle imports this module
-
-    sample = enumerate_group(group, entry_bound)
-    for g in sample.elements:
-        if g.apply(e1.src) == e2.src and g.apply(e1.dst) == e2.dst:
-            return g
-    return None

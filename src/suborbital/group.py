@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidModulus, InvalidSpec
-from .rational import INFINITY, ZERO, ProjectiveRational
+from .errors import InvalidModulus
+from .rational import ProjectiveRational
 
 __all__ = [
     "UnimodularMatrix",
@@ -19,13 +19,9 @@ __all__ = [
     "SubgroupSpec",
     "full_group",
     "principal",
-    "gamma1",
     "gamma0",
-    "gamma_upper0",
-    "gamma00",
     "gamma0_pair",
     "gamma00_pair",
-    "stabilizer_generator",
     "block_equivalent",
 ]
 
@@ -103,135 +99,70 @@ class UnimodularMatrix:
 
 IDENTITY = UnimodularMatrix(1, 0, 0, 1)
 
-FULL = "full"
-PRINCIPAL = "principal"
-GAMMA1 = "gamma1"
-GAMMA0 = "gamma0"
-GAMMA_UPPER0 = "gamma_upper0"
-GAMMA00 = "gamma00"
-GAMMA0_PAIR = "gamma0_pair"
-GAMMA00_PAIR = "gamma00_pair"
-
-_ONE_PARAM = {PRINCIPAL, GAMMA1, GAMMA0, GAMMA_UPPER0, GAMMA00}
-_TWO_PARAM = {GAMMA0_PAIR, GAMMA00_PAIR}
-
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """Names a congruence-defined family of unimodular matrices.
+    """A congruence subgroup given by four moduli and its label.
 
-    family          entry conditions on one lift
-    ------          ----------------------------
-    full            none
-    principal(n)    a == d == 1 and b == c == 0  (mod n)
-    gamma1(n)       same conditions as principal(n)
-    gamma0(n)       c == 0                        (mod n)
-    gamma_upper0(n) b == 0                        (mod n)
-    gamma00(n)      b == c == 0                   (mod n)
-    gamma0_pair(l, m)   a == 1 (mod l), d == 1 (mod m),
-                        c == 0 (mod l), b == 0 (mod m)
-    gamma00_pair(l, m)  c == 0 (mod l), b == 0 (mod m)
+    A matrix is a member when one of its sign lifts has
+    a == 1 (mod a_mod), b == 0 (mod b_mod), c == 0 (mod c_mod) and
+    d == 1 (mod d_mod).  The label takes part in equality: full_group()
+    and gamma0_pair(1, 1) have the same members but are different specs.
+
+    factory              (a_mod, b_mod, c_mod, d_mod)
+    -------              ----------------------------
+    full_group()         (1, 1, 1, 1)
+    principal(n)         (n, n, n, n)
+    gamma0(n)            (1, 1, n, 1)
+    gamma0_pair(l, m)    (l, m, l, m)
+    gamma00_pair(l, m)   (1, m, l, 1)
     """
 
-    family: str
-    params: tuple[int, ...] = ()
+    a_mod: int
+    b_mod: int
+    c_mod: int
+    d_mod: int
+    label: str
 
     def __post_init__(self) -> None:
-        if self.family == FULL:
-            want = 0
-        elif self.family in _ONE_PARAM:
-            want = 1
-        elif self.family in _TWO_PARAM:
-            want = 2
-        else:
-            raise InvalidSpec(f"unknown subgroup family {self.family!r}")
-        if len(self.params) != want:
-            raise InvalidSpec(
-                f"{self.family} takes {want} parameter(s), got {self.params}"
-            )
-        for n in self.params:
+        for n in (self.a_mod, self.b_mod, self.c_mod, self.d_mod):
             if n < 1:
                 raise InvalidModulus(f"subgroup modulus must be >= 1, got {n}")
 
-    def _lift_ok(self, a: int, b: int, c: int, d: int) -> bool:
-        fam = self.family
-        if fam == FULL:
-            return True
-        if fam in (PRINCIPAL, GAMMA1):
-            n = self.params[0]
-            return (a - 1) % n == 0 and (d - 1) % n == 0 and b % n == 0 and c % n == 0
-        if fam == GAMMA0:
-            return c % self.params[0] == 0
-        if fam == GAMMA_UPPER0:
-            return b % self.params[0] == 0
-        if fam == GAMMA00:
-            n = self.params[0]
-            return b % n == 0 and c % n == 0
-        l, m = self.params
-        if fam == GAMMA0_PAIR:
-            return (
-                (a - 1) % l == 0
-                and (d - 1) % m == 0
-                and c % l == 0
-                and b % m == 0
-            )
-        return c % l == 0 and b % m == 0  # gamma00_pair
-
     def contains(self, g: UnimodularMatrix) -> bool:
-        """True when either sign lift of g satisfies the congruences."""
-        a, b, c, d = g.entries
-        return self._lift_ok(a, b, c, d) or self._lift_ok(-a, -b, -c, -d)
+        """True when either sign lift of g satisfies the congruences.
 
-    def label(self) -> str:
-        if self.family == FULL:
-            return "full"
-        inner = ",".join(str(n) for n in self.params)
-        return f"{self.family}({inner})"
+        The b and c conditions do not depend on the lift; negating the
+        lift turns a == 1 and d == 1 into a == -1 and d == -1.
+        """
+        return (
+            g.b % self.b_mod == 0
+            and g.c % self.c_mod == 0
+            and (
+                ((g.a - 1) % self.a_mod == 0 and (g.d - 1) % self.d_mod == 0)
+                or ((g.a + 1) % self.a_mod == 0 and (g.d + 1) % self.d_mod == 0)
+            )
+        )
 
 
 def full_group() -> SubgroupSpec:
-    return SubgroupSpec(FULL)
+    return SubgroupSpec(1, 1, 1, 1, "full")
 
 
 def principal(n: int) -> SubgroupSpec:
-    return SubgroupSpec(PRINCIPAL, (n,))
-
-
-def gamma1(n: int) -> SubgroupSpec:
-    return SubgroupSpec(GAMMA1, (n,))
+    return SubgroupSpec(n, n, n, n, f"principal({n})")
 
 
 def gamma0(n: int) -> SubgroupSpec:
-    return SubgroupSpec(GAMMA0, (n,))
-
-
-def gamma_upper0(n: int) -> SubgroupSpec:
-    return SubgroupSpec(GAMMA_UPPER0, (n,))
-
-
-def gamma00(n: int) -> SubgroupSpec:
-    return SubgroupSpec(GAMMA00, (n,))
+    return SubgroupSpec(1, 1, n, 1, f"gamma0({n})")
 
 
 def gamma0_pair(l: int, m: int) -> SubgroupSpec:
-    return SubgroupSpec(GAMMA0_PAIR, (l, m))
+    return SubgroupSpec(l, m, l, m, f"gamma0_pair({l},{m})")
 
 
 def gamma00_pair(l: int, m: int) -> SubgroupSpec:
-    return SubgroupSpec(GAMMA00_PAIR, (l, m))
-
-
-def stabilizer_generator(point: ProjectiveRational) -> UnimodularMatrix:
-    """Generator of the stabilizer of 1/0 or 0/1 inside the full group.
-
-    Only those two points have the distinguished translation generators
-    [[1, 1], [0, 1]] and [[1, 0], [1, 1]]; anything else is an error.
-    """
-    if point == INFINITY:
-        return UnimodularMatrix(1, 1, 0, 1)
-    if point == ZERO:
-        return UnimodularMatrix(1, 0, 1, 1)
-    raise InvalidSpec(f"no distinguished stabilizer generator for {point}")
+    return SubgroupSpec(1, m, l, 1, f"gamma00_pair({l},{m})")
 
 
 def block_equivalent(v: ProjectiveRational, w: ProjectiveRational, n: int) -> bool:

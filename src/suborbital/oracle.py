@@ -23,11 +23,11 @@ from .graphs import (
     is_self_paired,
 )
 from .group import (
-    GAMMA0_PAIR,
     SubgroupSpec,
     UnimodularMatrix,
     full_group,
     gamma0,
+    gamma0_pair,
     principal,
 )
 from .rational import ProjectiveRational
@@ -38,6 +38,7 @@ __all__ = [
     "OrbitalSample",
     "enumerate_group",
     "orbital_pairs",
+    "transitivity_witness",
     "OrbitalReport",
     "compare_edges_vs_orbital",
     "count_blocks",
@@ -121,6 +122,25 @@ def orbital_pairs(
     return OrbitalSample(base, tuple(ordered))
 
 
+def transitivity_witness(
+    e1: DirectedEdge,
+    e2: DirectedEdge,
+    group: SubgroupSpec,
+    entry_bound: int,
+) -> UnimodularMatrix | None:
+    """First bounded group element carrying edge e1 onto edge e2.
+
+    The candidates come from the exhaustive scan in its deterministic
+    order; each hit is accepted only if both vertex images match
+    exactly.  Returns None when no candidate within the entry bound
+    works, which is also what happens for endpoints in different blocks.
+    """
+    for g in enumerate_group(group, entry_bound).elements:
+        if g.apply(e1.src) == e2.src and g.apply(e1.dst) == e2.dst:
+            return g
+    return None
+
+
 @dataclass(frozen=True)
 class OrbitalReport:
     """Outcome of one oracle-versus-predicate comparison.
@@ -157,7 +177,7 @@ class OrbitalReport:
     def to_dict(self) -> dict:
         return {
             "spec": self.spec.label(),
-            "group": self.group.label(),
+            "group": self.group.label,
             "entry_bound": self.entry_bound,
             "height_bound": self.height_bound,
             "members": self.member_count,
@@ -173,7 +193,7 @@ class OrbitalReport:
 
     def text_lines(self) -> list[str]:
         head = (
-            f"{self.spec.label()} vs {self.group.label()} "
+            f"{self.spec.label()} vs {self.group.label} "
             f"(entries <= {self.entry_bound}, heights <= {self.height_bound}): "
             f"{self.orbital_in_bound} orbital pairs in window, "
             f"{self.edge_count} edges"
@@ -203,12 +223,12 @@ def compare_edges_vs_orbital(
     height_bound: int,
 ) -> OrbitalReport:
     """Compare the enumerated edge set against raw group images of the base pair."""
-    if group.family != GAMMA0_PAIR:
+    l, m = group.a_mod, group.b_mod
+    if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
-    l, m = group.params
     if (l if spec.family == FAMILY_INFINITY else m) != spec.modulus:
         raise InvalidSpec(
-            f"group {group.label()} does not match graph modulus {spec.modulus}"
+            f"group {group.label} does not match graph modulus {spec.modulus}"
         )
     sample = enumerate_group(group, entry_bound)
     orbital = orbital_pairs(sample, spec.base_pair())
@@ -374,7 +394,7 @@ class SelfPairedReport:
         return self.witness is not None
 
     @property
-    def agrees(self) -> bool:
+    def ok(self) -> bool:
         return self.found == self.predicted
 
     def to_dict(self) -> dict:
@@ -383,19 +403,19 @@ class SelfPairedReport:
             "entry_bound": self.entry_bound,
             "predicted": self.predicted,
             "witness": str(self.witness) if self.witness else None,
-            "agrees": self.agrees,
+            "agrees": self.ok,
         }
 
-    def text_line(self) -> str:
+    def text_lines(self) -> list[str]:
         if self.found:
             status = f"self-paired, witness {self.witness}"
         else:
             status = "not self-paired, no witness"
-        verdict = "agreement" if self.agrees else "DISAGREEMENT"
-        return (
+        verdict = "agreement" if self.ok else "DISAGREEMENT"
+        return [
             f"{self.spec.label()} (entries <= {self.entry_bound}): "
             f"{status} -- {verdict}"
-        )
+        ]
 
 
 def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:

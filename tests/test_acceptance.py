@@ -108,7 +108,7 @@ def test_criterion_4_self_paired_agreement():
                 if math.gcd(u, l) != 1:
                     continue
                 spec = GraphSpec(family=FAMILY_INFINITY, u=u, modulus=l)
-                assert verify_self_paired(spec, entry_bound=4 * l).agrees
+                assert verify_self_paired(spec, entry_bound=4 * l).ok
                 checked += 1
         assert checked == 31
 

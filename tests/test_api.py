@@ -1,0 +1,44 @@
+"""The public surface: what the package exports, and that it all resolves."""
+
+import importlib
+
+import suborbital
+
+MODULES = ("rational", "group", "graphs", "oracle", "graph_io", "cli")
+
+PUBLIC = {
+    "__version__",
+    # errors
+    "SuborbitalError", "ZeroOverZero", "NotInvertible", "InvalidModulus",
+    "InvalidSpec", "InvalidBound", "BoundTooLarge", "MalformedDocument",
+    "VersionMismatch", "InvariantViolation",
+    # rational
+    "ProjectiveRational", "INFINITY", "ZERO", "mod_inverse", "factorize",
+    "dedekind_psi", "phi_pair",
+    # group
+    "UnimodularMatrix", "IDENTITY", "SubgroupSpec", "full_group", "principal",
+    "gamma0", "gamma0_pair", "gamma00_pair", "block_equivalent",
+    # graphs
+    "GraphSpec", "DirectedEdge", "SuborbitalGraph", "FAMILY_INFINITY",
+    "FAMILY_ZERO", "edge_check", "enumerate_graph", "is_self_paired",
+    "paired_partner",
+    # oracle
+    "BoundedGroupSample", "OrbitalSample", "enumerate_group", "orbital_pairs",
+    "transitivity_witness", "compare_edges_vs_orbital", "count_blocks",
+    "verify_lattice_identity", "verify_self_paired",
+    # graph_io
+    "emit_json", "parse_json", "emit_dot", "emit_svg",
+}
+
+
+def test_package_exports_the_public_names():
+    assert sorted(suborbital.__all__) == sorted(PUBLIC)
+
+
+def test_every_exported_name_resolves():
+    for name in suborbital.__all__:
+        assert hasattr(suborbital, name), name
+    for short in MODULES:
+        module = importlib.import_module(f"suborbital.{short}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{short}.{name}"

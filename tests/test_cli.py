@@ -244,6 +244,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "--family" in err
 
+    @pytest.mark.parametrize("flags", [
+        ("--l", "2", "--m", "2"),
+        ("--m", "1"),
+        ("--u", "1", "--l", "2", "--m", "1"),
+    ])
+    def test_oracle_partial_flags_without_family_rejected(self, capsys, flags):
+        code, out, err = run(capsys, "verify", "--suite", "oracle", *flags)
+        assert code == 2
+        assert out == ""
+        assert "needs --family, --u, --l, --m" in err
+
     def test_pairing_single(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "pairing", "--mod", "5", "--u", "2",

@@ -10,7 +10,6 @@ test.
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import suborbital.graphs as graphs_module
 from suborbital.errors import (
@@ -18,7 +17,6 @@ from suborbital.errors import (
     InvalidBound,
     InvalidSpec,
     InvariantViolation,
-    NotMappable,
 )
 from suborbital.graphs import (
     DirectedEdge,
@@ -27,11 +25,14 @@ from suborbital.graphs import (
     enumerate_graph,
     is_self_paired,
     paired_partner,
-    transitivity_witness,
-    vertex_map_matrix,
 )
 from suborbital.group import UnimodularMatrix, block_equivalent, gamma0_pair
-from suborbital.oracle import compare_edges_vs_orbital, enumerate_group, verify_self_paired
+from suborbital.oracle import (
+    compare_edges_vs_orbital,
+    enumerate_group,
+    transitivity_witness,
+    verify_self_paired,
+)
 from suborbital.rational import INFINITY, ZERO, ProjectiveRational
 
 F12 = GraphSpec(family="finf", u=1, modulus=2)
@@ -98,13 +99,13 @@ class TestGraphSpec:
         assert paired_partner(F32).label() == "F[-3, 2]"
 
     def test_block_membership(self):
-        assert F12.block_contains(INFINITY)
-        assert F12.block_contains(ProjectiveRational(5, 6))
-        assert not F12.block_contains(ProjectiveRational(1, 3))
-        assert F32.block_contains(ZERO)
-        assert F32.block_contains(ProjectiveRational(-3, 4))
-        assert not F32.block_contains(ProjectiveRational(2, 3))
-        assert not F32.block_contains(INFINITY)
+        assert block_equivalent(INFINITY, INFINITY, 2)
+        assert block_equivalent(ProjectiveRational(5, 6), INFINITY, 2)
+        assert not block_equivalent(ProjectiveRational(1, 3), INFINITY, 2)
+        assert block_equivalent(ZERO, ZERO, 3)
+        assert block_equivalent(ProjectiveRational(-3, 4), ZERO, 3)
+        assert not block_equivalent(ProjectiveRational(2, 3), ZERO, 3)
+        assert not block_equivalent(INFINITY, ZERO, 3)
 
 
 class TestDirectedEdge:
@@ -294,14 +295,14 @@ class TestEnumerateGraph:
                     assert graph.edges == tuple(sorted(scanned, key=DirectedEdge.key))
 
     def test_every_edge_satisfies_determinant_condition(self):
-        for spec, bound in ((F12, 8), (F32, 8)):
+        for spec, bound, base in ((F12, 8, INFINITY), (F32, 8, ZERO)):
             graph = enumerate_graph(spec, bound)
             for e in graph.edges:
                 delta = e.src.num * e.dst.den - e.src.den * e.dst.num
                 assert abs(delta) == spec.modulus
                 assert e.sign == (1 if e.src > e.dst else -1)
-                assert spec.block_contains(e.src)
-                assert spec.block_contains(e.dst)
+                assert block_equivalent(e.src, base, spec.modulus)
+                assert block_equivalent(e.dst, base, spec.modulus)
 
     def test_edges_closed_under_group_images(self):
         graph = enumerate_graph(F12, 6)
@@ -327,10 +328,10 @@ class TestSelfPaired:
         # bounded search confirms configuration by configuration
         f13 = GraphSpec(family="finf", u=1, modulus=3)
         assert is_self_paired(f13) is False
-        assert verify_self_paired(f13, 12).agrees
+        assert verify_self_paired(f13, 12).ok
         f23 = GraphSpec(family="finf", u=2, modulus=3)
         assert is_self_paired(f23) is False
-        assert verify_self_paired(f23, 12).agrees
+        assert verify_self_paired(f23, 12).ok
 
     def test_reversal_closure_only_when_witness_is_in_group(self):
         # u = 1 puts the swapping matrix (1, -1; 2, -1) inside the
@@ -383,43 +384,6 @@ class TestPairedPartner:
         src, dst = partner.base_pair()
         assert (src, dst) == (ProjectiveRational(5, 2), ZERO)
         assert edge_check(partner, src, dst) == 1
-
-
-class TestVertexMap:
-    def test_example_matrix(self):
-        witness = vertex_map_matrix(2, 4, 5, 3)
-        assert witness.matrix == UnimodularMatrix(-1, 3, -2, 5)
-        assert witness.matrix.apply(ProjectiveRational(3, 2)) == ProjectiveRational(3, 4)
-        assert witness.in_group is False
-
-    def test_modulus_one_always_mappable(self):
-        witness = vertex_map_matrix(3, 3, 4, 1)
-        assert witness.matrix == UnimodularMatrix(-2, 1, -9, 4)
-        assert witness.matrix.apply(ProjectiveRational(1, 3)) == ProjectiveRational(1, 3)
-
-    def test_not_mappable(self):
-        with pytest.raises(NotMappable):
-            vertex_map_matrix(1, 2, 2, 3)
-
-    def test_invalid_units(self):
-        with pytest.raises(InvalidSpec):
-            vertex_map_matrix(3, 1, 2, 6)
-
-    @given(
-        st.integers(min_value=1, max_value=30),
-        st.integers(min_value=1, max_value=30),
-        st.integers(min_value=1, max_value=12),
-    )
-    @settings(max_examples=60)
-    def test_determinant_and_image_always_correct(self, u1, u2, m):
-        if math.gcd(u1, m) != 1 or math.gcd(u2, m) != 1:
-            return
-        try:
-            witness = vertex_map_matrix(u1, u2, 3, m)
-        except NotMappable:
-            assert (u2 - u1 * u2 - u1) % m != 0
-            return
-        assert witness.matrix.apply(ProjectiveRational(m, u1)) == ProjectiveRational(m, u2)
 
 
 class TestTransitivityWitness:

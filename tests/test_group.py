@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from suborbital.errors import InvalidModulus, InvalidSpec
+from suborbital.errors import InvalidModulus
 from suborbital.graphs import GraphSpec, enumerate_graph
 from suborbital.group import (
     IDENTITY,
@@ -15,12 +15,8 @@ from suborbital.group import (
     full_group,
     gamma0,
     gamma0_pair,
-    gamma00,
     gamma00_pair,
-    gamma1,
-    gamma_upper0,
     principal,
-    stabilizer_generator,
 )
 from suborbital.oracle import enumerate_group
 from suborbital.rational import INFINITY, ZERO, ProjectiveRational
@@ -111,14 +107,39 @@ class TestMobiusAction:
         assert math.gcd(w.num, w.den) == 1
 
 
+def kept_factories():
+    """(group, its defining congruences on one lift) for n, l, m <= 6.
+
+    The congruences are written out here rather than read from the
+    record, so a wrong mapping of a factory onto the four moduli shows.
+    """
+    yield full_group(), lambda a, b, c, d: True
+    for n in range(1, 7):
+        yield principal(n), lambda a, b, c, d, n=n: (
+            (a - 1) % n == 0 and b % n == 0 and c % n == 0 and (d - 1) % n == 0
+        )
+        yield gamma0(n), lambda a, b, c, d, n=n: c % n == 0
+    for l in range(1, 7):
+        for m in range(1, 7):
+            yield gamma0_pair(l, m), lambda a, b, c, d, l=l, m=m: (
+                (a - 1) % l == 0 and c % l == 0 and b % m == 0 and (d - 1) % m == 0
+            )
+            yield gamma00_pair(l, m), lambda a, b, c, d, l=l, m=m: (
+                c % l == 0 and b % m == 0
+            )
+
+
 class TestSubgroupSpecs:
-    def test_family_arity_checked(self):
-        with pytest.raises(InvalidSpec):
-            SubgroupSpec("gamma0", (2, 3))
-        with pytest.raises(InvalidSpec):
-            SubgroupSpec("gamma0_pair", (2,))
-        with pytest.raises(InvalidSpec):
-            SubgroupSpec("nonsense", ())
+    def test_factories_match_their_congruences(self):
+        sample = enumerate_group(full_group(), 8).elements
+        checked = 0
+        for group, lift_ok in kept_factories():
+            for g in sample:
+                a, b, c, d = g.entries
+                either = lift_ok(a, b, c, d) or lift_ok(-a, -b, -c, -d)
+                assert group.contains(g) == either, (group.label, g)
+                checked += either
+        assert checked > len(sample)
 
     def test_modulus_positive(self):
         with pytest.raises(InvalidModulus):
@@ -133,8 +154,11 @@ class TestSubgroupSpecs:
         assert not gamma0(2).contains(UnimodularMatrix(1, 0, 1, 1))
         assert principal(2).contains(UnimodularMatrix(1, 2, 2, 5))
         assert not principal(2).contains(UnimodularMatrix(1, 0, 1, 1))
-        assert gamma_upper0(3).contains(UnimodularMatrix(1, 0, 1, 1))
-        assert gamma00(2).contains(UnimodularMatrix(3, 2, 4, 3))
+        assert principal(4).contains(UnimodularMatrix(1, 4, 4, 17))
+        assert SubgroupSpec(1, 3, 1, 1, "gamma_upper0(3)").contains(
+            UnimodularMatrix(1, 0, 1, 1))
+        assert SubgroupSpec(1, 2, 2, 1, "gamma00(2)").contains(
+            UnimodularMatrix(3, 2, 4, 3))
 
     def test_membership_uses_both_sign_lifts(self):
         # the canonical lift (-1, 0, 3, -1) fails a = 1 mod 3, but the
@@ -147,15 +171,9 @@ class TestSubgroupSpecs:
         for g in (S, T, UnimodularMatrix(5, 2, 2, 1)):
             assert full_group().contains(g)
 
-    def test_gamma1_matches_principal_membership(self):
-        sample = enumerate_group(full_group(), 8)
-        for g in sample.elements:
-            assert gamma1(4).contains(g) == principal(4).contains(g)
-        assert principal(4).contains(UnimodularMatrix(1, 4, 4, 17))
-
     def test_labels(self):
-        assert gamma0_pair(2, 3).label() == "gamma0_pair(2,3)"
-        assert full_group().label() == "full"
+        assert gamma0_pair(2, 3).label == "gamma0_pair(2,3)"
+        assert full_group().label == "full"
 
     def test_pair_group_nests_in_single_modulus_groups(self):
         sample = enumerate_group(full_group(), 8)
@@ -163,7 +181,7 @@ class TestSubgroupSpecs:
         for g in sample.elements:
             if inner.contains(g):
                 assert gamma0(2).contains(g)
-                assert gamma_upper0(3).contains(g)
+                assert SubgroupSpec(1, 3, 1, 1, "gamma_upper0(3)").contains(g)
                 assert gamma00_pair(2, 3).contains(g)
 
     def test_principal_nests(self):
@@ -172,7 +190,7 @@ class TestSubgroupSpecs:
             if principal(6).contains(g):
                 assert principal(2).contains(g)
                 assert principal(3).contains(g)
-                assert gamma00(6).contains(g)
+                assert SubgroupSpec(1, 6, 6, 1, "gamma00(6)").contains(g)
 
     def test_closure_under_product_and_inverse(self):
         sample = enumerate_group(gamma0_pair(2, 3), 5)
@@ -182,22 +200,6 @@ class TestSubgroupSpecs:
         for g in members[:12]:
             for h in members[:12]:
                 assert gamma0_pair(2, 3).contains(g * h)
-
-
-class TestStabilizers:
-    def test_generators(self):
-        assert stabilizer_generator(INFINITY) == T
-        assert stabilizer_generator(ZERO) == UnimodularMatrix(1, 0, 1, 1)
-        with pytest.raises(InvalidSpec):
-            stabilizer_generator(ProjectiveRational(1, 2))
-
-    def test_generator_fixes_point(self):
-        for point in (INFINITY, ZERO):
-            g = stabilizer_generator(point)
-            power = g
-            for _ in range(5):
-                assert power.apply(point) == point
-                power = power * g
 
 
 class TestBlockEquivalence:

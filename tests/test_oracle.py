@@ -219,7 +219,7 @@ class TestVerifySelfPaired:
     def test_witness_found_and_verified(self):
         spec = GraphSpec(family="finf", u=2, modulus=5)
         report = verify_self_paired(spec, 10)
-        assert report.found and report.predicted and report.agrees
+        assert report.found and report.predicted and report.ok
         alpha, beta = spec.base_pair()
         assert report.witness.apply(alpha) == beta
         assert report.witness.apply(beta) == alpha
@@ -227,19 +227,19 @@ class TestVerifySelfPaired:
 
     def test_trivial_unit(self):
         report = verify_self_paired(F12, 5)
-        assert report.found and report.agrees
+        assert report.found and report.ok
 
     def test_refutation(self):
         spec = GraphSpec(family="finf", u=2, modulus=7)
         report = verify_self_paired(spec, 12)
-        assert not report.found and not report.predicted and report.agrees
-        assert "not self-paired, no witness" in report.text_line()
+        assert not report.found and not report.predicted and report.ok
+        assert "not self-paired, no witness" in report.text_lines()[0]
 
     def test_zero_family_uses_its_own_base_pair(self):
         report = verify_self_paired(F32, 12)
         # u*u + 1 = 5 is not divisible by 3, and no bounded matrix swaps
         # the pair (0/1, 3/2)
-        assert not report.predicted and not report.found and report.agrees
+        assert not report.predicted and not report.found and report.ok
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
@@ -256,7 +256,7 @@ class TestVerifySelfPaired:
                 w = spec.forward_u()
                 needed = max(w, modulus, (w * w + 1) // modulus)
                 report = verify_self_paired(spec, needed)
-                assert report.found and report.agrees
+                assert report.found and report.ok
                 assert max(abs(x) for x in report.witness.entries) == needed
                 with pytest.raises(InvalidBound, match=f"needs entry bound {needed}"):
                     verify_self_paired(spec, needed - 1)
@@ -267,4 +267,4 @@ class TestVerifySelfPaired:
                 if math.gcd(u, modulus) != 1:
                     continue
                 spec = GraphSpec(family="finf", u=u, modulus=modulus)
-                assert verify_self_paired(spec, 4 * modulus).agrees
+                assert verify_self_paired(spec, 4 * modulus).ok
