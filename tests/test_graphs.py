@@ -10,6 +10,7 @@ test.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import suborbital.graphs as graphs_module
 from suborbital.errors import (
@@ -384,6 +385,47 @@ class TestPairedPartner:
         src, dst = partner.base_pair()
         assert (src, dst) == (ProjectiveRational(5, 2), ZERO)
         assert edge_check(partner, src, dst) == 1
+
+
+def vertex_map(u1, u2, m):
+    """The closed-form matrix sending m/u1 to m/u2, or None.
+
+    (1 - u1, m; n, u2 + 1) has determinant 1 exactly when
+    n = (u2 - u1*u2 - u1) / m, so it exists only when m divides that
+    numerator.
+    """
+    numerator = u2 - u1 * u2 - u1
+    if numerator % m != 0:
+        return None
+    return UnimodularMatrix(1 - u1, m, numerator // m, u2 + 1)
+
+
+class TestVertexMap:
+    def test_example_matrix(self):
+        matrix = vertex_map(2, 4, 3)
+        assert matrix == UnimodularMatrix(-1, 3, -2, 5)
+        assert matrix.apply(ProjectiveRational(3, 2)) == ProjectiveRational(3, 4)
+        assert not gamma0_pair(5, 3).contains(matrix)
+
+    def test_modulus_one_always_mappable(self):
+        matrix = vertex_map(3, 3, 1)
+        assert matrix == UnimodularMatrix(-2, 1, -9, 4)
+        assert matrix.apply(ProjectiveRational(1, 3)) == ProjectiveRational(1, 3)
+
+    @given(
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=60)
+    def test_determinant_and_image_always_correct(self, u1, u2, m):
+        if math.gcd(u1, m) != 1 or math.gcd(u2, m) != 1:
+            return
+        matrix = vertex_map(u1, u2, m)
+        if matrix is None:
+            assert (u2 - u1 * u2 - u1) % m != 0
+            return
+        assert matrix.apply(ProjectiveRational(m, u1)) == ProjectiveRational(m, u2)
 
 
 class TestTransitivityWitness:

@@ -154,7 +154,6 @@ class TestSubgroupSpecs:
         assert not gamma0(2).contains(UnimodularMatrix(1, 0, 1, 1))
         assert principal(2).contains(UnimodularMatrix(1, 2, 2, 5))
         assert not principal(2).contains(UnimodularMatrix(1, 0, 1, 1))
-        assert principal(4).contains(UnimodularMatrix(1, 4, 4, 17))
         assert SubgroupSpec(1, 3, 1, 1, "gamma_upper0(3)").contains(
             UnimodularMatrix(1, 0, 1, 1))
         assert SubgroupSpec(1, 2, 2, 1, "gamma00(2)").contains(
@@ -170,6 +169,16 @@ class TestSubgroupSpecs:
     def test_full_group_contains_everything(self):
         for g in (S, T, UnimodularMatrix(5, 2, 2, 1)):
             assert full_group().contains(g)
+
+    def test_gamma1_matches_principal_membership(self):
+        # gamma1(n) is spelled as the record principal(n) is, under another
+        # label: the specs differ, their members do not
+        gamma1_4 = SubgroupSpec(4, 4, 4, 4, "gamma1(4)")
+        assert gamma1_4 != principal(4)
+        sample = enumerate_group(full_group(), 8)
+        for g in sample.elements:
+            assert gamma1_4.contains(g) == principal(4).contains(g)
+        assert principal(4).contains(UnimodularMatrix(1, 4, 4, 17))
 
     def test_labels(self):
         assert gamma0_pair(2, 3).label == "gamma0_pair(2,3)"
@@ -200,6 +209,27 @@ class TestSubgroupSpecs:
         for g in members[:12]:
             for h in members[:12]:
                 assert gamma0_pair(2, 3).contains(g * h)
+
+
+class TestStabilizers:
+    def test_generators(self):
+        # within the bounded sample, the stabilizer of 1/0 is exactly the
+        # upper translations and that of 0/1 exactly the lower ones
+        lower = UnimodularMatrix(1, 0, 1, 1)
+        sample = enumerate_group(full_group(), 8)
+        for g in sample.elements:
+            assert (g.apply(INFINITY) == INFINITY) == (g.c == 0)
+            assert (g.apply(ZERO) == ZERO) == (g.b == 0)
+        assert T in sample.elements and lower in sample.elements
+        assert T.apply(ProjectiveRational(1, 2)) != ProjectiveRational(1, 2)
+        assert lower.apply(ProjectiveRational(1, 2)) != ProjectiveRational(1, 2)
+
+    def test_generator_fixes_point(self):
+        for point, g in ((INFINITY, T), (ZERO, UnimodularMatrix(1, 0, 1, 1))):
+            power = g
+            for _ in range(5):
+                assert power.apply(point) == point
+                power = power * g
 
 
 class TestBlockEquivalence:
