@@ -304,6 +304,11 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    given = [f"--{flag}" for flag in ("family", "u", "mod", "l", "m", "n1", "n2")
+             if getattr(args, flag) is not None]
+    if args.suite == "all" and given:
+        raise InvalidSpec("--suite all runs the built-in sweeps and takes no "
+                          f"single-configuration flags, got {', '.join(given)}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     lines: list[str] = []

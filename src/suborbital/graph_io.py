@@ -10,6 +10,7 @@ vertical rays toward infinity).
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable
 
 from .errors import (
@@ -46,10 +47,12 @@ _DOC_KEYS = (
 )
 _EDGE_KEYS = ("src", "dst", "sign")
 _SIGN_TEXT = {1: "+", -1: "-"}
-_TEXT_SIGN = {"+": 1, "-": -1}
+# every point str() writes: 1/0, 0/1, or a nonzero numerator over a positive
+# denominator, ASCII digits without leading zeros
+_POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 
-# a document edge as parsed: (src, dst, sign)
-_Edge = tuple[ProjectiveRational, ProjectiveRational, int]
+# a document edge as text: (src, dst, sign)
+_Edge = tuple[str, str, str]
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
@@ -79,21 +82,23 @@ def _plain_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_vertex(text: object, where: str) -> ProjectiveRational:
+def _point(text: object, where: str) -> str:
     _require(isinstance(text, str), f"{where} must be a string, got {text!r}")
-    try:
-        return ProjectiveRational.from_string(text)
-    except Exception:
-        raise MalformedDocument(f"{where} is not a num/den fraction: {text!r}") from None
+    _require(_POINT.fullmatch(text) is not None,
+             f"{where} is not a num/den fraction: {text!r}")
+    return text
 
 
 def parse_json(text: str) -> SuborbitalGraph:
     """Parse and fully re-validate a canonical JSON document.
 
-    Structural problems raise MalformedDocument, a foreign version
-    string raises VersionMismatch, and a document whose vertex or edge
-    lists disagree with a fresh enumeration raises InvariantViolation
-    naming the first offending item.  A height bound whose enumeration
+    Each point must be spelled exactly as emitted: lowest terms, sign on
+    the numerator, ASCII digits, no leading zeros and no spaces.  Text
+    that is no such fraction, like other structural problems, raises
+    MalformedDocument; a foreign version string raises VersionMismatch;
+    lists that differ, as text, from those of a fresh enumeration raise
+    InvariantViolation naming the first offending item, so an unreduced
+    -6/8 is an unknown vertex.  A height bound whose enumeration
     enumerate_graph would refuse raises BoundTooLarge.
     """
     try:
@@ -131,8 +136,7 @@ def parse_json(text: str) -> SuborbitalGraph:
         raise InvariantViolation(f"graph parameters invalid: {exc}") from None
 
     doc_vertices = tuple(
-        _parse_vertex(item, f"vertices[{i}]")
-        for i, item in enumerate(document["vertices"])
+        _point(item, f"vertices[{i}]") for i, item in enumerate(document["vertices"])
     )
     doc_edges: list[_Edge] = []
     for i, item in enumerate(document["edges"]):
@@ -141,35 +145,33 @@ def parse_json(text: str) -> SuborbitalGraph:
             set(item) == set(_EDGE_KEYS),
             f"edges[{i}] must have exactly keys src, dst, sign",
         )
-        src = _parse_vertex(item["src"], f"edges[{i}].src")
-        dst = _parse_vertex(item["dst"], f"edges[{i}].dst")
-        _require(
-            item["sign"] in _TEXT_SIGN,
-            f"edges[{i}].sign must be '+' or '-', got {item['sign']!r}",
-        )
-        doc_edges.append((src, dst, _TEXT_SIGN[item["sign"]]))
+        src = _point(item["src"], f"edges[{i}].src")
+        dst = _point(item["dst"], f"edges[{i}].dst")
+        sign = item["sign"]
+        _require(sign in ("+", "-"),
+                 f"edges[{i}].sign must be '+' or '-', got {sign!r}")
+        doc_edges.append((src, dst, sign))
 
     try:
         expected = enumerate_graph(spec, document["height_bound"])
     except InvalidBound as exc:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
-    _check_list("vertex", "vertices", doc_vertices, expected.vertices,
-                str, _unknown_vertex)
+    _check_list("vertex", "vertices", doc_vertices,
+                tuple(str(v) for v in expected.vertices), str, _unknown_vertex)
     _check_list("edge", "edges", tuple(doc_edges),
-                tuple((e.src, e.dst, e.sign) for e in expected.edges),
+                tuple((str(e.src), str(e.dst), _SIGN_TEXT[e.sign])
+                      for e in expected.edges),
                 _edge_text, _unknown_edge)
     return expected
 
 
 def _edge_text(edge: _Edge) -> str:
     src, dst, sign = edge
-    return f"{src} -> {dst} [{_SIGN_TEXT[sign]}]"
+    return f"{src} -> {dst} [{sign}]"
 
 
-def _unknown_vertex(
-    vertex: ProjectiveRational, want: tuple[ProjectiveRational, ...]
-) -> str | None:
+def _unknown_vertex(vertex: str, want: tuple[str, ...]) -> str | None:
     if vertex in set(want):
         return None
     return f"vertex {vertex} does not belong to this graph's vertex set"
@@ -181,10 +183,7 @@ def _unknown_edge(edge: _Edge, want: tuple[_Edge, ...]) -> str | None:
     if known is None:
         return f"edge {src} -> {dst} fails the edge conditions for this graph"
     if known != sign:
-        return (
-            f"edge {src} -> {dst} has sign {_SIGN_TEXT[sign]}, "
-            f"expected {_SIGN_TEXT[known]}"
-        )
+        return f"edge {src} -> {dst} has sign {sign}, expected {known}"
     return None
 
 

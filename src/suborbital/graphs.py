@@ -44,8 +44,8 @@ class GraphSpec:
     """Parameters (family, u, modulus, reversed) of one graph.
 
     u must be a unit for the modulus, strictly below it once the modulus
-    exceeds 1, and never 0.  The reversed flag is only meaningful for the
-    fzero family, where it encodes the partner graph.
+    exceeds 1, and 1 at modulus 1.  The reversed flag is only meaningful
+    for the fzero family, where it encodes the partner graph.
     """
 
     family: str
@@ -60,8 +60,10 @@ class GraphSpec:
             raise InvalidSpec(f"modulus must be >= 1, got {self.modulus}")
         if self.u < 1:
             raise InvalidSpec(f"u must be >= 1, got {self.u}")
-        if self.modulus > 1 and self.u >= self.modulus:
-            raise InvalidSpec(f"u must satisfy 1 <= u < {self.modulus}, got {self.u}")
+        if self.u >= max(self.modulus, 2):
+            need = "be 1 at modulus 1" if self.modulus == 1 else (
+                f"satisfy 1 <= u < {self.modulus}")
+            raise InvalidSpec(f"u must {need}, got {self.u}")
         if math.gcd(self.u, self.modulus) != 1:
             raise InvalidSpec(
                 f"u and modulus must be coprime, got ({self.u}, {self.modulus})"

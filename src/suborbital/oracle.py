@@ -421,7 +421,8 @@ class SelfPairedReport:
 def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     """Search bounded determinant-one matrices for a base pair exchange.
 
-    The search runs over the full group: an exchanging element exists
+    The search is transitivity_witness from the base edge onto its
+    reverse over the full group: an exchanging element exists
     independently of congruence restrictions or not at all, and the
     predicate under test quantifies over plain determinant-one matrices.
 
@@ -430,7 +431,7 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     entries up to order and sign.  An entry bound below its largest entry
     cannot decide the question and raises InvalidBound.
     """
-    sample = enumerate_group(full_group(), entry_bound)  # its bound checks first
+    enumerate_group(full_group(), entry_bound)  # its bound checks come first
     predicted = is_self_paired(spec)
     u, m = spec.forward_u(), spec.modulus
     needed = max(u, m, (u * u + 1) // m)
@@ -440,9 +441,7 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
             f"the base pair of {spec.label()}; it needs entry bound {needed}"
         )
     alpha, beta = spec.base_pair()
-    witness = None
-    for g in sample.elements:
-        if g.apply(alpha) == beta and g.apply(beta) == alpha:
-            witness = g
-            break
+    witness = transitivity_witness(
+        DirectedEdge(alpha, beta), DirectedEdge(beta, alpha), full_group(), entry_bound
+    )
     return SelfPairedReport(spec, entry_bound, predicted, witness)

@@ -62,14 +62,6 @@ class ProjectiveRational:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ProjectiveRational is immutable")
 
-    @classmethod
-    def from_string(cls, text: str) -> "ProjectiveRational":
-        """Parse the "num/den" form emitted by str()."""
-        head, sep, tail = text.partition("/")
-        if not sep:
-            raise ValueError(f"expected 'num/den', got {text!r}")
-        return cls(int(head), int(tail))
-
     @property
     def is_infinite(self) -> bool:
         return self.den == 0

@@ -70,6 +70,15 @@ class TestEdgesCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["finf", "fzero"])
+    def test_unit_above_one_at_modulus_one_is_invalid_arguments(self, capsys, family):
+        code, out, err = run(
+            capsys, "edges", "--family", family, "--u", "5", "--mod", "1",
+            "--bound", "4",
+        )
+        assert (code, out) == (2, "")
+        assert "u must be 1 at modulus 1, got 5" in err
+
     def test_narrow_svg_is_invalid_arguments(self, capsys):
         code, _, err = run(
             capsys, "edges", "--family", "finf", "--u", "1", "--mod", "2",
@@ -254,6 +263,39 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "needs --family, --u, --l, --m" in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--family", "finf", "--u", "1", "--l", "2", "--m", "1"),
+         "--family, --u, --l, --m"),
+        (("--u", "1", "--mod", "2"), "--u, --mod"),
+        (("--n1", "2", "--n2", "3"), "--n1, --n2"),
+        (("--family", "finf", "--u", "1", "--l", "2", "--m", "1", "--mod", "2",
+          "--n1", "2", "--n2", "3"), "--family, --u, --mod, --l, --m, --n1, --n2"),
+    ])
+    def test_all_takes_no_single_configuration_flags(
+        self, capsys, monkeypatch, flags, named
+    ):
+        # refused before any suite runs
+        monkeypatch.setattr(cli_module, "_SUITES", {})
+        code, out, err = run(capsys, "verify", "--suite", "all", *flags)
+        assert (code, out) == (2, "")
+        assert f"takes no single-configuration flags, got {named}" in err
+
+    def test_all_runs_the_five_sweeps(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--suite", "all", "--json",
+            "--entry-bound", "12", "--height-bound", "10", "--max", "5",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert [d["suite"] for d in data] == [
+            "blocks", "oracle", "selfpaired", "pairing", "lattice"
+        ]
+        assert all(d["ok"] for d in data)
+        assert data[0]["max"] == 5
+        oracle = data[1]["reports"]
+        assert len(oracle) == 22
+        assert {(r["entry_bound"], r["height_bound"]) for r in oracle} == {(12, 10)}
 
     def test_pairing_single(self, capsys):
         code, out, _ = run(

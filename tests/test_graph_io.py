@@ -1,6 +1,8 @@
 """Tests for JSON, DOT, and SVG emission."""
 
+import hashlib
 import json
+import math
 import re
 
 import pytest
@@ -115,6 +117,13 @@ class TestParseErrors:
         with pytest.raises(MalformedDocument):
             parse_json(json.dumps(data))
 
+    @pytest.mark.parametrize("sign", [[], {}, ["+"]])
+    def test_sign_must_be_the_string_plus_or_minus(self, sign):
+        data = json.loads(self.doc)
+        data["edges"][0]["sign"] = sign
+        with pytest.raises(MalformedDocument, match=r"edges\[0\]\.sign must be '\+' or '-'"):
+            parse_json(json.dumps(data))
+
     def test_bad_edge_shape_and_sign(self):
         data = json.loads(self.doc)
         data["edges"][0] = {"src": "1/0", "dst": "1/2"}
@@ -195,6 +204,109 @@ class TestParseErrors:
             parse_json(rebuild(self.doc, u=2, modulus=4, vertices=[], edges=[]))
         with pytest.raises(InvariantViolation):
             parse_json(rebuild(self.doc, height_bound=0))
+
+
+    def test_unit_above_one_at_modulus_one_is_invalid(self):
+        # F[5, 1] would have the same edges as F[1, 1] under a second label
+        doc = emit_json(enumerate_graph(GraphSpec(family="finf", u=1, modulus=1), 3))
+        for family in ("finf", "fzero"):
+            with pytest.raises(InvariantViolation, match="graph parameters invalid"):
+                parse_json(rebuild(doc, family=family, u=5))
+
+
+# each canonical point of F[1, 1] at height 4 with spellings that name the
+# same value but are not what str() writes
+RESPELLINGS = [
+    ("-3/4", "-6/8"),
+    ("-3/4", "3/-4"),
+    ("-3/4", " -3/4"),
+    ("-3/4", "-3/4 "),
+    ("-3/4", "-03/4"),
+    ("-3/4", "-3_0/40"),
+    ("-3/4", "-\u0663/4"),  # an Arabic-Indic digit three
+    ("1/2", "+1/2"),
+]
+
+
+class TestCanonicalSpelling:
+    """A document point is read only in the spelling str() writes."""
+
+    doc = emit_json(enumerate_graph(GraphSpec(family="finf", u=1, modulus=1), 4))
+
+    def placements(self, canonical, respelled):
+        """The document with the point respelled in the vertex list, in
+        one edge's src, and in one edge's dst."""
+        data = json.loads(self.doc)
+        i = data["vertices"].index(canonical)
+        data["vertices"][i] = respelled
+        yield data
+        for end in ("src", "dst"):
+            data = json.loads(self.doc)
+            edge = next(e for e in data["edges"] if e[end] == canonical)
+            edge[end] = respelled
+            yield data
+
+    @pytest.mark.parametrize("canonical, respelled", RESPELLINGS)
+    def test_respelling_refused(self, canonical, respelled):
+        # a well-formed but unreduced fraction is an unknown item; any
+        # other spelling is not a fraction at all
+        error = InvariantViolation if respelled == "-6/8" else MalformedDocument
+        shown = respelled if error is InvariantViolation else repr(respelled)
+        for data in self.placements(canonical, respelled):
+            with pytest.raises(error) as err:
+                parse_json(json.dumps(data))
+            assert shown in str(err.value)
+
+
+# str() of a point: 1/0, 0/1, or a nonzero numerator over a positive
+# denominator in ASCII digits without leading zeros
+CANONICAL_POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
+
+# sha256 of the concatenated outputs over SWEEP, as first written
+SWEEP_SHA256 = {
+    "json": "9e303edb86328965d92c49c55047e41925162a7eed8464007655e2bfaf709f6c",
+    "dot": "cf50e51cd84e284a7a3226c634d608d41f49b933720b7dad24a1675f7e71a6ad",
+    "svg": "2e73744dc10a5544ed946e0b4afce4dfbdfbd6d06351149febc081ef44ea8f4a",
+}
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Every graph at height 24 with modulus m <= 24, in the order m, then
+    each unit u (u = 1 at m = 1), then finf, fzero, reversed fzero."""
+    return [
+        enumerate_graph(GraphSpec(family, u, m, reversed_), 24)
+        for m in range(1, 25)
+        for u in range(1, max(m, 2))
+        if math.gcd(u, m) == 1
+        for family, reversed_ in (("finf", False), ("fzero", False), ("fzero", True))
+    ]
+
+
+class TestSweep:
+    def test_outputs_are_byte_identical(self, sweep):
+        emit = {
+            "json": emit_json,
+            "dot": emit_dot,
+            "svg": lambda graph: emit_svg(graph, 640),
+        }
+        digests = {}
+        for fmt, write in emit.items():
+            h = hashlib.sha256()
+            for graph in sweep:
+                h.update(write(graph).encode())
+            digests[fmt] = h.hexdigest()
+        assert len(sweep) == 540
+        assert digests == SWEEP_SHA256
+
+    def test_every_point_is_written_in_the_parsed_grammar(self, sweep):
+        for graph in sweep:
+            for vertex in graph.vertices:
+                assert CANONICAL_POINT.fullmatch(str(vertex)), vertex
+
+    def test_every_document_parses_to_its_graph(self, sweep):
+        for graph in sweep:
+            assert parse_json(emit_json(graph)) == graph
 
 
 class TestDot:

@@ -261,6 +261,20 @@ class TestVerifySelfPaired:
                 with pytest.raises(InvalidBound, match=f"needs entry bound {needed}"):
                     verify_self_paired(spec, needed - 1)
 
+    def test_witness_is_the_first_exchanging_matrix_of_the_scan(self):
+        for modulus in range(1, 13):
+            for u in range(1, max(modulus, 2)):
+                if (u * u + 1) % modulus:
+                    continue
+                spec = GraphSpec(family="fzero", u=u, modulus=modulus)
+                alpha, beta = spec.base_pair()
+                bound = max(u, modulus, (u * u + 1) // modulus) + 2
+                first = next(
+                    g for g in enumerate_group(full_group(), bound).elements
+                    if g.apply(alpha) == beta and g.apply(beta) == alpha
+                )
+                assert verify_self_paired(spec, bound).witness == first
+
     def test_sweep_small_moduli(self):
         for modulus in range(2, 9):
             for u in range(1, modulus):
