@@ -15,7 +15,13 @@ import json
 import math
 import sys
 
-from .errors import BoundTooLarge, InvalidSpec, SuborbitalError, refuse_above
+from .errors import (
+    BoundTooLarge,
+    InvalidBound,
+    InvalidSpec,
+    SuborbitalError,
+    refuse_above,
+)
 from .graph_io import check_svg_width, emit_dot, emit_json, emit_svg
 from .graphs import (
     FAMILY_INFINITY,
@@ -155,6 +161,8 @@ def cmd_edges(args: argparse.Namespace) -> int:
 
 def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     limit = args.max if args.max is not None else 30
+    if limit < 1:
+        raise InvalidBound(f"--max must be >= 1, got {limit}")
     refuse_above(f"estimated residue pairs for --max {limit}",
                  limit * (limit + 1) * (2 * limit + 1) // 6, BLOCKS_WORK_CEILING)
     pair_limit = min(limit, 20)
@@ -264,8 +272,7 @@ def _suite_pairing(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
         graph = enumerate_graph(spec, height)
         mirror = enumerate_graph(partner, height)
         flipped = {(e.dst, e.src) for e in graph.edges}
-        partner_pairs = {(e.src, e.dst) for e in mirror.edges}
-        good = flipped == partner_pairs
+        good = flipped == set(mirror.edges)
         ok = ok and good
         lines.append(
             f"pairing {spec.label()} <-> {partner.label()} at height {height}: "

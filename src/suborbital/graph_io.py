@@ -56,21 +56,26 @@ _Edge = tuple[str, str, str]
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
-    """Canonical JSON: fixed key order, compact separators, version "1"."""
-    document = {
+    """Canonical JSON: fixed key order, compact separators, version "1".
+
+    Only the header goes through json.dumps; each vertex and each edge is
+    written as one row, so no per-edge dict is built.
+    """
+    header = {
         "format_version": FORMAT_VERSION,
         "family": graph.spec.family,
         "u": graph.spec.u,
         "modulus": graph.spec.modulus,
         "reversed": graph.spec.reversed,
         "height_bound": graph.height_bound,
-        "vertices": [str(v) for v in graph.vertices],
-        "edges": [
-            {"src": str(e.src), "dst": str(e.dst), "sign": _SIGN_TEXT[e.sign]}
-            for e in graph.edges
-        ],
     }
-    return json.dumps(document, separators=(",", ":"))
+    head = json.dumps(header, separators=(",", ":"))[:-1]
+    vertices = ",".join([f'"{v}"' for v in graph.vertices])
+    edges = ",".join([
+        f'{{"src":"{e.src}","dst":"{e.dst}","sign":"{_SIGN_TEXT[e.sign]}"}}'
+        for e in graph.edges
+    ])
+    return f'{head},"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
 def _require(condition: bool, message: str) -> None:

@@ -9,6 +9,7 @@ satisfies the conditions, since both lifts act identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidModulus
 from .rational import ProjectiveRational
@@ -26,45 +27,41 @@ __all__ = [
 ]
 
 
-class UnimodularMatrix:
-    """2x2 integer matrix [[a, b], [c, d]] with a*d - b*c == 1.
+class UnimodularMatrix(tuple):
+    """2x2 integer matrix [[a, b], [c, d]] with a*d - b*c == 1, held as
+    its entry tuple (a, b, c, d) and ordered as that tuple.
 
     The constructor rejects any other determinant and replaces the input
     by its canonical sign lift, so two constructions that differ only by
     an overall sign compare equal.
     """
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ()
 
-    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "UnimodularMatrix":
         if a * d - b * c != 1:
             raise ValueError(f"determinant must be 1, got {a * d - b * c}")
         if c < 0 or (c == 0 and a < 0):
             a, b, c, d = -a, -b, -c, -d
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        return tuple.__new__(cls, (a, b, c, d))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UnimodularMatrix is immutable")
-
-    @property
-    def entries(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    c = property(itemgetter(2))
+    d = property(itemgetter(3))
 
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         if not isinstance(other, UnimodularMatrix):
             return NotImplemented
+        a, b, c, d = self
+        e, f, g, h = other
         return UnimodularMatrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         )
 
     def inverse(self) -> "UnimodularMatrix":
-        return UnimodularMatrix(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self
+        return UnimodularMatrix(d, -b, -c, a)
 
     def apply(self, v: ProjectiveRational) -> ProjectiveRational:
         """Fractional linear image (a*x + b*y) / (c*x + d*y) of v = x/y.
@@ -72,29 +69,16 @@ class UnimodularMatrix:
         The raw image of a reduced pair is already reduced; construction
         canonicalizes defensively anyway.
         """
-        return ProjectiveRational(
-            self.a * v.num + self.b * v.den,
-            self.c * v.num + self.d * v.den,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, UnimodularMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __lt__(self, other: "UnimodularMatrix") -> bool:
-        if not isinstance(other, UnimodularMatrix):
-            return NotImplemented
-        return self.entries < other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        a, b, c, d = self
+        x, y = v
+        return ProjectiveRational(a * x + b * y, c * x + d * y)
 
     def __str__(self) -> str:
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
+        a, b, c, d = self
+        return f"[[{a}, {b}], [{c}, {d}]]"
 
     def __repr__(self) -> str:
-        return f"UnimodularMatrix{self.entries}"
+        return f"UnimodularMatrix{tuple.__repr__(self)}"
 
 
 IDENTITY = UnimodularMatrix(1, 0, 0, 1)
@@ -135,12 +119,13 @@ class SubgroupSpec:
         The b and c conditions do not depend on the lift; negating the
         lift turns a == 1 and d == 1 into a == -1 and d == -1.
         """
+        a, b, c, d = g
         return (
-            g.b % self.b_mod == 0
-            and g.c % self.c_mod == 0
+            b % self.b_mod == 0
+            and c % self.c_mod == 0
             and (
-                ((g.a - 1) % self.a_mod == 0 and (g.d - 1) % self.d_mod == 0)
-                or ((g.a + 1) % self.a_mod == 0 and (g.d + 1) % self.d_mod == 0)
+                ((a - 1) % self.a_mod == 0 and (d - 1) % self.d_mod == 0)
+                or ((a + 1) % self.a_mod == 0 and (d + 1) % self.d_mod == 0)
             )
         )
 

@@ -64,9 +64,6 @@ class OrbitalSample:
     base: tuple[ProjectiveRational, ProjectiveRational]
     pairs: tuple[tuple[ProjectiveRational, ProjectiveRational], ...]
 
-    def pair_set(self) -> frozenset[tuple[ProjectiveRational, ProjectiveRational]]:
-        return frozenset(self.pairs)
-
 
 # larger entry bounds are refused; the scan grows with the bound's square
 SCAN_CEILING = 60
@@ -91,7 +88,7 @@ def _canonical_scan(bound: int) -> tuple[UnimodularMatrix, ...]:
                 b, rem = divmod(a * d - 1, c)
                 if rem == 0 and -bound <= b <= bound:
                     found.append(UnimodularMatrix(a, b, c, d))
-    found.sort(key=lambda g: g.entries)
+    found.sort()
     return tuple(found)
 
 
@@ -116,9 +113,10 @@ def orbital_pairs(
     sample: BoundedGroupSample,
     base: tuple[ProjectiveRational, ProjectiveRational],
 ) -> OrbitalSample:
-    """All images (g(base[0]), g(base[1])) over the sample, sorted."""
+    """All images (g(base[0]), g(base[1])) over the sample, sorted as
+    plain integer tuples."""
     seen = {(g.apply(base[0]), g.apply(base[1])) for g in sample.elements}
-    ordered = sorted(seen, key=lambda p: p[0].key() + p[1].key())
+    ordered = sorted(seen, key=lambda pair: (*pair[0], *pair[1]))
     return OrbitalSample(base, tuple(ordered))
 
 
@@ -242,10 +240,8 @@ def compare_edges_vs_orbital(
     soundness = tuple(
         pair for pair in in_bound if edge_check(spec, pair[0], pair[1]) is None
     )
-    reached = orbital.pair_set()
-    misses = tuple(
-        edge for edge in graph.edges if (edge.src, edge.dst) not in reached
-    )
+    reached = set(orbital.pairs)
+    misses = tuple(edge for edge in graph.edges if edge not in reached)
     return OrbitalReport(
         spec=spec,
         group=group,

@@ -1,15 +1,15 @@
 """Exact arithmetic on the extended rationals and small number theory helpers.
 
 The central type is ProjectiveRational: a reduced fraction num/den together
-with a single point at infinity written 1/0.  Values are normalized once at
-construction so that equality, hashing and ordering are plain tuple work.
-Everything here is integer arithmetic; nothing ever rounds.
+with a single point at infinity written 1/0, held as its (num, den) tuple
+and normalized once at construction.  Everything here is integer
+arithmetic; nothing ever rounds.
 """
 
 from __future__ import annotations
 
 import math
-from functools import total_ordering
+from operator import itemgetter
 
 from .errors import InvalidModulus, NotInvertible, ZeroOverZero, refuse_above
 
@@ -24,9 +24,8 @@ __all__ = [
 ]
 
 
-@total_ordering
-class ProjectiveRational:
-    """A point of the extended rational line in canonical reduced form.
+class ProjectiveRational(tuple):
+    """A point of the extended rational line: the reduced pair (num, den).
 
     Invariants enforced by the constructor:
 
@@ -35,15 +34,16 @@ class ProjectiveRational:
     * num == 0 implies den == 1, so 0/1 is the unique zero
     * den >= 0; the sign always lives on the numerator
 
-    The point at infinity compares strictly greater than every finite
-    value; finite values are ordered by value.  Comparison works by cross
-    multiplication, which is valid for 1/0 as well because denominators
-    are never negative.
+    A point equals and hashes as its plain pair, so plain (num, den)
+    tuples find it in sets and dicts and sort in canonical output order.
+    The comparison operators order points by value instead, 1/0 above
+    every finite value; they cross multiply, which is valid for 1/0 as
+    well because denominators are never negative.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
-    def __init__(self, num: int, den: int) -> None:
+    def __new__(cls, num: int, den: int) -> "ProjectiveRational":
         if num == 0 and den == 0:
             raise ZeroOverZero("0/0 does not name a point")
         if den == 0:
@@ -53,14 +53,12 @@ class ProjectiveRational:
         else:
             if den < 0:
                 num, den = -num, -den
-            g = math.gcd(abs(num), den)
-            num //= g
-            den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+        return tuple.__new__(cls, (num, den))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ProjectiveRational is immutable")
+    num = property(itemgetter(0))
+    den = property(itemgetter(1))
 
     @property
     def is_infinite(self) -> bool:
@@ -71,22 +69,18 @@ class ProjectiveRational:
         """max(|num|, den); the point at infinity has height 1."""
         return max(abs(self.num), self.den)
 
-    def key(self) -> tuple[int, int]:
-        """Deterministic sort key: the (num, den) pair itself."""
-        return (self.num, self.den)
+    # tuple defines all four, so each value comparison is written out
+    def __lt__(self, other: tuple[int, int]) -> bool:
+        return self[0] * other[1] < other[0] * self[1]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjectiveRational):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+    def __le__(self, other: tuple[int, int]) -> bool:
+        return self[0] * other[1] <= other[0] * self[1]
 
-    def __lt__(self, other: "ProjectiveRational") -> bool:
-        if not isinstance(other, ProjectiveRational):
-            return NotImplemented
-        return self.num * other.den < other.num * self.den
+    def __gt__(self, other: tuple[int, int]) -> bool:
+        return self[0] * other[1] > other[0] * self[1]
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
+    def __ge__(self, other: tuple[int, int]) -> bool:
+        return self[0] * other[1] >= other[0] * self[1]
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"

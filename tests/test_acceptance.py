@@ -149,7 +149,7 @@ def test_criterion_6_transitivity_witnesses():
             for e2 in graph.edges:
                 witness = carrier[(e2.src, e2.dst)] * to_base
                 assert group.contains(witness)
-                assert max(abs(x) for x in witness.entries) <= 40
+                assert max(abs(x) for x in witness) <= 40
                 assert witness.apply(e1.src) == e2.src
                 assert witness.apply(e1.dst) == e2.dst
 
@@ -187,7 +187,7 @@ def test_criterion_8_action_laws():
                 v = ProjectiveRational(rng.randint(-30, 30), rng.randint(1, 30))
             image = g.apply(h.apply(v))
             assert image == (g * h).apply(v)
-            a, b, c, d = g.entries
+            a, b, c, d = g
             assert math.gcd(a * v.num + b * v.den, c * v.num + d * v.den) == 1
 
 

@@ -1,6 +1,8 @@
 """The public surface: what the package exports, and that it all resolves."""
 
+import ast
 import importlib
+import pathlib
 
 import suborbital
 
@@ -42,3 +44,13 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"suborbital.{short}")
         for name in module.__all__:
             assert hasattr(module, name), f"{short}.{name}"
+
+
+def test_sources_parse_under_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; this pins the grammar
+    # only, not the library calls
+    package = pathlib.Path(suborbital.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) == len(MODULES) + 2  # with __init__ and errors
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

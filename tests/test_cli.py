@@ -177,6 +177,23 @@ class TestVerifyCommand:
         for limit in ("30", "35"):
             assert run(capsys, "verify", "--suite", "blocks", "--max", limit)[0] == 0
 
+    def test_blocks_max_below_one_is_refused_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_module, "count_blocks", None)
+        monkeypatch.setattr(cli_module, "compare_edges_vs_orbital", None)
+        for argv in (
+            ("--suite", "blocks", "--max", "0"),
+            ("--suite", "blocks", "--max", "-7"),
+            ("--suite", "all", "--max", "-1"),
+            ("--suite", "blocks", "--max", "0", "--json"),
+        ):
+            code, out, err = run(capsys, "verify", *argv)
+            assert (code, out) == (2, "")
+            assert "--max must be >= 1" in err
+        monkeypatch.undo()
+        assert run(capsys, "verify", "--suite", "blocks", "--max", "1")[0] == 0
+
     def test_lattice_has_work_ceiling(self, capsys, monkeypatch):
         # the refusal comes from the estimate alone: no product is formed
         monkeypatch.setattr(UnimodularMatrix, "__mul__", None)

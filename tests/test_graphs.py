@@ -126,6 +126,21 @@ class TestDirectedEdge:
         e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         assert str(e) == "1/0 -> 1/2 [+]"
 
+    def test_edge_is_its_plain_pair(self):
+        e = DirectedEdge(ProjectiveRational(-2, -4), INFINITY)
+        assert e == ((1, 2), (1, 0)) and ((1, 2), (1, 0)) == e
+        assert hash(e) == hash(((1, 2), (1, 0)))
+        assert ((1, 2), (1, 0)) in {e}
+        assert (e.src, e.dst) == tuple(e)
+
+    def test_fields_are_read_only(self):
+        e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
+        for field in ("src", "dst", "sign"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, ZERO)
+        assert e == (INFINITY, (1, 2))
+        assert not hasattr(e, "__dict__")
+
 
 class TestEdgeCheck:
     def test_base_edge_of_infinity_family(self):
@@ -293,7 +308,25 @@ class TestEnumerateGraph:
                         for w in graph.vertices
                         if edge_check(spec, v, w) is not None
                     ]
-                    assert graph.edges == tuple(sorted(scanned, key=DirectedEdge.key))
+                    in_order = sorted(scanned, key=lambda e: (*e.src, *e.dst))
+                    assert graph.edges == tuple(in_order)
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_output_strictly_increases_as_integer_tuples(self, family, reversed_):
+        # the canonical order is that of plain ints, never of point values
+        for m in range(1, 13):
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
+                for bound in range(1, 31):
+                    graph = enumerate_graph(spec, bound)
+                    points = [(v.num, v.den) for v in graph.vertices]
+                    assert all(p < q for p, q in zip(points, points[1:]))
+                    arcs = [(*e.src, *e.dst) for e in graph.edges]
+                    assert all(p < q for p, q in zip(arcs, arcs[1:]))
 
     def test_every_edge_satisfies_determinant_condition(self):
         for spec, bound, base in ((F12, 8, INFINITY), (F32, 8, ZERO)):

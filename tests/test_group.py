@@ -52,8 +52,23 @@ class TestMatrixArithmetic:
     def test_sign_canonicalization(self):
         assert UnimodularMatrix(-1, 0, 0, -1) == IDENTITY
         assert UnimodularMatrix(0, 1, -1, 0) == UnimodularMatrix(0, -1, 1, 0)
-        assert UnimodularMatrix(-2, -1, -1, -1).entries == (2, 1, 1, 1)
-        assert UnimodularMatrix(-1, 2, 0, -1).entries == (1, -2, 0, 1)
+        assert UnimodularMatrix(-2, -1, -1, -1) == (2, 1, 1, 1)
+        assert UnimodularMatrix(-1, 2, 0, -1) == (1, -2, 0, 1)
+
+    def test_matrix_is_its_entry_tuple(self):
+        g = UnimodularMatrix(-1, 2, 0, -1)
+        assert g == (1, -2, 0, 1) and (1, -2, 0, 1) == g
+        assert hash(g) == hash((1, -2, 0, 1))
+        assert (1, -2, 0, 1) in {g}
+        assert (g.a, g.b, g.c, g.d) == tuple(g)
+
+    def test_fields_are_read_only(self):
+        g = UnimodularMatrix(2, 1, 1, 1)
+        for field in ("a", "b", "c", "d"):
+            with pytest.raises(AttributeError):
+                setattr(g, field, 0)
+        assert g == (2, 1, 1, 1)
+        assert not hasattr(g, "__dict__")
 
     def test_compose_example(self):
         assert T * UnimodularMatrix(1, 0, 1, 1) == UnimodularMatrix(2, 1, 1, 1)
@@ -135,7 +150,7 @@ class TestSubgroupSpecs:
         checked = 0
         for group, lift_ok in kept_factories():
             for g in sample:
-                a, b, c, d = g.entries
+                a, b, c, d = g
                 either = lift_ok(a, b, c, d) or lift_ok(-a, -b, -c, -d)
                 assert group.contains(g) == either, (group.label, g)
                 checked += either

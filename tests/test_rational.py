@@ -107,6 +107,15 @@ class TestCanonicalForm:
             return
         assert ProjectiveRational(k * a, k * b) == ProjectiveRational(a, b)
 
+    def test_point_is_its_plain_pair(self):
+        v = ProjectiveRational(-6, 8)
+        assert v == (-3, 4) and (-3, 4) == v
+        assert hash(v) == hash((-3, 4))
+        assert {(-3, 4): "found"}[v] == "found"
+        index = {w: w for w in (INFINITY, ZERO, v)}
+        assert index[(1, 0)] is INFINITY and index[(-3, 4)] is v
+        assert tuple(v) == (v.num, v.den) == (-3, 4)
+
     def test_height(self):
         assert INFINITY.height == 1
         assert ZERO.height == 1
@@ -136,6 +145,21 @@ class TestOrdering:
         assert three_way(ProjectiveRational(1, 2), ProjectiveRational(1, 3)) == 1
         assert three_way(ProjectiveRational(1, 3), ProjectiveRational(1, 2)) == -1
         assert three_way(ProjectiveRational(2, 4), ProjectiveRational(1, 2)) == 0
+
+    def test_all_four_operators_order_by_value(self):
+        # pairs whose tuple order is the opposite of their value order
+        for big, small in (
+            (INFINITY, ProjectiveRational(2, 1)),
+            (ProjectiveRational(1, 2), ProjectiveRational(2, 5)),
+            (ProjectiveRational(1, 2), ProjectiveRational(1, 3)),
+        ):
+            assert tuple(big) < tuple(small)
+            assert big > small and big >= small
+            assert small < big and small <= big
+            assert not (big < small or big <= small)
+            assert not (small > big or small >= big)
+        for v in (INFINITY, ZERO, ProjectiveRational(2, 5)):
+            assert v <= v and v >= v and not (v < v or v > v)
 
     @given(numerators, nonzero, numerators, nonzero)
     def test_order_matches_real_values(self, a, b, c, d):
