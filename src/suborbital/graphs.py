@@ -116,6 +116,13 @@ class DirectedEdge(tuple):
         """+1 exactly when the source is the greater vertex, else -1."""
         return 1 if self.dst < self.src else -1
 
+    # an edge is a value, not a sequence: tuple concatenation and
+    # repetition are refused, so + and * raise TypeError
+    def __add__(self, other: object):
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
+
     def __str__(self) -> str:
         mark = "+" if self.sign > 0 else "-"
         return f"{self.src} -> {self.dst} [{mark}]"

@@ -59,6 +59,13 @@ class UnimodularMatrix(tuple):
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         )
 
+    # * is the matrix product only: tuple concatenation and repetition
+    # are refused, so + and int * matrix raise TypeError
+    def __add__(self, other: object):
+        return NotImplemented
+
+    __radd__ = __rmul__ = __add__
+
     def inverse(self) -> "UnimodularMatrix":
         a, b, c, d = self
         return UnimodularMatrix(d, -b, -c, a)

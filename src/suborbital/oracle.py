@@ -1,10 +1,11 @@
 """Brute-force ground truth for the graph predicates.
 
-Everything here works from first principles: exhaustive scans over
-bounded integer matrices, direct orbit marking over residue pairs, and
-raw group action.  The graph module's edge conditions are never used to
-build an oracle set, only compared against afterwards, so agreement is
-evidence rather than circularity.
+Everything here works from first principles: scans of bounded integer
+matrices, exhaustive over the residue classes a subgroup's moduli allow
+and filtered by its membership test; direct orbit marking over residue
+pairs; and raw group action.  The graph module's edge conditions are
+never used to build an oracle set, only compared against afterwards, so
+agreement is evidence rather than circularity.
 """
 
 from __future__ import annotations
@@ -65,43 +66,62 @@ class OrbitalSample:
     pairs: tuple[tuple[ProjectiveRational, ProjectiveRational], ...]
 
 
-# larger entry bounds are refused; the scan grows with the bound's square
+# larger entry bounds are refused; a scan grows with the bound's square,
+# to 17,626 matrices for the full group at 60 and a fraction of that for
+# a subgroup, whose scan visits only the classes its moduli allow
 SCAN_CEILING = 60
 
 
-@lru_cache(maxsize=8)
-def _canonical_scan(bound: int) -> tuple[UnimodularMatrix, ...]:
-    # Canonical lifts have c > 0, or c == 0 with a == d == 1.  For fixed
-    # (a, c) the determinant equation pins d to one residue class mod c,
-    # so the scan solves for d and b instead of testing every 4-tuple;
-    # the result set is identical to the naive det filter.
+@lru_cache(maxsize=64)
+def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...]:
+    # Canonical lifts have c > 0, or c == 0 with a == d == 1.  A member
+    # has c == 0 (mod c_mod) and a == +-1 (mod a_mod), so only those values
+    # of c and a are walked; for fixed (a, c) the determinant equation
+    # pins d to the class of a^-1 mod c and b to (a*d - 1)/c.  When
+    # b_mod > c_mod the walk runs on the conjugate by S = [[0, -1], [1, 0]]:
+    # (a, b, c, d) -> (d, -c, -b, a) has moduli (d_mod, c_mod, b_mod, a_mod)
+    # and the same entry bound, and is its own inverse.  Every candidate is
+    # built and sign-lifted by the constructor and kept only if the
+    # group contains it, so the result is the naive scan-and-filter set.
+    flip = group.b_mod > group.c_mod
+    a_mod, c_mod = (group.d_mod, group.b_mod) if flip else (group.a_mod, group.c_mod)
     found: list[UnimodularMatrix] = []
+
+    def keep(a: int, b: int, c: int, d: int) -> None:
+        g = UnimodularMatrix(d, -c, -b, a) if flip else UnimodularMatrix(a, b, c, d)
+        if group.contains(g):
+            found.append(g)
+
     for b in range(-bound, bound + 1):
-        found.append(UnimodularMatrix(1, b, 0, 1))
-    for c in range(1, bound + 1):
-        for a in range(-bound, bound + 1):
+        keep(1, b, 0, 1)
+    rows = [
+        a
+        for a in range(-bound, bound + 1)
+        if (a - 1) % a_mod == 0 or (a + 1) % a_mod == 0
+    ]
+    for c in range(c_mod, bound + 1, c_mod):
+        for a in rows:
             if math.gcd(a, c) != 1:
                 continue
             d0 = pow(a, -1, c) if c > 1 else 0
             first = d0 - ((d0 + bound) // c) * c
             for d in range(first, bound + 1, c):
-                b, rem = divmod(a * d - 1, c)
-                if rem == 0 and -bound <= b <= bound:
-                    found.append(UnimodularMatrix(a, b, c, d))
+                b = (a * d - 1) // c
+                if -bound <= b <= bound:
+                    keep(a, b, c, d)
     found.sort()
     return tuple(found)
-
-
-@lru_cache(maxsize=64)
-def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...]:
-    return tuple(g for g in _canonical_scan(bound) if group.contains(g))
 
 
 def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample:
     """Exactly the canonical member matrices with |entries| <= entry_bound.
 
-    Deterministically ordered by entry tuple.  Raises InvalidBound for
-    bounds below 1 and BoundTooLarge above the scan ceiling.
+    Generated from the group's four moduli: only the residue classes of
+    c and a that a member can have are walked, and every candidate is
+    kept only if group.contains accepts it, so the sample equals a naive
+    scan of the whole box filtered by contains.  Deterministically
+    ordered by entry tuple.  Raises InvalidBound for bounds below 1 and
+    BoundTooLarge above the scan ceiling.
     """
     if entry_bound < 1:
         raise InvalidBound(f"entry bound must be >= 1, got {entry_bound}")

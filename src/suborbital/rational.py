@@ -82,6 +82,13 @@ class ProjectiveRational(tuple):
     def __ge__(self, other: tuple[int, int]) -> bool:
         return self[0] * other[1] >= other[0] * self[1]
 
+    # a point is a value, not a sequence: tuple concatenation and
+    # repetition are refused, so + and * raise TypeError
+    def __add__(self, other: object):
+        return NotImplemented
+
+    __radd__ = __mul__ = __rmul__ = __add__
+
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 

@@ -336,7 +336,7 @@ class TestVerifyCommand:
         assert data[0]["suite"] == "blocks"
         assert data[0]["ok"] is True
 
-    def test_env_ceiling_gives_resource_exit(self, capsys, monkeypatch):
+    def test_lowered_scan_ceiling_gives_resource_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(oracle_module, "SCAN_CEILING", 10)
         code, _, err = run(
             capsys, "verify", "--suite", "selfpaired", "--mod", "7", "--u", "2",

@@ -8,6 +8,7 @@ test.
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -133,6 +134,13 @@ class TestDirectedEdge:
         assert ((1, 2), (1, 0)) in {e}
         assert (e.src, e.dst) == tuple(e)
 
+    def test_tuple_arithmetic_is_refused(self):
+        e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
+        for op, x, y in ((operator.add, e, e), (operator.mul, 2, e),
+                         (operator.mul, e, 2)):
+            with pytest.raises(TypeError):
+                op(x, y)
+
     def test_fields_are_read_only(self):
         e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         for field in ("src", "dst", "sign"):
@@ -239,7 +247,7 @@ class TestEnumerateGraph:
         with pytest.raises(BoundTooLarge):
             enumerate_graph(F12, 10_001)
 
-    def test_force_overrides_ceiling(self, monkeypatch):
+    def test_lowered_enumeration_ceiling_refuses(self, monkeypatch):
         # the work estimates of F[1, 2] at heights 6 and 7 are 366 and 422
         monkeypatch.setattr(graphs_module, "ENUMERATION_CEILING", 366)
         with pytest.raises(BoundTooLarge):

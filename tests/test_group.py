@@ -1,6 +1,7 @@
 """Tests for matrices modulo sign and congruence subgroup membership."""
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +62,14 @@ class TestMatrixArithmetic:
         assert hash(g) == hash((1, -2, 0, 1))
         assert (1, -2, 0, 1) in {g}
         assert (g.a, g.b, g.c, g.d) == tuple(g)
+
+    def test_only_the_matrix_product_is_defined(self):
+        g = UnimodularMatrix(1, 1, 0, 1)
+        assert g * g == (1, 2, 0, 1)
+        for op, x, y in ((operator.mul, 3, g), (operator.mul, g, 3),
+                         (operator.add, g, g)):
+            with pytest.raises(TypeError):
+                op(x, y)
 
     def test_fields_are_read_only(self):
         g = UnimodularMatrix(2, 1, 1, 1)

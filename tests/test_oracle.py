@@ -1,5 +1,6 @@
 """Tests for the brute-force ground-truth module."""
 
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from suborbital.errors import BoundTooLarge, InvalidBound, InvalidModulus, Inval
 from suborbital.graphs import GraphSpec, edge_check
 from suborbital.group import (
     IDENTITY,
+    SubgroupSpec,
     UnimodularMatrix,
     full_group,
     gamma0,
@@ -67,6 +69,18 @@ class TestEnumerateGroup:
             fast = set(enumerate_group(full_group(), bound).elements)
             assert fast == naive_scan(bound)
 
+    def test_every_small_subgroup_matches_naive_scan_and_filter(self):
+        # the scan walks only the residue classes the moduli allow, and the
+        # conjugate orientation when b_mod > c_mod; the naive reference
+        # tests every matrix in the box against contains
+        for bound in range(1, 9):
+            box = sorted(naive_scan(bound))
+            for moduli in itertools.product(range(1, 6), repeat=4):
+                group = SubgroupSpec(*moduli, "moduli")
+                expected = tuple(g for g in box if group.contains(g))
+                assert enumerate_group(group, bound).elements == expected, (
+                    moduli, bound)
+
     def test_pair_subgroup_examples(self):
         sample = enumerate_group(gamma0_pair(2, 3), 3)
         elements = set(sample.elements)
@@ -100,7 +114,7 @@ class TestEnumerateGroup:
         with pytest.raises(BoundTooLarge):
             enumerate_group(full_group(), 61)
 
-    def test_env_var_moves_ceiling(self, monkeypatch):
+    def test_lowered_scan_ceiling_refuses(self, monkeypatch):
         monkeypatch.setattr(oracle_module, "SCAN_CEILING", 10)
         assert len(enumerate_group(full_group(), 10).elements) > 0
         with pytest.raises(BoundTooLarge):

@@ -6,6 +6,7 @@ before being compared with the library's fast paths.
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -115,6 +116,13 @@ class TestCanonicalForm:
         index = {w: w for w in (INFINITY, ZERO, v)}
         assert index[(1, 0)] is INFINITY and index[(-3, 4)] is v
         assert tuple(v) == (v.num, v.den) == (-3, 4)
+
+    def test_tuple_arithmetic_is_refused(self):
+        v = ProjectiveRational(1, 2)
+        for op, x, y in ((operator.add, INFINITY, ZERO), (operator.add, v, v),
+                         (operator.mul, 2, v), (operator.mul, v, 2)):
+            with pytest.raises(TypeError):
+                op(x, y)
 
     def test_height(self):
         assert INFINITY.height == 1
