@@ -2,10 +2,12 @@
 
 Everything here works from first principles: scans of bounded integer
 matrices, exhaustive over the residue classes a subgroup's moduli allow
-and filtered by its membership test; direct orbit marking over residue
-pairs; and raw group action.  The graph module's edge conditions are
-never used to build an oracle set, only compared against afterwards, so
-agreement is evidence rather than circularity.
+and filtered by its membership test; walks along the one line of bounded
+matrices sending a given vertex onto another, filtered the same way;
+direct orbit marking over residue pairs; and raw group action.  The
+graph module's edge conditions are never used to build an oracle set,
+only compared against afterwards, so agreement is evidence rather than
+circularity.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .graphs import (
     FAMILY_INFINITY,
     DirectedEdge,
     GraphSpec,
+    _steps_within,
     edge_check,
     enumerate_graph,
     is_self_paired,
@@ -104,13 +107,27 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
             if math.gcd(a, c) != 1:
                 continue
             d0 = pow(a, -1, c) if c > 1 else 0
-            first = d0 - ((d0 + bound) // c) * c
-            for d in range(first, bound + 1, c):
-                b = (a * d - 1) // c
-                if -bound <= b <= bound:
-                    keep(a, b, c, d)
+            b0 = (a * d0 - 1) // c
+            # d = d0 + k*c and b = b0 + k*a, both within the bound; the
+            # ranges meet by comparisons, as max and min would cost two
+            # calls on every row
+            ks = _steps_within(d0, c, -bound, bound)
+            if a:
+                kb = _steps_within(b0, a, -bound, bound)
+                ks = range(ks.start if ks.start > kb.start else kb.start,
+                           ks.stop if ks.stop < kb.stop else kb.stop)
+            elif abs(b0) > bound:
+                continue
+            for k in ks:
+                keep(a, b0 + k * a, c, d0 + k * c)
     found.sort()
     return tuple(found)
+
+
+def _check_entry_bound(entry_bound: int) -> None:
+    if entry_bound < 1:
+        raise InvalidBound(f"entry bound must be >= 1, got {entry_bound}")
+    refuse_above("the entry bound", entry_bound, SCAN_CEILING)
 
 
 def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample:
@@ -123,9 +140,7 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
     ordered by entry tuple.  Raises InvalidBound for bounds below 1 and
     BoundTooLarge above the scan ceiling.
     """
-    if entry_bound < 1:
-        raise InvalidBound(f"entry bound must be >= 1, got {entry_bound}")
-    refuse_above("the entry bound", entry_bound, SCAN_CEILING)
+    _check_entry_bound(entry_bound)
     return BoundedGroupSample(group, entry_bound, _member_scan(group, entry_bound))
 
 
@@ -140,21 +155,58 @@ def orbital_pairs(
     return OrbitalSample(base, tuple(ordered))
 
 
+def _bezout(r: int, s: int) -> tuple[int, int]:
+    # (x0, y0) with r*y0 - s*x0 == 1 for a canonical point r/s, so that
+    # [[r, x0], [s, y0]] has determinant 1; graphs._lattice_heads solves
+    # the same equation inline, as a call per vertex slows enumeration
+    if s == 0:
+        return 0, 1
+    y0 = pow(r, -1, s)
+    return (r * y0 - 1) // s, y0
+
+
 def transitivity_witness(
     e1: DirectedEdge,
     e2: DirectedEdge,
     group: SubgroupSpec,
     entry_bound: int,
 ) -> UnimodularMatrix | None:
-    """First bounded group element carrying edge e1 onto edge e2.
+    """First bounded group element, in entry-tuple order, carrying edge
+    e1 onto edge e2.
 
-    The candidates come from the exhaustive scan in its deterministic
-    order; each hit is accepted only if both vertex images match
-    exactly.  Returns None when no candidate within the entry bound
-    works, which is also what happens for endpoints in different blocks.
+    With A1, A2 determinant-one matrices whose first columns are the
+    sources x1/y1 and x2/y2, the matrices sending one source onto the
+    other are, up to sign, A2 * T**k * A1**-1 for T = [[1, 1], [0, 1]];
+    each entry is affine in k with step (x2, y2)^T (-y1, x1).  Only the
+    at most 2*entry_bound + 1 values of k keeping every entry within the
+    bound are walked.  Each candidate is built by the constructor and
+    accepted only if the group contains it and both vertex images match
+    exactly, so the result is the first hit of enumerate_group's scan
+    under the same filter.  Returns None when no candidate works, which
+    is also what happens for endpoints in different blocks.  Raises
+    InvalidBound and BoundTooLarge as enumerate_group does.
     """
-    for g in enumerate_group(group, entry_bound).elements:
-        if g.apply(e1.src) == e2.src and g.apply(e1.dst) == e2.dst:
+    _check_entry_bound(entry_bound)
+    (x1, y1), (x2, y2) = e1.src, e2.src
+    b1, d1 = _bezout(x1, y1)
+    b2, d2 = _bezout(x2, y2)
+    start = (x2 * d1 - b2 * y1, b2 * x1 - x2 * b1,
+             y2 * d1 - d2 * y1, d2 * x1 - y2 * b1)
+    step = (-x2 * y1, x2 * x1, -y2 * y1, y2 * x1)
+    lo, hi = -math.inf, math.inf
+    for s, t in zip(start, step):
+        if t:
+            ks = _steps_within(s, t, -entry_bound, entry_bound)
+            lo, hi = max(lo, ks.start), min(hi, ks.stop)
+        elif abs(s) > entry_bound:
+            return None
+    # the step is a nonzero rank-one matrix, so lo and hi are integers;
+    # two distinct points have a trivial joint stabilizer, so at most one
+    # k hits, and that hit is the least in entry-tuple order
+    for k in range(lo, hi):
+        g = UnimodularMatrix(*(s + k * t for s, t in zip(start, step)))
+        if (group.contains(g) and g.apply(e1.src) == e2.src
+                and g.apply(e1.dst) == e2.dst):
             return g
     return None
 
@@ -441,13 +493,16 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     reverse over the full group: an exchanging element exists
     independently of congruence restrictions or not at all, and the
     predicate under test quantifies over plain determinant-one matrices.
+    The search walks only the at most 2*entry_bound + 1 matrices sending
+    the first base vertex onto the second, never the bounded scan, and
+    does not construct the element from the predicate's formula below.
 
     When one exists it is unique up to sign; for the finf pair (1/0, u/m)
     it is [[u, -(u*u + 1)/m], [m, -u]], and the fzero pairs use the same
     entries up to order and sign.  An entry bound below its largest entry
     cannot decide the question and raises InvalidBound.
     """
-    enumerate_group(full_group(), entry_bound)  # its bound checks come first
+    _check_entry_bound(entry_bound)
     predicted = is_self_paired(spec)
     u, m = spec.forward_u(), spec.modulus
     needed = max(u, m, (u * u + 1) // m)

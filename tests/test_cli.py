@@ -231,8 +231,7 @@ class TestVerifyCommand:
     def test_selfpaired_missed_witness_is_a_failure(self, capsys, monkeypatch):
         # the bound reaches the witness, but the search is made to miss it
         monkeypatch.setattr(
-            oracle_module, "enumerate_group",
-            lambda group, bound: oracle_module.BoundedGroupSample(group, bound, ()),
+            oracle_module, "transitivity_witness", lambda *args: None
         )
         code, out, _ = run(
             capsys, "verify", "--suite", "selfpaired", "--mod", "1", "--u", "1",

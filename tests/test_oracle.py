@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
 import suborbital.oracle as oracle_module
 from suborbital.errors import BoundTooLarge, InvalidBound, InvalidModulus, InvalidSpec
-from suborbital.graphs import GraphSpec, edge_check
+from suborbital.cli import main
+from suborbital.graphs import DirectedEdge, GraphSpec, edge_check, enumerate_graph
 from suborbital.group import (
     IDENTITY,
     SubgroupSpec,
@@ -23,6 +25,7 @@ from suborbital.oracle import (
     count_blocks,
     enumerate_group,
     orbital_pairs,
+    transitivity_witness,
     verify_lattice_identity,
     verify_self_paired,
 )
@@ -119,6 +122,86 @@ class TestEnumerateGroup:
         assert len(enumerate_group(full_group(), 10).elements) > 0
         with pytest.raises(BoundTooLarge):
             enumerate_group(full_group(), 11)
+
+
+def random_edge(rng):
+    """An edge between two distinct points of height at most 6."""
+    while True:
+        x1, x2 = rng.randint(-6, 6), rng.randint(-6, 6)
+        y1, y2 = rng.randint(0, 6), rng.randint(0, 6)
+        if (x1, y1) == (0, 0) or (x2, y2) == (0, 0):
+            continue
+        src, dst = ProjectiveRational(x1, y1), ProjectiveRational(x2, y2)
+        if src != dst:
+            return DirectedEdge(src, dst)
+
+
+class TestTransitivityWitness:
+    def test_matches_first_hit_of_scan_and_filter(self):
+        # the search walks the one line of matrices sending e1.src onto
+        # e2.src; the reference applies every scanned member to both
+        # endpoints.  Half the targets are images of e1 under a random
+        # full-group member, so a witness exists whenever the group
+        # holds a bounded one
+        rng = random.Random(20261018)
+        cases = hits = 0
+        for bound in range(1, 9):
+            full = enumerate_group(full_group(), bound).elements
+            for moduli in itertools.product(range(1, 4), repeat=4):
+                group = SubgroupSpec(*moduli, "moduli")
+                members = enumerate_group(group, bound).elements
+                for reachable in (True, False) * 4:
+                    e1 = random_edge(rng)
+                    if reachable:
+                        g = rng.choice(full)
+                        e2 = DirectedEdge(g.apply(e1.src), g.apply(e1.dst))
+                    else:
+                        e2 = random_edge(rng)
+                    first = next(
+                        (g for g in members
+                         if g.apply(e1.src) == e2.src and g.apply(e1.dst) == e2.dst),
+                        None,
+                    )
+                    assert transitivity_witness(e1, e2, group, bound) == first, (
+                        moduli, bound, e1, e2)
+                    cases += 1
+                    hits += first is not None
+        assert cases == 5184
+        assert hits >= 500
+
+    def test_makes_no_scan(self, capsys, monkeypatch):
+        # criterion 6's edges, with the witnesses composed from scanned
+        # carriers as that criterion does, and the scan's refusals
+        spec, group = F12, gamma0_pair(2, 1)
+        graph = enumerate_graph(spec, 7)
+        base_src, base_dst = spec.base_pair()
+        carrier = {}
+        for g in enumerate_group(group, 40).elements:
+            carrier.setdefault((g.apply(base_src), g.apply(base_dst)), g)
+        to_base = carrier[(base_src, base_dst)].inverse()
+        refusals = []
+        for bound in (0, 61):
+            with pytest.raises((InvalidBound, BoundTooLarge)) as caught:
+                enumerate_group(full_group(), bound)
+            refusals.append((bound, caught.type, str(caught.value)))
+
+        def no_scan(group, bound):
+            raise AssertionError("enumerate_group was called")
+
+        monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
+        assert main(["verify", "--suite", "selfpaired"]) == 0
+        assert capsys.readouterr().out.count("-- agreement") == 31
+        base_edge = DirectedEdge(base_src, base_dst)
+        for e2 in graph.edges:
+            assert transitivity_witness(base_edge, e2, group, 40) == (
+                carrier[(e2.src, e2.dst)] * to_base)
+        for bound, kind, message in refusals:
+            with pytest.raises(kind) as caught:
+                transitivity_witness(base_edge, base_edge, full_group(), bound)
+            assert str(caught.value) == message
+            with pytest.raises(kind) as caught:
+                verify_self_paired(F12, bound)
+            assert str(caught.value) == message
 
 
 class TestOrbitalPairs:
