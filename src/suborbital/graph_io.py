@@ -55,11 +55,18 @@ _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 _Edge = tuple[str, str, str]
 
 
+def _vertex_text(graph: SuborbitalGraph) -> dict[ProjectiveRational, str]:
+    """Each vertex's str(), written once for every writer to read."""
+    return {v: str(v) for v in graph.vertices}
+
+
 def emit_json(graph: SuborbitalGraph) -> str:
     """Canonical JSON: fixed key order, compact separators, version "1".
 
     Only the header goes through json.dumps; each vertex and each edge is
-    written as one row, so no per-edge dict is built.
+    written as one row, so no per-edge dict is built.  Endpoints are read
+    from one text per vertex, and the table and the rows are released
+    before the final join, which holds the document twice.
     """
     header = {
         "format_version": FORMAT_VERSION,
@@ -70,11 +77,16 @@ def emit_json(graph: SuborbitalGraph) -> str:
         "height_bound": graph.height_bound,
     }
     head = json.dumps(header, separators=(",", ":"))[:-1]
-    vertices = ",".join([f'"{v}"' for v in graph.vertices])
-    edges = ",".join([
-        f'{{"src":"{e.src}","dst":"{e.dst}","sign":"{_SIGN_TEXT[e.sign]}"}}'
+    spelling = _vertex_text(graph)
+    vertices = ",".join([f'"{spelling[v]}"' for v in graph.vertices])
+    rows = [
+        f'{{"src":"{spelling[e[0]]}","dst":"{spelling[e[1]]}",'
+        f'"sign":"{_SIGN_TEXT[e.sign]}"}}'
         for e in graph.edges
-    ])
+    ]
+    del spelling
+    edges = ",".join(rows)
+    del rows
     return f'{head},"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
@@ -162,10 +174,11 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidBound as exc:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
+    spelling = _vertex_text(expected)
     _check_list("vertex", "vertices", doc_vertices,
-                tuple(str(v) for v in expected.vertices), str, _unknown_vertex)
+                tuple(spelling.values()), str, _unknown_vertex)
     _check_list("edge", "edges", tuple(doc_edges),
-                tuple((str(e.src), str(e.dst), _SIGN_TEXT[e.sign])
+                tuple((spelling[e[0]], spelling[e[1]], _SIGN_TEXT[e.sign])
                       for e in expected.edges),
                 _edge_text, _unknown_edge)
     return expected
@@ -227,14 +240,15 @@ def _check_list(
 
 
 def emit_dot(graph: SuborbitalGraph) -> str:
-    """Directed-graph text: one node line per vertex, one arc per edge."""
+    """Directed-graph text: one node line per vertex, one arc per edge,
+    whose endpoints are read from one text per vertex."""
+    spelling = _vertex_text(graph)
     lines = [f'digraph "{graph.spec.label()}" {{']
-    for vertex in graph.vertices:
-        lines.append(f'  "{vertex}";')
-    for edge in graph.edges:
-        lines.append(
-            f'  "{edge.src}" -> "{edge.dst}" [label="{_SIGN_TEXT[edge.sign]}"];'
-        )
+    lines.extend([f'  "{t}";' for t in spelling.values()])
+    lines.extend([
+        f'  "{spelling[e[0]]}" -> "{spelling[e[1]]}" [label="{_SIGN_TEXT[e.sign]}"];'
+        for e in graph.edges
+    ])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -283,6 +297,7 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
     def vx(vertex: ProjectiveRational) -> float:
         return x_px(vertex.num / vertex.den)
 
+    spelling = _vertex_text(graph)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -325,7 +340,7 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         )
         out.append(
             f'  <text x="{x:.2f}" y="{axis_y + 14.0:.2f}" font-size="9"'
-            f' text-anchor="middle" font-family="monospace">{vertex}</text>'
+            f' text-anchor="middle" font-family="monospace">{spelling[vertex]}</text>'
         )
     if any(v.is_infinite for v in graph.vertices):
         out.append(

@@ -292,7 +292,9 @@ def compare_edges_vs_orbital(
     entry_bound: int,
     height_bound: int,
 ) -> OrbitalReport:
-    """Compare the enumerated edge set against raw group images of the base pair."""
+    """Compare the enumerated edge set against raw group images of the base pair.
+
+    Both bounds are checked, the entry bound first, before any scan."""
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
@@ -300,9 +302,10 @@ def compare_edges_vs_orbital(
         raise InvalidSpec(
             f"group {group.label} does not match graph modulus {spec.modulus}"
         )
+    _check_entry_bound(entry_bound)
+    graph = enumerate_graph(spec, height_bound)
     sample = enumerate_group(group, entry_bound)
     orbital = orbital_pairs(sample, spec.base_pair())
-    graph = enumerate_graph(spec, height_bound)
 
     in_bound = [
         pair

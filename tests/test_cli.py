@@ -344,6 +344,23 @@ class TestVerifyCommand:
         assert code == 3
         assert "ceiling" in err
 
+    def test_oracle_height_refused_before_the_group_scan(
+        self, capsys, monkeypatch
+    ):
+        def no_scan(*args):
+            raise AssertionError("the group was scanned")
+
+        monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
+        flags = ("verify", "--suite", "oracle", "--family", "finf", "--u", "1",
+                 "--l", "2", "--m", "1", "--height-bound", "100000")
+        code, out, err = run(capsys, *flags, "--entry-bound", "60")
+        assert (code, out) == (3, "")
+        assert "lattice lookups to height 100000" in err
+        # the entry bound is still checked first
+        code, out, err = run(capsys, *flags, "--entry-bound", "61")
+        assert (code, out) == (3, "")
+        assert "the entry bound is 61" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ("verify", "--suite", "pairing", "--height-bound", "10")
         _, first, _ = run(capsys, *argv)

@@ -268,36 +268,58 @@ SWEEP_SHA256 = {
     "dot": "cf50e51cd84e284a7a3226c634d608d41f49b933720b7dad24a1675f7e71a6ad",
     "svg": "2e73744dc10a5544ed946e0b4afce4dfbdfbd6d06351149febc081ef44ea8f4a",
 }
+# the same over the tall sweep, where the lattice lines are long, as
+# written before enumeration walked one step class per line
+TALL_SWEEP_SHA256 = {
+    "json": "7d5054ced8ec9ef4fb21340d7d25ece1520dcde2edf3bee2e8b26b10209a4b18",
+    "dot": "6c67a76740feaf096697731d81bccbf9d9a6ee46f7fc19b33ad01cd13f29014e",
+    "svg": "fc0365dde0f249e66521040bbaafb29321118ac72400cc7a5580ea78b6dbb556",
+}
 
 
-@pytest.fixture(scope="module")
-def sweep():
-    """Every graph at height 24 with modulus m <= 24, in the order m, then
-    each unit u (u = 1 at m = 1), then finf, fzero, reversed fzero."""
+def every_graph(height, max_modulus):
+    """Every graph at the height with modulus m <= max_modulus, in the
+    order m, then each unit u (u = 1 at m = 1), then finf, fzero,
+    reversed fzero."""
     return [
-        enumerate_graph(GraphSpec(family, u, m, reversed_), 24)
-        for m in range(1, 25)
+        enumerate_graph(GraphSpec(family, u, m, reversed_), height)
+        for m in range(1, max_modulus + 1)
         for u in range(1, max(m, 2))
         if math.gcd(u, m) == 1
         for family, reversed_ in (("finf", False), ("fzero", False), ("fzero", True))
     ]
 
 
+def digests(graphs):
+    """sha256 of each format's outputs over the graphs, concatenated."""
+    emit = {
+        "json": emit_json,
+        "dot": emit_dot,
+        "svg": lambda graph: emit_svg(graph, 640),
+    }
+    out = {}
+    for fmt, write in emit.items():
+        h = hashlib.sha256()
+        for graph in graphs:
+            h.update(write(graph).encode())
+        out[fmt] = h.hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    return every_graph(24, 24)
+
+
 class TestSweep:
     def test_outputs_are_byte_identical(self, sweep):
-        emit = {
-            "json": emit_json,
-            "dot": emit_dot,
-            "svg": lambda graph: emit_svg(graph, 640),
-        }
-        digests = {}
-        for fmt, write in emit.items():
-            h = hashlib.sha256()
-            for graph in sweep:
-                h.update(write(graph).encode())
-            digests[fmt] = h.hexdigest()
         assert len(sweep) == 540
-        assert digests == SWEEP_SHA256
+        assert digests(sweep) == SWEEP_SHA256
+
+    def test_tall_outputs_are_byte_identical(self):
+        tall = every_graph(60, 8)
+        assert (len(tall), sum(len(g.edges) for g in tall)) == (66, 83538)
+        assert digests(tall) == TALL_SWEEP_SHA256
 
     def test_every_point_is_written_in_the_parsed_grammar(self, sweep):
         for graph in sweep:

@@ -286,16 +286,51 @@ class TestEnumerateGraph:
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
     )
     def test_candidate_estimate_bounds_the_lookups(self, family, reversed_):
-        # the lattice points looked up do not depend on u either
+        # the lookups enumerate_graph makes: the heads in each admitted
+        # tail's step class, which depend on u
         for m in range(1, 9):
-            spec = GraphSpec(family=family, u=1, modulus=m, reversed=reversed_)
-            for bound in range(1, 41):
-                have = sum(
-                    1
-                    for v in graphs_module._block_vertices(spec, bound)
-                    for _ in graphs_module._lattice_heads(v.num, v.den, m, bound)
-                )
-                assert graphs_module._candidate_estimate(spec, bound) >= have
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
+                i, tails, c = graphs_module._edge_classes(spec)
+                for bound in range(1, 41):
+                    have = sum(
+                        1
+                        for v in graphs_module._block_vertices(spec, bound)
+                        if v[i] % m in tails
+                        for _ in graphs_module._lattice_heads(
+                            v.num, v.den, m, bound, c
+                        )
+                    )
+                    assert graphs_module._candidate_estimate(spec, bound) >= have
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_every_congruence_test_accepts_an_edge(
+        self, family, reversed_, monkeypatch
+    ):
+        # output-sensitive: each tail walks only the heads its congruences
+        # allow, so every candidate tested is an edge
+        results = []
+        test = graphs_module._congruences_hold
+
+        def recorded(*args):
+            results.append(test(*args))
+            return results[-1]
+
+        monkeypatch.setattr(graphs_module, "_congruences_hold", recorded)
+        for m in range(1, 13):
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
+                for bound in (1, 2, 3, 7, 13, 30):
+                    results.clear()
+                    graph = enumerate_graph(spec, bound)
+                    assert all(results), (spec, bound)
+                    assert len(results) == len(graph.edges), (spec, bound)
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
