@@ -1,16 +1,19 @@
 """Directed graphs induced on one block of the extended rationals.
 
-A graph spec names a family, a unit parameter u and a modulus.  The
-"finf" family lives on the block of 1/0 and couples the edge determinant
-r*y - s*x to +modulus; the "fzero" family lives on the block of 0/1 and
-couples it to -modulus.  The reversed flag realizes the partner graph
-whose edges are exactly the originals written backwards.
+A graph spec names a family, a unit parameter u and a modulus m.  The
+"finf" family F[u, m] lives on the block of 1/0 and couples the edge
+determinant r*y - s*x to +m or -m by one set of congruences.  The
+"fzero" family F[m, u] lives on the block of 0/1 and is the image of
+F[u, m] under the reflection R: x/y -> y/x, which swaps 1/0 and 0/1.
+The reversed flag realizes the partner graph whose edges are exactly
+the originals written backwards.
 
-Edge acceptance is a closed form on the canonical fractions.  The
-canonical fraction of a vertex may carry either sign lift of the matrix
-column that produced it, so the residue that a lift pins to 1 is tested
-against 1 and -1, and the sign of the edge determinant fixes the sign
-that relates the second vertex to the first.
+Only the finf rule is written out: an fzero pair is tested as its
+R-image, swapped for a reversed spec.  The canonical fraction of a
+vertex may carry either sign lift of the matrix column that produced
+it, so the residue that a lift pins to 1 is tested against 1 and -1,
+and the sign of the edge determinant fixes the sign that relates the
+second vertex to the first.
 
 Enumeration is output-sensitive: the congruences admit a tail by one
 residue up to sign and put its heads in one class of steps along each
@@ -21,7 +24,7 @@ an edge.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -134,62 +137,36 @@ class DirectedEdge(tuple):
 
 
 def _congruences_hold(
-    family: str,
-    u: int,
-    m: int,
-    reversed_: bool,
-    src: ProjectiveRational,
-    dst: ProjectiveRational,
-    delta: int,
+    u: int, m: int, src: ProjectiveRational, dst: ProjectiveRational
 ) -> bool:
-    """Test the residue conditions of the pair src -> dst.
+    """Test the finf residue conditions of the pair src -> dst.
 
-    delta is r*y - s*x on the canonical fractions and is already known to
-    be +m or -m.  A reversed spec tests the forward conditions on the
-    swapped pair, whose delta is negated; u is the forward unit.  With
-    eps = delta / m, the tail r/s and head x/y of a forward edge satisfy
-
-    * finf:  s == y == 0, r == 1 or -1, and x == eps*u*r   (mod m)
-    * fzero: r == x == 0, s == 1 or -1, and y == -eps*u*s  (mod m)
-
+    r*y - s*x on the canonical fractions is already known to be +m or -m.
+    With eps = (r*y - s*x) / m, the tail r/s and head x/y of an edge of
+    F[u, m] satisfy s == y == 0, r == 1 or -1, and x == eps*u*r (mod m).
     The choice of 1 or -1 is the sign lift of the tail; the sign lift of
     the head flips x, y and eps together and so cancels.
     """
-    if reversed_:
-        src, dst, delta = dst, src, -delta
     (r, s), (x, y) = src, dst
-    eps = delta // m
-    if family == FAMILY_INFINITY:
-        return (
-            s % m == 0
-            and y % m == 0
-            and ((r - 1) % m == 0 or (r + 1) % m == 0)
-            and (x - eps * u * r) % m == 0
-        )
+    eps = (r * y - s * x) // m
     return (
-        r % m == 0
-        and x % m == 0
-        and ((s - 1) % m == 0 or (s + 1) % m == 0)
-        and (y + eps * u * s) % m == 0
+        s % m == 0
+        and y % m == 0
+        and ((r - 1) % m == 0 or (r + 1) % m == 0)
+        and (x - eps * u * r) % m == 0
     )
 
 
-def _edge_classes(spec: GraphSpec) -> tuple[int, set[int], int]:
-    """(i, tails, c): a tail r/s can carry an edge only when (r, s)[i] % m
-    is in tails, and then its heads (x, y) = delta*(x0, y0) + k*(r, s),
-    with r*y0 - s*x0 = 1 ((k, m) for 1/0), pass _congruences_hold exactly
-    when k == (delta/m)*c (mod m).  finf: r == +-1 and c = u; fzero:
-    s == +-1 and c = -u; reversed fzero: s == +-forward_u() and c = u,
-    the stored inverse.
-    """
-    m = spec.modulus
+def _as_finf(
+    spec: GraphSpec, points: Sequence[ProjectiveRational]
+) -> Sequence[tuple[int, int]]:
+    """Canonical points in the coordinates of the finf rule: unchanged for
+    finf, and for fzero their reflections R(x/y) = y/x as canonical
+    pairs, which map the block of 0/1 onto the block of 1/0 and keep
+    every height."""
     if spec.family == FAMILY_INFINITY:
-        i, t, c = 0, 1, spec.u
-    elif spec.reversed:
-        i, t, c = 1, spec.forward_u(), spec.u
-    else:
-        i, t, c = 1, 1, -spec.u
-    return i, {t % m, -t % m}, c
+        return points
+    return [(y, x) if x > 0 else (-y, -x) if x else (1, 0) for x, y in points]
 
 
 def edge_check(
@@ -197,17 +174,21 @@ def edge_check(
 ) -> int | None:
     """Sign of the edge src -> dst, or None when the pair is not an edge.
 
-    The returned sign follows the order convention of DirectedEdge: +1
-    when the source is the greater endpoint.
+    The pair must have r*y - s*x = +m or -m, and its finf image must pass
+    the congruences with the forward unit: (R src, R dst) for fzero, and
+    (R dst, R src) for a reversed spec.  The returned sign is that of
+    r*y - s*x for the pair as given, which follows the order convention
+    of DirectedEdge: +1 when the source is the greater endpoint.
     """
     m = spec.modulus
     (r, s), (x, y) = src, dst
     delta = r * y - s * x
     if delta != m and delta != -m:
         return None
-    if not _congruences_hold(
-        spec.family, spec.forward_u(), m, spec.reversed, src, dst, delta
-    ):
+    tail, head = _as_finf(spec, (src, dst))
+    if spec.reversed:
+        tail, head = head, tail
+    if not _congruences_hold(spec.forward_u(), m, tail, head):
         return None
     return 1 if delta > 0 else -1
 
@@ -237,19 +218,15 @@ def _vertex_estimate(spec: GraphSpec, bound: int) -> int:
 def _candidate_estimate(spec: GraphSpec, bound: int) -> int:
     """O(1) upper bound on the lattice points enumerate_graph looks up.
 
-    1/0 looks up 2B+1 points, and a vertex with denominator s at most
-    B//s + 1 on each of its two lines.  finf has at most 2B+1 vertices
-    with each denominator m*j, j <= n = B//m; fzero has 0/1, 1/0 when
-    m == 1, and at most 2n vertices with each denominator s <= B.  A sum
-    of k//j + 1 over j <= k is at most k*(2 + ln k) < k*(2 + 0.7*bitlen(k)).
+    Every family walks the block of 1/0 up to the height bound (fzero
+    through R).  1/0 looks up 2B+1 points, and a vertex with denominator
+    s at most B//s + 1 on each of its two lines; there are at most 2B+1
+    vertices with each denominator m*j, j <= n = B//m.  A sum of
+    k//j + 1 over j <= k is at most k*(2 + ln k) < k*(2 + 0.7*bitlen(k)).
     """
-    def two_lines(k: int) -> int:
-        return 2 * k * (2 + -(-7 * k.bit_length() // 10))
-
     n = bound // spec.modulus
-    if spec.family == FAMILY_INFINITY:
-        return (2 * bound + 1) * (1 + two_lines(n))
-    return 4 * bound + 3 + 2 * n * two_lines(bound)
+    two_lines = 2 * n * (2 + -(-7 * n.bit_length() // 10))
+    return (2 * bound + 1) * (1 + two_lines)
 
 
 # enumerate_graph's vertices plus lattice lookups; more are refused.  This
@@ -267,8 +244,8 @@ def _steps_within(start: int, step: int, lo: int, hi: int) -> range:
 
 def _lattice_heads(
     r: int, s: int, m: int, bound: int, c: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield (delta, x, y) for each 0 <= y <= bound, |x| <= bound with
+) -> Iterator[tuple[int, int]]:
+    """Yield each (x, y) with 0 <= y <= bound, |x| <= bound and
     delta = r*y - s*x equal to m or -m whose step k is in the class
     (delta/m)*c mod m, where r/s is a canonical vertex.
 
@@ -279,7 +256,7 @@ def _lattice_heads(
     if s == 0:
         if m <= bound:
             first = -bound + (c + bound) % m
-            yield from ((m, x, m) for x in range(first, bound + 1, m))
+            yield from ((x, m) for x in range(first, bound + 1, m))
         return
     y0 = pow(r, -1, s)
     x0 = (r * y0 - 1) // s
@@ -292,21 +269,26 @@ def _lattice_heads(
         elif abs(xt) > bound:
             continue
         for k in range(ks.start + (cls - ks.start) % m, ks.stop, m):
-            yield delta, xt + k * r, yt + k * s
+            yield xt + k * r, yt + k * s
 
 
 def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     """All vertices of the base vertex's block up to the height bound, and
     every edge among them that the congruences accept.
 
-    The tail r/s of an edge fixes its head x/y up to the two lattice
-    lines r*y - s*x = +m and -m.  A tail the congruences refuse is
-    skipped, and the others walk only the one class of steps along each
-    line that they allow (_edge_classes).  Every candidate found among
-    the vertices then passes _congruences_hold, so the work is the
-    vertices plus the edges.  Vertices come in (num, den) order and each
-    vertex's heads in (x, y) order, so vertices and edges are sorted as
-    plain integer tuples.
+    The walk runs in finf coordinates: an fzero vertex is walked as its
+    reflection R(v), and each head found is looked up by its reflection,
+    so fzero is the R-image of finf and a reversed spec is its swapped
+    partner.  The tail r/s of an edge fixes its head x/y up to the two
+    lattice lines r*y - s*x = +m and -m.  A forward tail needs
+    r == +-1 (mod m) and walks the steps k == (delta/m)*u on each line;
+    a reversed spec walks the heads of forward edges, r == +-u (mod m)
+    for the forward unit u, back to their tails with k == -(delta/m)*u'
+    for the stored unit u'.  Every candidate found among the vertices
+    then passes _congruences_hold, so the work is the vertices plus the
+    edges.  Vertices come in (num, den) order and each vertex's heads in
+    (x, y) order, so vertices and edges are sorted as plain integer
+    tuples.
     Raises InvalidBound below 1 and BoundTooLarge when the estimated
     vertices plus lattice lookups exceed ENUMERATION_CEILING.
     """
@@ -319,23 +301,27 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
         ENUMERATION_CEILING,
     )
     vertices = _block_vertices(spec, height_bound)
-    index = {v: v for v in vertices}
+    tails = _as_finf(spec, vertices)
+    index = dict(zip(tails, vertices))
     m = spec.modulus
     u = spec.forward_u()
-    family = spec.family
     flip = spec.reversed
-    i, tails, c = _edge_classes(spec)
+    t, c = (u, -spec.u) if flip else (1, u)
+    admitted = {t % m, -t % m}
     edges: list[DirectedEdge] = []
-    for v in vertices:
-        if v[i] % m not in tails:
+    for v, tail in zip(vertices, tails):
+        if tail[0] % m not in admitted:
             continue
         heads = []
-        for delta, x, y in _lattice_heads(v.num, v.den, m, height_bound, c):
-            w = index.get((x, y))
-            if w is not None and _congruences_hold(family, u, m, flip, v, w, delta):
-                heads.append((x, y))
-        heads.sort()
-        edges.extend(DirectedEdge(v, index[head]) for head in heads)
+        for head in _lattice_heads(*tail, m, height_bound, c):
+            w = index.get(head)
+            if w is None:
+                continue
+            if (_congruences_hold(u, m, head, tail) if flip
+                    else _congruences_hold(u, m, tail, head)):
+                heads.append((*w, w))
+        heads.sort()  # by the integer pair of w, never by point value
+        edges.extend([DirectedEdge(v, w) for _, _, w in heads])
     return SuborbitalGraph(spec, height_bound, tuple(vertices), tuple(edges))
 
 
@@ -365,10 +351,9 @@ def paired_partner(spec: GraphSpec) -> GraphSpec:
     """The graph holding the same edges written backwards.
 
     The unit is replaced by its inverse for the modulus and the reversed
-    flag toggles, so applying this twice returns the original spec.
+    flag toggles, so applying this twice returns the original spec.  A
+    finf spec has no reversed form, and GraphSpec refuses it.
     """
-    if spec.family != FAMILY_ZERO:
-        raise InvalidSpec("only fzero graphs have a paired partner")
     m = spec.modulus
     partner_u = mod_inverse(spec.u, m) if m > 1 else 1
-    return GraphSpec(FAMILY_ZERO, partner_u, m, not spec.reversed)
+    return GraphSpec(spec.family, partner_u, m, not spec.reversed)

@@ -501,9 +501,9 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     does not construct the element from the predicate's formula below.
 
     When one exists it is unique up to sign; for the finf pair (1/0, u/m)
-    it is [[u, -(u*u + 1)/m], [m, -u]], and the fzero pairs use the same
-    entries up to order and sign.  An entry bound below its largest entry
-    cannot decide the question and raises InvalidBound.
+    it is [[u, -(u*u + 1)/m], [m, -u]], and an fzero pair uses its
+    R-conjugate.  An entry bound below its largest entry cannot decide
+    the question and raises InvalidBound.
     """
     _check_entry_bound(entry_bound)
     predicted = is_self_paired(spec)

@@ -275,35 +275,113 @@ class TestEnumerateGraph:
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
     )
     def test_vertex_estimate_bounds_the_block(self, family, reversed_):
-        # the block does not depend on u
+        # the vertices the walk generates; the block does not depend on u
         for m in range(1, 9):
             spec = GraphSpec(family=family, u=1, modulus=m, reversed=reversed_)
             for bound in range(1, 41):
-                have = len(graphs_module._block_vertices(spec, bound))
+                have = len(enumerate_graph(spec, bound).vertices)
                 assert graphs_module._vertex_estimate(spec, bound) >= have
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
     )
-    def test_candidate_estimate_bounds_the_lookups(self, family, reversed_):
-        # the lookups enumerate_graph makes: the heads in each admitted
-        # tail's step class, which depend on u
+    def test_candidate_estimate_bounds_the_lookups(
+        self, family, reversed_, monkeypatch
+    ):
+        # the lookups enumerate_graph makes: every head its lattice walk
+        # yields, which depend on u
+        lookups = []
+        walk = graphs_module._lattice_heads
+
+        def counted(*args):
+            for head in walk(*args):
+                lookups.append(head)
+                yield head
+
+        monkeypatch.setattr(graphs_module, "_lattice_heads", counted)
         for m in range(1, 9):
             for u in range(1, max(m, 2)):
                 if math.gcd(u, m) != 1:
                     continue
                 spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
-                i, tails, c = graphs_module._edge_classes(spec)
                 for bound in range(1, 41):
-                    have = sum(
-                        1
-                        for v in graphs_module._block_vertices(spec, bound)
-                        if v[i] % m in tails
-                        for _ in graphs_module._lattice_heads(
-                            v.num, v.den, m, bound, c
-                        )
+                    lookups.clear()
+                    enumerate_graph(spec, bound)
+                    estimate = graphs_module._candidate_estimate(spec, bound)
+                    assert estimate >= len(lookups)
+
+    def test_both_families_refuse_from_the_same_height(self, monkeypatch):
+        # every family is priced as the one finf walk, so the first
+        # refused height depends on the modulus alone; a sentinel in
+        # place of the block generator marks an accepted height
+        class Accepted(Exception):
+            pass
+
+        def accept(spec, bound):
+            raise Accepted
+
+        monkeypatch.setattr(graphs_module, "_block_vertices", accept)
+
+        def first_refused(spec):
+            lo, hi = 1, 10_000  # lo accepted, hi refused
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    enumerate_graph(spec, mid)
+                except Accepted:
+                    lo = mid
+                except BoundTooLarge:
+                    hi = mid
+            return hi
+
+        largest = {}
+        for m in range(1, 9):
+            heights = {
+                first_refused(GraphSpec(family, u, m, reversed_))
+                for family, reversed_ in (
+                    ("finf", False), ("fzero", False), ("fzero", True)
+                )
+                for u in range(1, max(m, 2))
+                if math.gcd(u, m) == 1
+            }
+            assert len(heights) == 1, (m, heights)
+            largest[m] = heights.pop() - 1
+        assert (largest[1], largest[2], largest[3], largest[7]) == (
+            725, 1025, 1256, 1919
+        )
+
+    def test_zero_family_is_the_reflection_of_the_infinity_family(self):
+        # R: x/y -> y/x maps F[u, m] onto F[m, u], and the reversed spec
+        # onto the swapped image of F[forward_u, m]; both sides come from
+        # finf graphs and are re-sorted as integer tuples here
+        def reflect(v):
+            return ProjectiveRational(v.den, v.num)
+
+        def arcs(pairs):
+            images = ((reflect(a), reflect(b)) for a, b in pairs)
+            return sorted(images, key=lambda e: (*e[0], *e[1]))
+
+        for m in range(1, 16):
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                zero = GraphSpec(family="fzero", u=u, modulus=m)
+                partner = GraphSpec(family="fzero", u=u, modulus=m, reversed=True)
+                for bound in (1, 5, 17, 40):
+                    finf = enumerate_graph(GraphSpec("finf", u, m), bound)
+                    dual = enumerate_graph(
+                        GraphSpec("finf", partner.forward_u(), m), bound
                     )
-                    assert graphs_module._candidate_estimate(spec, bound) >= have
+                    graph = enumerate_graph(zero, bound)
+                    assert list(graph.vertices) == sorted(
+                        (reflect(v) for v in finf.vertices), key=tuple
+                    )
+                    assert list(graph.edges) == arcs(finf.edges)
+                    mirror = enumerate_graph(partner, bound)
+                    assert mirror.vertices == graph.vertices
+                    assert list(mirror.edges) == arcs((b, a) for a, b in dual.edges)
+                    for g in (graph, mirror):
+                        assert len(set(g.edges)) == len(g.edges), (g.spec, bound)
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
