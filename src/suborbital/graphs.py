@@ -121,8 +121,10 @@ class DirectedEdge(tuple):
 
     @property
     def sign(self) -> int:
-        """+1 exactly when the source is the greater vertex, else -1."""
-        return 1 if self.dst < self.src else -1
+        """+1 exactly when the source is the greater vertex, else -1: the
+        sign of r*y - s*x for the edge r/s -> x/y, as edge_check returns."""
+        (r, s), (x, y) = self
+        return 1 if r * y > s * x else -1
 
     # an edge is a value, not a sequence: tuple concatenation and
     # repetition are refused, so + and * raise TypeError

@@ -2,9 +2,9 @@
 
 Everything here works from first principles: scans of bounded integer
 matrices, exhaustive over the residue classes a subgroup's moduli allow
-and filtered by its membership test; walks along the one line of bounded
-matrices sending a given vertex onto another, filtered the same way;
-direct orbit marking over residue pairs; and raw group action.  The
+and filtered by its membership test; the one matrix carrying an edge
+onto another, solved from the endpoints' columns and filtered the same
+way; direct orbit marking over residue pairs; and raw group action.  The
 graph module's edge conditions are never used to build an oracle set,
 only compared against afterwards, so agreement is evidence rather than
 circularity.
@@ -155,59 +155,45 @@ def orbital_pairs(
     return OrbitalSample(base, tuple(ordered))
 
 
-def _bezout(r: int, s: int) -> tuple[int, int]:
-    # (x0, y0) with r*y0 - s*x0 == 1 for a canonical point r/s, so that
-    # [[r, x0], [s, y0]] has determinant 1; graphs._lattice_heads solves
-    # the same equation inline, as a call per vertex slows enumeration
-    if s == 0:
-        return 0, 1
-    y0 = pow(r, -1, s)
-    return (r * y0 - 1) // s, y0
-
-
 def transitivity_witness(
     e1: DirectedEdge,
     e2: DirectedEdge,
     group: SubgroupSpec,
     entry_bound: int,
 ) -> UnimodularMatrix | None:
-    """First bounded group element, in entry-tuple order, carrying edge
-    e1 onto edge e2.
+    """The bounded group element carrying edge e1 onto edge e2, if any.
 
-    With A1, A2 determinant-one matrices whose first columns are the
-    sources x1/y1 and x2/y2, the matrices sending one source onto the
-    other are, up to sign, A2 * T**k * A1**-1 for T = [[1, 1], [0, 1]];
-    each entry is affine in k with step (x2, y2)^T (-y1, x1).  Only the
-    at most 2*entry_bound + 1 values of k keeping every entry within the
-    bound are walked.  Each candidate is built by the constructor and
-    accepted only if the group contains it and both vertex images match
-    exactly, so the result is the first hit of enumerate_group's scan
-    under the same filter.  Returns None when no candidate works, which
-    is also what happens for endpoints in different blocks.  Raises
-    InvalidBound and BoundTooLarge as enumerate_group does.
+    A determinant-one matrix sends a primitive column onto plus or minus
+    a primitive column.  So with M1, M2 the matrices whose columns are
+    the (num, den) pairs of e1's and e2's endpoints, the only candidate
+    is g = M2 * diag(1, t) * M1**-1 for t = det M1 / det M2: integral
+    exactly when |det M1| == |det M2| and det M1 divides every entry of
+    M2 * diag(1, t) * adj(M1).  Two distinct points have a trivial joint
+    stabilizer, so g is unique up to sign, and returning it only if its
+    entries are within the bound, the group contains it and both vertex
+    images match exactly gives the only hit of enumerate_group's scan
+    under that filter.  Otherwise None, as for endpoints in different
+    blocks.  Raises InvalidBound and BoundTooLarge as enumerate_group does.
     """
     _check_entry_bound(entry_bound)
-    (x1, y1), (x2, y2) = e1.src, e2.src
-    b1, d1 = _bezout(x1, y1)
-    b2, d2 = _bezout(x2, y2)
-    start = (x2 * d1 - b2 * y1, b2 * x1 - x2 * b1,
-             y2 * d1 - d2 * y1, d2 * x1 - y2 * b1)
-    step = (-x2 * y1, x2 * x1, -y2 * y1, y2 * x1)
-    lo, hi = -math.inf, math.inf
-    for s, t in zip(start, step):
-        if t:
-            ks = _steps_within(s, t, -entry_bound, entry_bound)
-            lo, hi = max(lo, ks.start), min(hi, ks.stop)
-        elif abs(s) > entry_bound:
+    (a1, c1), (b1, d1) = e1
+    (a2, c2), (b2, d2) = e2
+    det = a1 * d1 - b1 * c1
+    det2 = a2 * d2 - b2 * c2
+    if det2 == -det:
+        b2, d2 = -b2, -d2
+    elif det2 != det:
+        return None
+    entries = []
+    for n in (a2 * d1 - b2 * c1, b2 * a1 - a2 * b1,
+              c2 * d1 - d2 * c1, d2 * a1 - c2 * b1):
+        q, rem = divmod(n, det)
+        if rem or abs(q) > entry_bound:
             return None
-    # the step is a nonzero rank-one matrix, so lo and hi are integers;
-    # two distinct points have a trivial joint stabilizer, so at most one
-    # k hits, and that hit is the least in entry-tuple order
-    for k in range(lo, hi):
-        g = UnimodularMatrix(*(s + k * t for s, t in zip(start, step)))
-        if (group.contains(g) and g.apply(e1.src) == e2.src
-                and g.apply(e1.dst) == e2.dst):
-            return g
+        entries.append(q)
+    g = UnimodularMatrix(*entries)
+    if group.contains(g) and g.apply(e1.src) == e2.src and g.apply(e1.dst) == e2.dst:
+        return g
     return None
 
 
@@ -496,9 +482,9 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     reverse over the full group: an exchanging element exists
     independently of congruence restrictions or not at all, and the
     predicate under test quantifies over plain determinant-one matrices.
-    The search walks only the at most 2*entry_bound + 1 matrices sending
-    the first base vertex onto the second, never the bounded scan, and
-    does not construct the element from the predicate's formula below.
+    The witness is solved in constant time from the base vertices'
+    columns and is still the unique bounded hit of the scan; neither the
+    scan nor the predicate's formula below is used to find it.
 
     When one exists it is unique up to sign; for the finf pair (1/0, u/m)
     it is [[u, -(u*u + 1)/m], [m, -u]], and an fzero pair uses its

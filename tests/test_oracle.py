@@ -29,7 +29,7 @@ from suborbital.oracle import (
     verify_lattice_identity,
     verify_self_paired,
 )
-from suborbital.rational import INFINITY, ProjectiveRational, dedekind_psi
+from suborbital.rational import INFINITY, ZERO, ProjectiveRational, dedekind_psi
 
 F12 = GraphSpec(family="finf", u=1, modulus=2)
 F32 = GraphSpec(family="fzero", u=2, modulus=3)
@@ -138,11 +138,10 @@ def random_edge(rng):
 
 class TestTransitivityWitness:
     def test_matches_first_hit_of_scan_and_filter(self):
-        # the search walks the one line of matrices sending e1.src onto
-        # e2.src; the reference applies every scanned member to both
-        # endpoints.  Half the targets are images of e1 under a random
-        # full-group member, so a witness exists whenever the group
-        # holds a bounded one
+        # the witness is solved from the endpoints' columns; the
+        # reference applies every scanned member to both endpoints.  Half
+        # the targets are images of e1 under a random full-group member,
+        # so a witness exists whenever the group holds a bounded one
         rng = random.Random(20261018)
         cases = hits = 0
         for bound in range(1, 9):
@@ -185,10 +184,11 @@ class TestTransitivityWitness:
                 enumerate_group(full_group(), bound)
             refusals.append((bound, caught.type, str(caught.value)))
 
-        def no_scan(group, bound):
-            raise AssertionError("enumerate_group was called")
+        def no_scan(*args):
+            raise AssertionError("a scan or a line walk was started")
 
         monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
+        monkeypatch.setattr(oracle_module, "_steps_within", no_scan)
         assert main(["verify", "--suite", "selfpaired"]) == 0
         assert capsys.readouterr().out.count("-- agreement") == 31
         base_edge = DirectedEdge(base_src, base_dst)
@@ -202,6 +202,20 @@ class TestTransitivityWitness:
             with pytest.raises(kind) as caught:
                 verify_self_paired(F12, bound)
             assert str(caught.value) == message
+
+    def test_large_entries_hit_exactly_at_their_bound(self):
+        # the solve must apply the entry bound to its quotients: each
+        # sampled member is found at its own largest entry, not below it
+        rng = random.Random(20261019)
+        members = enumerate_group(full_group(), 60).elements
+        base = DirectedEdge(INFINITY, ZERO)
+        for g in rng.sample(members, 200):
+            e2 = DirectedEdge(g.apply(base.src), g.apply(base.dst))
+            largest = max(abs(entry) for entry in g)
+            assert transitivity_witness(base, e2, full_group(), largest) == g
+            if largest >= 2:
+                assert transitivity_witness(
+                    base, e2, full_group(), largest - 1) is None
 
 
 class TestOrbitalPairs:
