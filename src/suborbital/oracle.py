@@ -346,7 +346,10 @@ class LatticeReport:
     The intersection identity is checked as an equivalence matrix by
     matrix.  The product identity is checked in the containment
     direction only; the reverse inclusion needs unbounded factors and is
-    recorded as unchecked.
+    recorded as unchecked.  Every one of the products_checked products
+    is decided exactly, through the pair of residue classes of its
+    factors, and product_violations lists the products of the pairs that
+    fail, in scan order.
     """
 
     n1: int
@@ -395,12 +398,61 @@ class LatticeReport:
         return lines
 
 
-# verify_lattice_identity forms every product of two scans; more are refused
+# the product count of two scans is refused above this; the check forms
+# one product per pair of residue classes, but a failing pair lists
+# every product it decides, so the count bounds that listing
 PRODUCT_CEILING = 1_000_000
 
 
+def _product_violations(
+    left: tuple[UnimodularMatrix, ...],
+    right: tuple[UnimodularMatrix, ...],
+    join: SubgroupSpec,
+) -> tuple[UnimodularMatrix, ...]:
+    """Every p * q with p in left and q in right that join does not
+    contain, p-major and q-minor, forming one product per pair of residue
+    classes mod n, the lcm of join's moduli.
+
+    join.contains reads b and c mod their moduli and a and d on both sign
+    lifts, so it depends only on the entries mod n up to an overall sign.
+    Reduction mod n is a ring homomorphism, so the factors' classes fix
+    the raw product's entries mod n, and the canonical lift of p * q only
+    negates all four: one product decides its whole pair of classes.
+    """
+    n = math.lcm(join.a_mod, join.b_mod, join.c_mod, join.d_mod)
+
+    def classes(scan):
+        # each class is represented by its first member in the scan
+        keys = [(a % n, b % n, c % n, d % n) for a, b, c, d in scan]
+        reps: dict[tuple[int, ...], UnimodularMatrix] = {}
+        for key, g in zip(keys, scan):
+            reps.setdefault(key, g)
+        return keys, reps
+
+    left_keys, left_reps = classes(left)
+    right_keys, right_reps = classes(right)
+    failed = {
+        (kp, kq)
+        for kp, p in left_reps.items()
+        for kq, q in right_reps.items()
+        if not join.contains(p * q)
+    }
+    if not failed:
+        return ()
+    return tuple(
+        p * q
+        for p, kp in zip(left, left_keys)
+        for q, kq in zip(right, right_keys)
+        if (kp, kq) in failed
+    )
+
+
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
-    """Scan-check the intersection and product lattice identities."""
+    """Scan-check the intersection and product lattice identities.
+
+    Products are decided once per pair of residue classes of the two
+    scans, and violations are listed from the pairs that fail.
+    """
     if n1 < 1 or n2 < 1:
         raise InvalidModulus(f"moduli must be >= 1, got ({n1}, {n2})")
     everything = enumerate_group(full_group(), entry_bound)
@@ -420,12 +472,6 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     products = len(left.elements) * len(right.elements)
     refuse_above(f"the lattice product count at entry bound {entry_bound}",
                  products, PRODUCT_CEILING)
-    bad_product: list[UnimodularMatrix] = []
-    for p in left.elements:
-        for q in right.elements:
-            product = p * q
-            if not join.contains(product):
-                bad_product.append(product)
     return LatticeReport(
         n1=n1,
         n2=n2,
@@ -433,7 +479,7 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
         scanned=len(everything.elements),
         intersection_violations=bad_meet,
         products_checked=products,
-        product_violations=tuple(bad_product),
+        product_violations=_product_violations(left.elements, right.elements, join),
     )
 
 

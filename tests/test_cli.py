@@ -5,6 +5,8 @@ installed console script end to end.
 """
 
 import argparse
+import collections
+import hashlib
 import itertools
 import json
 import subprocess
@@ -448,3 +450,48 @@ class TestExitCodeContract:
                 failures.append((argv[0], option, code))
         assert len(cases) > 100
         assert failures == []
+
+
+# sha256 over (exit code, stdout, stderr) of `verify --suite lattice` for
+# every n1, n2 <= 9 at each entry bound in LATTICE_BOUNDS, text then
+# --json, and of `verify --suite all --json`, as written when every
+# product was formed and tested one by one
+LATTICE_BOUNDS = (1, 5, 12, 20, 28)
+LATTICE_SHA256 = {
+    "text": "cd5c957925597ddba23f676daeb6618efcaa1caec0919e59b4e9e6f791175388",
+    "json": "4c90f30b73df32a9097055fbd9dafc895bf0470d5f60c53b79cbb7b3f9bf7c53",
+    "all": "b4a9bca4d0dea87d146d415dcfbd8db6fcdfcb8c70b2ddfe0bc5930eb5ac42dc",
+}
+
+
+class TestLatticeOutputs:
+    @staticmethod
+    def digest(capsys, *argvs):
+        h = hashlib.sha256()
+        codes = collections.Counter()
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            codes[code] += 1
+            h.update(f"{code}\n{out}{err}".encode())
+        return h.hexdigest(), codes
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lattice_sweep_is_byte_identical(self, capsys, fmt):
+        flags = ["--json"] if fmt == "json" else []
+        digest, codes = self.digest(capsys, *(
+            ["verify", "--suite", "lattice", "--n1", str(n1), "--n2", str(n2),
+             "--entry-bound", str(bound), *flags]
+            for bound in LATTICE_BOUNDS
+            for n1 in range(1, 10)
+            for n2 in range(1, 10)
+        ))
+        # (3, 4), (4, 6) and their swaps at 28 reach the extra
+        # intersection coset; the product ceiling refuses n1 = 1 with
+        # n2 <= 3 at 20, and n1 = 1, or n2 = 1 with n1 <= 3, at 28
+        assert codes == {0: 387, 1: 4, 3: 14}
+        assert digest == LATTICE_SHA256[fmt]
+
+    def test_all_suites_json_is_byte_identical(self, capsys):
+        digest, codes = self.digest(capsys, ["verify", "--suite", "all", "--json"])
+        assert codes == {0: 1}
+        assert digest == LATTICE_SHA256["all"]

@@ -319,6 +319,58 @@ class TestLatticeIdentity:
             for q in right[:20]:
                 assert join.contains(p * q)
 
+    @pytest.mark.parametrize("left, right, join, entry_bound, violations", [
+        (principal(2), gamma0(4), principal(3), 5, True),
+        (principal(2), gamma0(4), gamma0(8), 5, True),
+        (principal(3), full_group(), gamma0_pair(3, 4), 4, True),
+        (principal(2), gamma0(4), gamma0(2), 5, False),
+    ])
+    def test_class_decision_matches_every_product(
+        self, left, right, join, entry_bound, violations
+    ):
+        left = enumerate_group(left, entry_bound).elements
+        right = enumerate_group(right, entry_bound).elements
+        naive = tuple(
+            p * q for p in left for q in right if not join.contains(p * q)
+        )
+        assert bool(naive) == violations
+        assert oracle_module._product_violations(left, right, join) == naive
+
+    def test_products_are_formed_once_per_class_pair(self, monkeypatch):
+        n1, n2, bound = 4, 8, 20
+        counts = {"contains": 0, "mul": 0}
+
+        def counted(name, method):
+            def wrapper(*args):
+                counts[name] += 1
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            SubgroupSpec, "contains", counted("contains", SubgroupSpec.contains)
+        )
+        monkeypatch.setattr(
+            UnimodularMatrix, "__mul__", counted("mul", UnimodularMatrix.__mul__)
+        )
+        oracle_module._member_scan.cache_clear()
+        scanned = len(enumerate_group(full_group(), bound).elements)
+        left = enumerate_group(principal(n1), bound).elements
+        right = enumerate_group(gamma0(n2), bound).elements
+        scan_filter_calls = counts["contains"]
+        oracle_module._member_scan.cache_clear()
+        counts.update(contains=0, mul=0)
+
+        report = verify_lattice_identity(n1, n2, bound)
+        # the join is gamma0(4), whose classes are the entries mod 4
+        pairs = math.prod(
+            len({tuple(x % 4 for x in g) for g in scan}) for scan in (left, right)
+        )
+        assert report.ok
+        assert report.products_checked == len(left) * len(right) > 3 * scanned + pairs
+        assert counts["mul"] <= pairs
+        # the intersection half tests at most three memberships per matrix
+        assert counts["contains"] <= 3 * scanned + pairs + scan_filter_calls
+
     def test_invalid_arguments(self):
         with pytest.raises(InvalidModulus):
             verify_lattice_identity(0, 3, 5)
