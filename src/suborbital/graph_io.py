@@ -45,14 +45,17 @@ _DOC_KEYS = (
     "vertices",
     "edges",
 )
-_EDGE_KEYS = ("src", "dst", "sign")
+_EDGE_KEYS = frozenset({"src", "dst", "sign"})
 _SIGN_TEXT = {1: "+", -1: "-"}
+_SIGNS = tuple(_SIGN_TEXT.values())
 # every point str() writes: 1/0, 0/1, or a nonzero numerator over a positive
 # denominator, ASCII digits without leading zeros
 _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 
 # a document edge as text: (src, dst, sign)
 _Edge = tuple[str, str, str]
+# the row read from an edge item that is not an object with the edge keys
+_NOT_AN_EDGE = (None, None, None)
 
 
 def _vertex_text(graph: SuborbitalGraph) -> dict[ProjectiveRational, str]:
@@ -99,11 +102,29 @@ def _plain_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _point(text: object, where: str) -> str:
+def _point(text: object, where: str) -> None:
     _require(isinstance(text, str), f"{where} must be a string, got {text!r}")
     _require(_POINT.fullmatch(text) is not None,
              f"{where} is not a num/den fraction: {text!r}")
-    return text
+
+
+def _name_first_malformed(vertices: list, edges: list) -> None:
+    """Raise MalformedDocument naming the first malformed item in
+    document order: vertices before edges, and within an edge its shape,
+    then src, dst and sign."""
+    for i, item in enumerate(vertices):
+        _point(item, f"vertices[{i}]")
+    for i, item in enumerate(edges):
+        _require(isinstance(item, dict), f"edges[{i}] must be an object")
+        _require(
+            item.keys() == _EDGE_KEYS,
+            f"edges[{i}] must have exactly keys src, dst, sign",
+        )
+        _point(item["src"], f"edges[{i}].src")
+        _point(item["dst"], f"edges[{i}].dst")
+        sign = item["sign"]
+        _require(sign in _SIGNS,
+                 f"edges[{i}].sign must be '+' or '-', got {sign!r}")
 
 
 def parse_json(text: str) -> SuborbitalGraph:
@@ -117,6 +138,10 @@ def parse_json(text: str) -> SuborbitalGraph:
     InvariantViolation naming the first offending item, so an unreduced
     -6/8 is an unknown vertex.  A height bound whose enumeration
     enumerate_graph would refuse raises BoundTooLarge.
+
+    One pass decides whether every item is well formed, before the
+    graph is enumerated; only a document that fails it is walked item
+    by item to name its first malformed item.
     """
     try:
         document = json.loads(text)
@@ -152,22 +177,23 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidSpec as exc:
         raise InvariantViolation(f"graph parameters invalid: {exc}") from None
 
-    doc_vertices = tuple(
-        _point(item, f"vertices[{i}]") for i, item in enumerate(document["vertices"])
-    )
-    doc_edges: list[_Edge] = []
-    for i, item in enumerate(document["edges"]):
-        _require(isinstance(item, dict), f"edges[{i}] must be an object")
-        _require(
-            set(item) == set(_EDGE_KEYS),
-            f"edges[{i}] must have exactly keys src, dst, sign",
-        )
-        src = _point(item["src"], f"edges[{i}].src")
-        dst = _point(item["dst"], f"edges[{i}].dst")
-        sign = item["sign"]
-        _require(sign in ("+", "-"),
-                 f"edges[{i}].sign must be '+' or '-', got {sign!r}")
-        doc_edges.append((src, dst, sign))
+    vertices, edges = document["vertices"], document["edges"]
+    rows = [
+        (e["src"], e["dst"], e["sign"])
+        if isinstance(e, dict) and e.keys() == _EDGE_KEYS else _NOT_AN_EDGE
+        for e in edges
+    ]
+    point = _POINT.fullmatch
+    if not (
+        all([isinstance(v, str) and point(v) for v in vertices])
+        and all([
+            isinstance(src, str) and point(src)
+            and isinstance(dst, str) and point(dst)
+            and sign in _SIGNS
+            for src, dst, sign in rows
+        ])
+    ):
+        _name_first_malformed(vertices, edges)
 
     try:
         expected = enumerate_graph(spec, document["height_bound"])
@@ -175,9 +201,9 @@ def parse_json(text: str) -> SuborbitalGraph:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
     spelling = _vertex_text(expected)
-    _check_list("vertex", "vertices", doc_vertices,
+    _check_list("vertex", "vertices", tuple(vertices),
                 tuple(spelling.values()), str, _unknown_vertex)
-    _check_list("edge", "edges", tuple(doc_edges),
+    _check_list("edge", "edges", tuple(rows),
                 tuple((spelling[e[0]], spelling[e[1]], _SIGN_TEXT[e.sign])
                       for e in expected.edges),
                 _edge_text, _unknown_edge)

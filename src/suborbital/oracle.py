@@ -13,6 +13,7 @@ circularity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -398,9 +399,9 @@ class LatticeReport:
         return lines
 
 
-# the product count of two scans is refused above this; the check forms
-# one product per pair of residue classes, but a failing pair lists
-# every product it decides, so the count bounds that listing
+# the check forms one product per pair of residue classes, but a failing
+# pair lists every product it decides: a listing of more products than
+# this is refused before any of them is formed
 PRODUCT_CEILING = 1_000_000
 
 
@@ -418,6 +419,8 @@ def _product_violations(
     Reduction mod n is a ring homomorphism, so the factors' classes fix
     the raw product's entries mod n, and the canonical lift of p * q only
     negates all four: one product decides its whole pair of classes.
+    The products of the failing pairs are counted from the class sizes
+    and refused above PRODUCT_CEILING before any of them is listed.
     """
     n = math.lcm(join.a_mod, join.b_mod, join.c_mod, join.d_mod)
 
@@ -439,6 +442,10 @@ def _product_violations(
     }
     if not failed:
         return ()
+    left_sizes, right_sizes = Counter(left_keys), Counter(right_keys)
+    refuse_above("the count of lattice products to list",
+                 sum(left_sizes[kp] * right_sizes[kq] for kp, kq in failed),
+                 PRODUCT_CEILING)
     return tuple(
         p * q
         for p, kp in zip(left, left_keys)
@@ -452,6 +459,8 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
 
     Products are decided once per pair of residue classes of the two
     scans, and violations are listed from the pairs that fail.
+    products_checked counts every product those decisions cover; only a
+    listing above PRODUCT_CEILING is refused.
     """
     if n1 < 1 or n2 < 1:
         raise InvalidModulus(f"moduli must be >= 1, got ({n1}, {n2})")
@@ -469,16 +478,13 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     join = gamma0(math.gcd(n1, n2))
     left = enumerate_group(principal(n1), entry_bound)
     right = enumerate_group(gamma0(n2), entry_bound)
-    products = len(left.elements) * len(right.elements)
-    refuse_above(f"the lattice product count at entry bound {entry_bound}",
-                 products, PRODUCT_CEILING)
     return LatticeReport(
         n1=n1,
         n2=n2,
         entry_bound=entry_bound,
         scanned=len(everything.elements),
         intersection_violations=bad_meet,
-        products_checked=products,
+        products_checked=len(left.elements) * len(right.elements),
         product_violations=_product_violations(left.elements, right.elements, join),
     )
 

@@ -196,17 +196,50 @@ class TestVerifyCommand:
         monkeypatch.undo()
         assert run(capsys, "verify", "--suite", "blocks", "--max", "1")[0] == 0
 
+    @staticmethod
+    def count_products(monkeypatch):
+        formed = [0]
+        multiply = UnimodularMatrix.__mul__
+
+        def counted(p, q):
+            formed[0] += 1
+            return multiply(p, q)
+
+        monkeypatch.setattr(UnimodularMatrix, "__mul__", counted)
+        return formed
+
     def test_lattice_has_work_ceiling(self, capsys, monkeypatch):
-        # the refusal comes from the estimate alone: no product is formed
-        monkeypatch.setattr(UnimodularMatrix, "__mul__", None)
+        # a passing check lists nothing, so only its scans are priced: the
+        # products of 17626 scanned members on each side are decided by
+        # the one product of the single pair of residue classes mod 1
+        formed = self.count_products(monkeypatch)
         code, out, err = run(
             capsys, "verify", "--suite", "lattice", "--n1", "1", "--n2", "1",
             "--entry-bound", "60",
         )
-        assert code == 3
-        assert out == ""
-        # 17626 scanned members on each side
-        assert "310675876" in err
+        assert (code, err) == (0, "")
+        assert "inside gamma0(1) on 310675876 products: ok" in out
+        assert formed == [1]
+
+    def test_lattice_listing_of_failing_pairs_has_work_ceiling(
+        self, capsys, monkeypatch
+    ):
+        # with gamma0(3) as the join, the full group's products with
+        # gamma0(3) fail; the listing is priced from the class sizes and
+        # refused before any of its products is formed
+        real_gamma0 = oracle_module.gamma0
+        monkeypatch.setattr(oracle_module, "gamma0", lambda n: real_gamma0(3))
+        monkeypatch.setattr(oracle_module, "PRODUCT_CEILING", 100)
+        formed = self.count_products(monkeypatch)
+        code, out, err = run(
+            capsys, "verify", "--suite", "lattice", "--n1", "1", "--n2", "1",
+            "--entry-bound", "6",
+        )
+        assert (code, out) == (3, "")
+        assert "lattice products to list is 6533, above the ceiling 100" in err
+        # one product per pair of classes mod 3: the 24 classes of the
+        # full group's scan times the 6 of gamma0(3)'s
+        assert formed == [24 * 6]
 
     def test_selfpaired_single(self, capsys):
         code, out, _ = run(
@@ -454,12 +487,15 @@ class TestExitCodeContract:
 
 # sha256 over (exit code, stdout, stderr) of `verify --suite lattice` for
 # every n1, n2 <= 9 at each entry bound in LATTICE_BOUNDS, text then
-# --json, and of `verify --suite all --json`, as written when every
-# product was formed and tested one by one
+# --json, and of `verify --suite all --json`.  Every configuration that
+# ran when every product was formed and tested one by one prints what it
+# printed then; the 14 that a ceiling on len(left) * len(right) refused
+# then all have gcd(n1, n2) = 1, so their join is the full group and
+# they pass.
 LATTICE_BOUNDS = (1, 5, 12, 20, 28)
 LATTICE_SHA256 = {
-    "text": "cd5c957925597ddba23f676daeb6618efcaa1caec0919e59b4e9e6f791175388",
-    "json": "4c90f30b73df32a9097055fbd9dafc895bf0470d5f60c53b79cbb7b3f9bf7c53",
+    "text": "a330db3743f47ada02c62c2e49591a9e650226102ae00e885d4703f5b785ddb7",
+    "json": "2679747087fdc9dccc2bec3b67d8080f0c3b308ea684a656a23e2b9a5633607d",
     "all": "b4a9bca4d0dea87d146d415dcfbd8db6fcdfcb8c70b2ddfe0bc5930eb5ac42dc",
 }
 
@@ -486,9 +522,8 @@ class TestLatticeOutputs:
             for n2 in range(1, 10)
         ))
         # (3, 4), (4, 6) and their swaps at 28 reach the extra
-        # intersection coset; the product ceiling refuses n1 = 1 with
-        # n2 <= 3 at 20, and n1 = 1, or n2 = 1 with n1 <= 3, at 28
-        assert codes == {0: 387, 1: 4, 3: 14}
+        # intersection coset; no product listing reaches the ceiling
+        assert codes == {0: 401, 1: 4}
         assert digest == LATTICE_SHA256[fmt]
 
     def test_all_suites_json_is_byte_identical(self, capsys):

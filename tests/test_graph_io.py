@@ -258,6 +258,122 @@ class TestCanonicalSpelling:
             assert shown in str(err.value)
 
 
+# one malformed item of each kind: (list, how to spoil the item, the
+# message with {i} for its index); each spoiler takes the item's parsed
+# JSON value and returns the malformed one
+MALFORMED_ITEMS = [
+    pytest.param("vertices", lambda v: 5, "vertices[{i}] must be a string, got 5",
+                 id="non-string vertex"),
+    pytest.param("vertices", lambda v: "-03/4",
+                 "vertices[{i}] is not a num/den fraction: '-03/4'",
+                 id="off-grammar vertex"),
+    pytest.param("edges", lambda e: [e["src"], e["dst"], e["sign"]],
+                 "edges[{i}] must be an object", id="edge not an object"),
+    pytest.param("edges", lambda e: {"src": e["src"], "dst": e["dst"]},
+                 "edges[{i}] must have exactly keys src, dst, sign", id="missing key"),
+    pytest.param("edges", lambda e: {**e, "weight": 1},
+                 "edges[{i}] must have exactly keys src, dst, sign", id="extra key"),
+    pytest.param("edges", lambda e: {**e, "src": 5},
+                 "edges[{i}].src must be a string, got 5", id="non-string src"),
+    pytest.param("edges", lambda e: {**e, "src": "-03/4"},
+                 "edges[{i}].src is not a num/den fraction: '-03/4'",
+                 id="off-grammar src"),
+    pytest.param("edges", lambda e: {**e, "dst": None},
+                 "edges[{i}].dst must be a string, got None", id="non-string dst"),
+    pytest.param("edges", lambda e: {**e, "dst": "3/-4"},
+                 "edges[{i}].dst is not a num/den fraction: '3/-4'",
+                 id="off-grammar dst"),
+    pytest.param("edges", lambda e: {**e, "sign": []},
+                 "edges[{i}].sign must be '+' or '-', got []", id="sign []"),
+    pytest.param("edges", lambda e: {**e, "sign": {}},
+                 "edges[{i}].sign must be '+' or '-', got {{}}", id="sign {}"),
+    pytest.param("edges", lambda e: {**e, "sign": "positive"},
+                 "edges[{i}].sign must be '+' or '-', got 'positive'",
+                 id="sign positive"),
+]
+
+
+class TestMalformedItems:
+    """A malformed item is named by the same message wherever it stands,
+    and of several the first in document order is named."""
+
+    doc = emit_json(TEST_GRAPHS[0])
+
+    def refused(self, data):
+        with pytest.raises(MalformedDocument) as err:
+            parse_json(json.dumps(data))
+        return str(err.value)
+
+    @pytest.mark.parametrize("field, spoil, message", MALFORMED_ITEMS)
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_each_kind_at_each_position(self, field, spoil, message, where):
+        data = json.loads(self.doc)
+        items = data[field]
+        i = {"first": 0, "middle": len(items) // 2, "last": len(items) - 1}[where]
+        items[i] = spoil(items[i])
+        assert self.refused(data) == message.format(i=i)
+
+    def test_a_vertex_is_named_before_any_edge(self):
+        data = json.loads(self.doc)
+        data["vertices"][-1] = "-03/4"
+        data["edges"][0] = "1/0 -> 1/2"
+        assert self.refused(data) == (
+            f"vertices[{len(data['vertices']) - 1}] is not a num/den fraction: '-03/4'"
+        )
+
+    def test_an_earlier_edge_is_named_before_a_later_one(self):
+        data = json.loads(self.doc)
+        data["edges"][2]["sign"] = "positive"
+        data["edges"][5] = None
+        assert self.refused(data) == "edges[2].sign must be '+' or '-', got 'positive'"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"weight": 1, "src": 5}, "edges[3] must have exactly keys src, dst, sign"),
+        ({"src": 5, "dst": 5}, "edges[3].src must be a string, got 5"),
+        ({"dst": "3/-4", "sign": []},
+         "edges[3].dst is not a num/den fraction: '3/-4'"),
+    ])
+    def test_within_an_edge_shape_then_src_dst_sign(self, changes, message):
+        data = json.loads(self.doc)
+        data["edges"][3].update(changes)
+        assert self.refused(data) == message
+
+    def test_refused_before_the_graph_is_enumerated(self, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("a malformed document was enumerated")
+
+        monkeypatch.setattr(graphs_module, "_block_vertices", enumerated)
+        data = json.loads(self.doc)
+        data["edges"][-1]["sign"] = "positive"
+        with pytest.raises(MalformedDocument):
+            parse_json(json.dumps(data))
+
+
+class TestNonCanonicalText:
+    """Text that is not the canonical bytes may still name the graph."""
+
+    def test_whitespace_and_key_order_parse_to_the_same_graph(self):
+        graph = TEST_GRAPHS[0]
+        doc = emit_json(graph)
+        data = json.loads(doc)
+        indented = json.dumps(data, indent=2)
+        header_reordered = json.dumps(dict(reversed(list(data.items()))))
+        edge_keys_reordered = json.dumps(
+            {**data, "edges": [dict(reversed(list(e.items()))) for e in data["edges"]]}
+        )
+        for text in (indented, header_reordered, edge_keys_reordered):
+            assert text != doc
+            assert parse_json(text) == graph
+            assert emit_json(parse_json(text)) == doc
+
+    def test_a_duplicated_header_key_keeps_its_last_value(self):
+        graph = TEST_GRAPHS[0]
+        doc = emit_json(graph)
+        text = doc.replace('"u":1,', '"u":7,"u":1,')
+        assert text != doc
+        assert parse_json(text) == graph
+
+
 # str() of a point: 1/0, 0/1, or a nonzero numerator over a positive
 # denominator in ASCII digits without leading zeros
 CANONICAL_POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
