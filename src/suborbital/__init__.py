@@ -50,11 +50,9 @@ from .graphs import (
 )
 from .oracle import (
     BoundedGroupSample,
-    OrbitalSample,
     compare_edges_vs_orbital,
     count_blocks,
     enumerate_group,
-    orbital_pairs,
     transitivity_witness,
     verify_lattice_identity,
     verify_self_paired,
@@ -101,9 +99,7 @@ __all__ = [
     "is_self_paired",
     "paired_partner",
     "BoundedGroupSample",
-    "OrbitalSample",
     "enumerate_group",
-    "orbital_pairs",
     "transitivity_witness",
     "compare_edges_vs_orbital",
     "count_blocks",

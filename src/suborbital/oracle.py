@@ -1,13 +1,13 @@
 """Brute-force ground truth for the graph predicates.
 
 Everything here works from first principles: scans of bounded integer
-matrices, exhaustive over the residue classes a subgroup's moduli allow
-and filtered by its membership test; the one matrix carrying an edge
-onto another, solved from the endpoints' columns and filtered the same
-way; direct orbit marking over residue pairs; and raw group action.  The
-graph module's edge conditions are never used to build an oracle set,
-only compared against afterwards, so agreement is evidence rather than
-circularity.
+matrices, exhaustive over the residue classes of a, b and c a subgroup's
+moduli allow and filtered by its membership test; the one matrix carrying
+an edge onto another, solved from the endpoints' columns and filtered the
+same way; direct orbit marking over residue pairs; and raw group action,
+with points built only inside the height window.  The graph module's edge
+conditions are never used to build an oracle set, only compared against
+afterwards, so agreement is evidence rather than circularity.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ from .rational import ProjectiveRational
 __all__ = [
     "SCAN_CEILING",
     "BoundedGroupSample",
-    "OrbitalSample",
     "enumerate_group",
-    "orbital_pairs",
     "transitivity_witness",
     "OrbitalReport",
     "compare_edges_vs_orbital",
@@ -62,14 +60,6 @@ class BoundedGroupSample:
     elements: tuple[UnimodularMatrix, ...]
 
 
-@dataclass(frozen=True)
-class OrbitalSample:
-    """Images of one rooted vertex pair under a bounded group sample."""
-
-    base: tuple[ProjectiveRational, ProjectiveRational]
-    pairs: tuple[tuple[ProjectiveRational, ProjectiveRational], ...]
-
-
 # larger entry bounds are refused; a scan grows with the bound's square,
 # to 17,626 matrices for the full group at 60 and a fraction of that for
 # a subgroup, whose scan visits only the classes its moduli allow
@@ -81,14 +71,19 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
     # Canonical lifts have c > 0, or c == 0 with a == d == 1.  A member
     # has c == 0 (mod c_mod) and a == +-1 (mod a_mod), so only those values
     # of c and a are walked; for fixed (a, c) the determinant equation
-    # pins d to the class of a^-1 mod c and b to (a*d - 1)/c.  When
-    # b_mod > c_mod the walk runs on the conjugate by S = [[0, -1], [1, 0]]:
-    # (a, b, c, d) -> (d, -c, -b, a) has moduli (d_mod, c_mod, b_mod, a_mod)
-    # and the same entry bound, and is its own inverse.  Every candidate is
-    # built and sign-lifted by the constructor and kept only if the
-    # group contains it, so the result is the naive scan-and-filter set.
+    # pins d to the class of a^-1 mod c and b to (a*d - 1)/c.  A member
+    # also has b == 0 (mod b_mod), and b = b0 + k*a meets that for the k
+    # of one class mod b_mod/gcd(a, b_mod), or for none when gcd(a, b_mod)
+    # does not divide b0, so only that class of k is stepped; the c == 0
+    # row steps b by b_mod.  When b_mod > c_mod the walk runs on the
+    # conjugate by S = [[0, -1], [1, 0]]: (a, b, c, d) -> (d, -c, -b, a)
+    # has moduli (d_mod, c_mod, b_mod, a_mod) and the same entry bound, and
+    # is its own inverse.  Every candidate is built and sign-lifted by the
+    # constructor and kept only if the group contains it, so the result is
+    # the naive scan-and-filter set.
     flip = group.b_mod > group.c_mod
-    a_mod, c_mod = (group.d_mod, group.b_mod) if flip else (group.a_mod, group.c_mod)
+    a_mod, b_mod, c_mod = ((group.d_mod, group.c_mod, group.b_mod) if flip
+                           else (group.a_mod, group.b_mod, group.c_mod))
     found: list[UnimodularMatrix] = []
 
     def keep(a: int, b: int, c: int, d: int) -> None:
@@ -96,7 +91,7 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
         if group.contains(g):
             found.append(g)
 
-    for b in range(-bound, bound + 1):
+    for b in range(-(bound // b_mod) * b_mod, bound + 1, b_mod):
         keep(1, b, 0, 1)
     rows = [
         a
@@ -109,6 +104,10 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
                 continue
             d0 = pow(a, -1, c) if c > 1 else 0
             b0 = (a * d0 - 1) // c
+            shared = math.gcd(a, b_mod)
+            if b0 % shared:
+                continue
+            step = b_mod // shared
             # d = d0 + k*c and b = b0 + k*a, both within the bound; the
             # ranges meet by comparisons, as max and min would cost two
             # calls on every row
@@ -119,7 +118,8 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
                            ks.stop if ks.stop < kb.stop else kb.stop)
             elif abs(b0) > bound:
                 continue
-            for k in ks:
+            first = -b0 // shared * pow(a // shared, -1, step)
+            for k in range(ks.start + (first - ks.start) % step, ks.stop, step):
                 keep(a, b0 + k * a, c, d0 + k * c)
     found.sort()
     return tuple(found)
@@ -143,17 +143,6 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
     """
     _check_entry_bound(entry_bound)
     return BoundedGroupSample(group, entry_bound, _member_scan(group, entry_bound))
-
-
-def orbital_pairs(
-    sample: BoundedGroupSample,
-    base: tuple[ProjectiveRational, ProjectiveRational],
-) -> OrbitalSample:
-    """All images (g(base[0]), g(base[1])) over the sample, sorted as
-    plain integer tuples."""
-    seen = {(g.apply(base[0]), g.apply(base[1])) for g in sample.elements}
-    ordered = sorted(seen, key=lambda pair: (*pair[0], *pair[1]))
-    return OrbitalSample(base, tuple(ordered))
 
 
 def transitivity_witness(
@@ -202,6 +191,8 @@ def transitivity_witness(
 class OrbitalReport:
     """Outcome of one oracle-versus-predicate comparison.
 
+    orbital_count counts the distinct image pairs of the base pair over
+    all member_count members, and orbital_in_bound those in the window.
     soundness_failures lists orbital pairs inside the height window that
     the edge predicate rejected; a correct build keeps it empty.
     completeness_misses lists predicate edges the bounded orbital never
@@ -281,7 +272,12 @@ def compare_edges_vs_orbital(
 ) -> OrbitalReport:
     """Compare the enumerated edge set against raw group images of the base pair.
 
-    Both bounds are checked, the entry bound first, before any scan."""
+    Each member's image columns are computed as integers: they are
+    primitive, so they give the images' heights and, signed by the first
+    column, one key per distinct image pair.  Only the pairs inside the
+    height window are built as points and sorted by their entries; they
+    hold every edge, so they decide soundness and the misses.  Both
+    bounds are checked, the entry bound first, before any scan."""
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
@@ -292,25 +288,31 @@ def compare_edges_vs_orbital(
     _check_entry_bound(entry_bound)
     graph = enumerate_graph(spec, height_bound)
     sample = enumerate_group(group, entry_bound)
-    orbital = orbital_pairs(sample, spec.base_pair())
-
-    in_bound = [
-        pair
-        for pair in orbital.pairs
-        if pair[0].height <= height_bound and pair[1].height <= height_bound
-    ]
+    alpha, beta = spec.base_pair()
+    (x1, y1), (x2, y2) = alpha, beta
+    h = height_bound
+    images, window = set(), set()
+    for g in sample.elements:
+        a, b, c, d = g
+        p, q = a * x1 + b * y1, c * x1 + d * y1
+        r, s = a * x2 + b * y2, c * x2 + d * y2
+        # det g == 1 fixes the product of the two columns' signs
+        images.add((-p, -q, -r, -s) if q < 0 or (q == 0 and p < 0)
+                   else (p, q, r, s))
+        if -h <= p <= h and -h <= q <= h and -h <= r <= h and -h <= s <= h:
+            window.add((g.apply(alpha), g.apply(beta)))
+    in_bound = sorted(window, key=lambda pair: (*pair[0], *pair[1]))
     soundness = tuple(
         pair for pair in in_bound if edge_check(spec, pair[0], pair[1]) is None
     )
-    reached = set(orbital.pairs)
-    misses = tuple(edge for edge in graph.edges if edge not in reached)
+    misses = tuple(edge for edge in graph.edges if edge not in window)
     return OrbitalReport(
         spec=spec,
         group=group,
         entry_bound=entry_bound,
         height_bound=height_bound,
         member_count=len(sample.elements),
-        orbital_count=len(orbital.pairs),
+        orbital_count=len(images),
         orbital_in_bound=len(in_bound),
         edge_count=len(graph.edges),
         soundness_failures=soundness,

@@ -25,9 +25,9 @@ PUBLIC = {
     "FAMILY_ZERO", "edge_check", "enumerate_graph", "is_self_paired",
     "paired_partner",
     # oracle
-    "BoundedGroupSample", "OrbitalSample", "enumerate_group", "orbital_pairs",
-    "transitivity_witness", "compare_edges_vs_orbital", "count_blocks",
-    "verify_lattice_identity", "verify_self_paired",
+    "BoundedGroupSample", "enumerate_group", "transitivity_witness",
+    "compare_edges_vs_orbital", "count_blocks", "verify_lattice_identity",
+    "verify_self_paired",
     # graph_io
     "emit_json", "parse_json", "emit_dot", "emit_svg",
 }

@@ -20,11 +20,10 @@ from suborbital.group import (
     principal,
 )
 from suborbital.oracle import (
-    BoundedGroupSample,
+    OrbitalReport,
     compare_edges_vs_orbital,
     count_blocks,
     enumerate_group,
-    orbital_pairs,
     transitivity_witness,
     verify_lattice_identity,
     verify_self_paired,
@@ -218,29 +217,51 @@ class TestTransitivityWitness:
                     base, e2, full_group(), largest - 1) is None
 
 
-class TestOrbitalPairs:
+class TestGroupImages:
     def test_identity_only_sample(self):
         base = (INFINITY, ProjectiveRational(1, 2))
-        sample = BoundedGroupSample(full_group(), 1, (IDENTITY,))
-        orbital = orbital_pairs(sample, base)
-        assert orbital.pairs == (base,)
-
-    def test_contains_translated_pair(self):
-        sample = enumerate_group(gamma0_pair(2, 1), 5)
-        orbital = orbital_pairs(sample, (INFINITY, ProjectiveRational(1, 2)))
-        assert (ProjectiveRational(1, 2), ProjectiveRational(1, 4)) in set(orbital.pairs)
-
-    def test_base_always_present(self):
-        for group in (full_group(), gamma0_pair(3, 2)):
-            sample = enumerate_group(group, 4)
-            base = (INFINITY, ProjectiveRational(1, 3))
-            assert base in set(orbital_pairs(sample, base).pairs)
+        sample = enumerate_group(principal(2), 1)
+        assert sample.elements == (IDENTITY,)
+        assert {(g.apply(base[0]), g.apply(base[1])) for g in sample.elements} == {base}
 
     def test_diagonal_base_stays_diagonal(self):
-        sample = enumerate_group(full_group(), 4)
         v = ProjectiveRational(1, 2)
-        for a, b in orbital_pairs(sample, (v, v)).pairs:
+        sample = enumerate_group(full_group(), 4)
+        images = [(g.apply(v), g.apply(v)) for g in sample.elements]
+        assert len(set(images)) > 1
+        for a, b in images:
             assert a == b
+
+
+def full_replay(spec, group, entry_bound, height_bound):
+    """The comparison replayed on every member, filtered to the window
+    only after the images are built and sorted."""
+    graph = enumerate_graph(spec, height_bound)
+    sample = enumerate_group(group, entry_bound)
+    alpha, beta = spec.base_pair()
+    pairs = sorted(
+        {(g.apply(alpha), g.apply(beta)) for g in sample.elements},
+        key=lambda pair: (*pair[0], *pair[1]),
+    )
+    in_bound = [
+        pair for pair in pairs
+        if pair[0].height <= height_bound and pair[1].height <= height_bound
+    ]
+    reached = set(pairs)
+    return OrbitalReport(
+        spec=spec,
+        group=group,
+        entry_bound=entry_bound,
+        height_bound=height_bound,
+        member_count=len(sample.elements),
+        orbital_count=len(pairs),
+        orbital_in_bound=len(in_bound),
+        edge_count=len(graph.edges),
+        soundness_failures=tuple(
+            pair for pair in in_bound if edge_check(spec, *pair) is None
+        ),
+        completeness_misses=tuple(e for e in graph.edges if e not in reached),
+    )
 
 
 class TestCompareEdgesVsOrbital:
@@ -270,6 +291,57 @@ class TestCompareEdgesVsOrbital:
             compare_edges_vs_orbital(F32, gamma0_pair(1, 2), 5, 5)
         with pytest.raises(InvalidSpec):
             compare_edges_vs_orbital(F12, gamma0(2), 5, 5)
+
+    def test_base_pair_is_reached(self):
+        f11 = GraphSpec(family="finf", u=1, modulus=1)
+        f13 = GraphSpec(family="finf", u=1, modulus=3)
+        for spec, group in ((f11, gamma0_pair(1, 1)), (f13, gamma0_pair(3, 1)),
+                            (f13, gamma0_pair(3, 2)), (F32, gamma0_pair(1, 3))):
+            report = compare_edges_vs_orbital(spec, group, 4, 10)
+            base = DirectedEdge(*spec.base_pair())
+            assert base in enumerate_graph(spec, 10).edges
+            assert base not in report.completeness_misses
+
+    def test_translated_pair_is_reached(self):
+        # [[1, 0], [2, 1]] carries 1/0 -> 1/2 onto 1/2 -> 1/4
+        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 5, 10)
+        edge = DirectedEdge(ProjectiveRational(1, 2), ProjectiveRational(1, 4))
+        assert edge in enumerate_graph(F12, 10).edges
+        assert edge not in report.completeness_misses
+
+    @pytest.mark.parametrize("family", ["finf", "fzero"])
+    def test_window_replay_matches_full_replay(self, family):
+        # every unit, l and m up to 5, and height bounds below the base
+        # pair's height, so that it falls outside the window
+        outside = 0
+        for modulus, other in itertools.product(range(1, 6), repeat=2):
+            l, m = (modulus, other) if family == "finf" else (other, modulus)
+            for u in range(1, max(modulus, 2)):
+                if math.gcd(u, modulus) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=modulus)
+                base_height = max(v.height for v in spec.base_pair())
+                for bounds in itertools.product((1, 7, 20), (1, 5, 30)):
+                    report = compare_edges_vs_orbital(spec, gamma0_pair(l, m), *bounds)
+                    reference = full_replay(spec, gamma0_pair(l, m), *bounds)
+                    assert report.to_dict() == reference.to_dict(), (spec, l, m, bounds)
+                    assert report.text_lines() == reference.text_lines()
+                    outside += base_height > bounds[1]
+        assert outside >= 20
+
+    def test_images_are_built_only_in_the_window(self, monkeypatch):
+        calls = []
+        apply = UnimodularMatrix.apply
+
+        def counted(g, v):
+            calls.append(g)
+            return apply(g, v)
+
+        monkeypatch.setattr(UnimodularMatrix, "apply", counted)
+        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
+        assert 0 < report.orbital_in_bound < report.member_count
+        assert report.orbital_count == report.member_count
+        assert len(calls) == 2 * report.orbital_in_bound
 
     def test_report_serializes(self):
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 5, 5)
