@@ -191,9 +191,23 @@ def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     return ok, lines, data
 
 
-def _single_config(args: argparse.Namespace, what: str, *flags: str) -> bool:
-    """Whether any of a suite's single-configuration flags is set; once one
-    is, InvalidSpec names all of them unless all are set."""
+# each single-configuration flag of verify, in the order messages name
+# them, and the suites that read it; --suite all reads none of them
+_CONFIG_FLAGS = {
+    "family": ("oracle",),
+    "u": ("oracle", "selfpaired", "pairing"),
+    "mod": ("selfpaired", "pairing"),
+    "l": ("oracle",),
+    "m": ("oracle",),
+    "n1": ("lattice",),
+    "n2": ("lattice",),
+}
+
+
+def _single_config(args: argparse.Namespace, what: str) -> bool:
+    """Whether any of the suite's single-configuration flags is set; once
+    one is, InvalidSpec names all of them unless all are set."""
+    flags = [flag for flag, suites in _CONFIG_FLAGS.items() if args.suite in suites]
     given = [getattr(args, flag) is not None for flag in flags]
     if any(given) and not all(given):
         names = [f"--{flag}" for flag in flags]
@@ -215,7 +229,7 @@ def _oracle_configs(
 ) -> list[tuple[GraphSpec, int, int, int, int]]:
     entry = args.entry_bound if args.entry_bound is not None else 20
     height = args.height_bound if args.height_bound is not None else 30
-    if _single_config(args, "oracle configuration", "family", "u", "l", "m"):
+    if _single_config(args, "oracle configuration"):
         modulus = args.l if args.family == FAMILY_INFINITY else args.m
         spec = GraphSpec(family=args.family, u=args.u, modulus=modulus)
         return [(spec, args.l, args.m, entry, height)]
@@ -239,7 +253,7 @@ def _suite_oracle(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
 
 
 def _suite_selfpaired(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
-    if _single_config(args, "selfpaired check", "u", "mod"):
+    if _single_config(args, "selfpaired check"):
         configs = [(args.u, args.mod)]
     else:
         configs = [
@@ -259,7 +273,7 @@ def _suite_selfpaired(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
 
 def _suite_pairing(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     height = args.height_bound if args.height_bound is not None else 30
-    if _single_config(args, "pairing check", "u", "mod"):
+    if _single_config(args, "pairing check"):
         configs = [(args.mod, args.u)]
     else:
         configs = list(PAIRING_CONFIGS)
@@ -292,7 +306,7 @@ def _suite_pairing(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
 
 def _suite_lattice(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     entry = args.entry_bound if args.entry_bound is not None else 12
-    if _single_config(args, "lattice check", "n1", "n2"):
+    if _single_config(args, "lattice check"):
         configs = [(args.n1, args.n2)]
     else:
         configs = list(LATTICE_CONFIGS)
@@ -311,11 +325,14 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    given = [f"--{flag}" for flag in ("family", "u", "mod", "l", "m", "n1", "n2")
-             if getattr(args, flag) is not None]
-    if args.suite == "all" and given:
+    foreign = ", ".join(f"--{flag}" for flag, suites in _CONFIG_FLAGS.items()
+                        if getattr(args, flag) is not None
+                        and args.suite not in suites)
+    if foreign and args.suite == "all":
         raise InvalidSpec("--suite all runs the built-in sweeps and takes no "
-                          f"single-configuration flags, got {', '.join(given)}")
+                          f"single-configuration flags, got {foreign}")
+    if foreign:
+        raise InvalidSpec(f"--suite {args.suite} does not read {foreign}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     lines: list[str] = []

@@ -54,8 +54,6 @@ _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 
 # a document edge as text: (src, dst, sign)
 _Edge = tuple[str, str, str]
-# the row read from an edge item that is not an object with the edge keys
-_NOT_AN_EDGE = (None, None, None)
 
 
 def _vertex_text(graph: SuborbitalGraph) -> dict[ProjectiveRational, str]:
@@ -108,25 +106,6 @@ def _point(text: object, where: str) -> None:
              f"{where} is not a num/den fraction: {text!r}")
 
 
-def _name_first_malformed(vertices: list, edges: list) -> None:
-    """Raise MalformedDocument naming the first malformed item in
-    document order: vertices before edges, and within an edge its shape,
-    then src, dst and sign."""
-    for i, item in enumerate(vertices):
-        _point(item, f"vertices[{i}]")
-    for i, item in enumerate(edges):
-        _require(isinstance(item, dict), f"edges[{i}] must be an object")
-        _require(
-            item.keys() == _EDGE_KEYS,
-            f"edges[{i}] must have exactly keys src, dst, sign",
-        )
-        _point(item["src"], f"edges[{i}].src")
-        _point(item["dst"], f"edges[{i}].dst")
-        sign = item["sign"]
-        _require(sign in _SIGNS,
-                 f"edges[{i}].sign must be '+' or '-', got {sign!r}")
-
-
 def parse_json(text: str) -> SuborbitalGraph:
     """Parse and fully re-validate a canonical JSON document.
 
@@ -139,9 +118,9 @@ def parse_json(text: str) -> SuborbitalGraph:
     -6/8 is an unknown vertex.  A height bound whose enumeration
     enumerate_graph would refuse raises BoundTooLarge.
 
-    One pass decides whether every item is well formed, before the
-    graph is enumerated; only a document that fails it is walked item
-    by item to name its first malformed item.
+    Before the graph is enumerated, one pass checks the vertices and then
+    the edges in document order, within an edge its shape, then src, dst
+    and sign, and names the first malformed item.
     """
     try:
         document = json.loads(text)
@@ -177,23 +156,25 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidSpec as exc:
         raise InvariantViolation(f"graph parameters invalid: {exc}") from None
 
-    vertices, edges = document["vertices"], document["edges"]
-    rows = [
-        (e["src"], e["dst"], e["sign"])
-        if isinstance(e, dict) and e.keys() == _EDGE_KEYS else _NOT_AN_EDGE
-        for e in edges
-    ]
+    vertices = document["vertices"]
     point = _POINT.fullmatch
-    if not (
-        all([isinstance(v, str) and point(v) for v in vertices])
-        and all([
-            isinstance(src, str) and point(src)
-            and isinstance(dst, str) and point(dst)
-            and sign in _SIGNS
-            for src, dst, sign in rows
-        ])
-    ):
-        _name_first_malformed(vertices, edges)
+    for i, v in enumerate(vertices):
+        if not (isinstance(v, str) and point(v)):
+            _point(v, f"vertices[{i}]")
+    rows: list[_Edge] = []
+    for i, e in enumerate(document["edges"]):
+        if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
+            _require(isinstance(e, dict), f"edges[{i}] must be an object")
+            raise MalformedDocument(
+                f"edges[{i}] must have exactly keys src, dst, sign")
+        src, dst, sign = row = (e["src"], e["dst"], e["sign"])
+        if not (isinstance(src, str) and point(src)
+                and isinstance(dst, str) and point(dst) and sign in _SIGNS):
+            _point(src, f"edges[{i}].src")
+            _point(dst, f"edges[{i}].dst")
+            raise MalformedDocument(
+                f"edges[{i}].sign must be '+' or '-', got {sign!r}")
+        rows.append(row)
 
     try:
         expected = enumerate_graph(spec, document["height_bound"])

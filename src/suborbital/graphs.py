@@ -237,11 +237,22 @@ def _candidate_estimate(spec: GraphSpec, bound: int) -> int:
 ENUMERATION_CEILING = 2 * 10**7
 
 
-def _steps_within(start: int, step: int, lo: int, hi: int) -> range:
-    """The k with lo <= start + k*step <= hi, for step != 0."""
-    if step < 0:
-        start, step, lo, hi = -start, -step, -hi, -lo
-    return range(-((start - lo) // step), (hi - start) // step + 1)
+def _class_steps(
+    x: int, dx: int, y: int, dy: int, bound: int, y_low: int, cls: int, mod: int
+) -> range:
+    """The k == cls (mod mod) with |x + k*dx| <= bound and
+    y_low <= y + k*dy <= bound, for dy > 0.  The x window is symmetric,
+    so a negative dx is walked as -x, -dx.  The two ranges of k meet by
+    comparisons: max and min would cost two calls on every line walked."""
+    lo, hi = -((y - y_low) // dy), (bound - y) // dy
+    if dx:
+        if dx < 0:
+            x, dx = -x, -dx
+        lo_x, hi_x = -((x + bound) // dx), (bound - x) // dx
+        lo, hi = (lo if lo > lo_x else lo_x), (hi if hi < hi_x else hi_x)
+    elif abs(x) > bound:
+        return range(0)
+    return range(lo + (cls - lo) % mod, hi + 1, mod)
 
 
 def _lattice_heads(
@@ -264,13 +275,7 @@ def _lattice_heads(
     x0 = (r * y0 - 1) // s
     for delta, cls in ((m, c), (-m, -c)):
         xt, yt = delta * x0, delta * y0
-        ks = _steps_within(yt, s, 0, bound)
-        if r:
-            kx = _steps_within(xt, r, -bound, bound)
-            ks = range(max(ks.start, kx.start), min(ks.stop, kx.stop))
-        elif abs(xt) > bound:
-            continue
-        for k in range(ks.start + (cls - ks.start) % m, ks.stop, m):
+        for k in _class_steps(xt, r, yt, s, bound, 0, cls, m):
             yield xt + k * r, yt + k * s
 
 
@@ -286,8 +291,9 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     r == +-1 (mod m) and walks the steps k == (delta/m)*u on each line;
     a reversed spec walks the heads of forward edges, r == +-u (mod m)
     for the forward unit u, back to their tails with k == -(delta/m)*u'
-    for the stored unit u'.  Every candidate found among the vertices
-    then passes _congruences_hold, so the work is the vertices plus the
+    for the stored unit u'.  Every block vertex has s == 0 (mod m) in
+    finf coordinates, so this walk is the whole rule: every head found
+    among the vertices is an edge, and the work is the vertices plus the
     edges.  Vertices come in (num, den) order and each vertex's heads in
     (x, y) order, so vertices and edges are sorted as plain integer
     tuples.
@@ -307,8 +313,7 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     index = dict(zip(tails, vertices))
     m = spec.modulus
     u = spec.forward_u()
-    flip = spec.reversed
-    t, c = (u, -spec.u) if flip else (1, u)
+    t, c = (u, -spec.u) if spec.reversed else (1, u)
     admitted = {t % m, -t % m}
     edges: list[DirectedEdge] = []
     for v, tail in zip(vertices, tails):
@@ -317,10 +322,7 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
         heads = []
         for head in _lattice_heads(*tail, m, height_bound, c):
             w = index.get(head)
-            if w is None:
-                continue
-            if (_congruences_hold(u, m, head, tail) if flip
-                    else _congruences_hold(u, m, tail, head)):
+            if w is not None:
                 heads.append((*w, w))
         heads.sort()  # by the integer pair of w, never by point value
         edges.extend([DirectedEdge(v, w) for _, _, w in heads])

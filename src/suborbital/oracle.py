@@ -22,7 +22,7 @@ from .graphs import (
     FAMILY_INFINITY,
     DirectedEdge,
     GraphSpec,
-    _steps_within,
+    _class_steps,
     edge_check,
     enumerate_graph,
     is_self_paired,
@@ -108,18 +108,9 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
             if b0 % shared:
                 continue
             step = b_mod // shared
-            # d = d0 + k*c and b = b0 + k*a, both within the bound; the
-            # ranges meet by comparisons, as max and min would cost two
-            # calls on every row
-            ks = _steps_within(d0, c, -bound, bound)
-            if a:
-                kb = _steps_within(b0, a, -bound, bound)
-                ks = range(ks.start if ks.start > kb.start else kb.start,
-                           ks.stop if ks.stop < kb.stop else kb.stop)
-            elif abs(b0) > bound:
-                continue
             first = -b0 // shared * pow(a // shared, -1, step)
-            for k in range(ks.start + (first - ks.start) % step, ks.stop, step):
+            # b = b0 + k*a and d = d0 + k*c, both within the bound
+            for k in _class_steps(b0, a, d0, c, bound, -bound, first, step):
                 keep(a, b0 + k * a, c, d0 + k * c)
     found.sort()
     return tuple(found)

@@ -332,6 +332,23 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert f"takes no single-configuration flags, got {named}" in err
 
+    @pytest.mark.parametrize("suite, flags, named", [
+        ("blocks", ("--max", "3", "--u", "3", "--n1", "4"), "--u, --n1"),
+        ("oracle", ("--family", "finf", "--u", "1", "--l", "2", "--m", "1",
+                    "--mod", "2"), "--mod"),
+        ("selfpaired", ("--u", "1", "--mod", "2", "--l", "5"), "--l"),
+        ("pairing", ("--mod", "5", "--u", "2", "--n2", "3"), "--n2"),
+        ("lattice", ("--n1", "2", "--n2", "3", "--family", "finf"), "--family"),
+    ])
+    def test_single_suite_refuses_flags_it_does_not_read(
+        self, capsys, monkeypatch, suite, flags, named
+    ):
+        # refused before the suite runs, naming only the foreign flags
+        monkeypatch.setattr(cli_module, "_SUITES", {})
+        code, out, err = run(capsys, "verify", "--suite", suite, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: --suite {suite} does not read {named}\n"
+
     def test_all_runs_the_five_sweeps(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "all", "--json",

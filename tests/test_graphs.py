@@ -7,6 +7,7 @@ bounds), so the expected values never depend on the predicate under
 test.
 """
 
+import itertools
 import math
 import operator
 
@@ -196,6 +197,26 @@ class TestEdgeCheck:
         src, dst = g.apply(INFINITY), g.apply(ProjectiveRational(1, 3))
         assert src == ProjectiveRational(-1, 3)
         assert edge_check(spec, src, dst) is not None
+
+
+class TestClassSteps:
+    @pytest.mark.parametrize("dx", range(-3, 4))
+    def test_matches_a_filter_of_every_step(self, dx):
+        # k from -30 to 30 holds every step within these windows
+        for dy, x, y, bound in itertools.product(
+            range(1, 4), range(-8, 9), range(-8, 9), range(7)
+        ):
+            for y_low in (0, -bound):
+                within = [
+                    k for k in range(-30, 31)
+                    if abs(x + k * dx) <= bound and y_low <= y + k * dy <= bound
+                ]
+                for mod in range(1, 5):
+                    for cls in range(-mod, mod):
+                        got = graphs_module._class_steps(
+                            x, dx, y, dy, bound, y_low, cls, mod)
+                        want = [k for k in within if (k - cls) % mod == 0]
+                        assert list(got) == want, (x, y, dy, bound, y_low, cls, mod)
 
 
 class TestEnumerateGraph:
@@ -390,25 +411,30 @@ class TestEnumerateGraph:
         self, family, reversed_, monkeypatch
     ):
         # output-sensitive: each tail walks only the heads its congruences
-        # allow, so every candidate tested is an edge
-        results = []
-        test = graphs_module._congruences_hold
+        # allow, so every head the walk finds among the vertices is an
+        # edge, with the sign edge_check gives it
+        heads = []
+        walk = graphs_module._lattice_heads
 
-        def recorded(*args):
-            results.append(test(*args))
-            return results[-1]
+        def counted(*args):
+            for head in walk(*args):
+                heads.append(head)
+                yield head
 
-        monkeypatch.setattr(graphs_module, "_congruences_hold", recorded)
+        monkeypatch.setattr(graphs_module, "_lattice_heads", counted)
         for m in range(1, 13):
             for u in range(1, max(m, 2)):
                 if math.gcd(u, m) != 1:
                     continue
                 spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
                 for bound in (1, 2, 3, 7, 13, 30):
-                    results.clear()
+                    heads.clear()
                     graph = enumerate_graph(spec, bound)
-                    assert all(results), (spec, bound)
-                    assert len(results) == len(graph.edges), (spec, bound)
+                    index = set(graphs_module._as_finf(spec, graph.vertices))
+                    found = sum(head in index for head in heads)
+                    assert found == len(graph.edges), (spec, bound)
+                    for e in graph.edges:
+                        assert edge_check(spec, e.src, e.dst) == e.sign, (spec, e)
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]

@@ -187,7 +187,7 @@ class TestTransitivityWitness:
             raise AssertionError("a scan or a line walk was started")
 
         monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
-        monkeypatch.setattr(oracle_module, "_steps_within", no_scan)
+        monkeypatch.setattr(oracle_module, "_class_steps", no_scan)
         assert main(["verify", "--suite", "selfpaired"]) == 0
         assert capsys.readouterr().out.count("-- agreement") == 31
         base_edge = DirectedEdge(base_src, base_dst)
