@@ -191,9 +191,10 @@ def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     return ok, lines, data
 
 
-# each single-configuration flag of verify, in the order messages name
-# them, and the suites that read it; --suite all reads none of them
-_CONFIG_FLAGS = {
+# each flag of verify, in the order messages name them, and the suites
+# that read it: a suite refuses the others, and --suite all reads only the
+# bounds, which it passes to each suite that reads them
+_VERIFY_FLAGS = {
     "family": ("oracle",),
     "u": ("oracle", "selfpaired", "pairing"),
     "mod": ("selfpaired", "pairing"),
@@ -201,13 +202,17 @@ _CONFIG_FLAGS = {
     "m": ("oracle",),
     "n1": ("lattice",),
     "n2": ("lattice",),
+    "max": ("all", "blocks"),
+    "entry_bound": ("all", "oracle", "selfpaired", "lattice"),
+    "height_bound": ("all", "oracle", "pairing"),
 }
 
 
 def _single_config(args: argparse.Namespace, what: str) -> bool:
     """Whether any of the suite's single-configuration flags is set; once
     one is, InvalidSpec names all of them unless all are set."""
-    flags = [flag for flag, suites in _CONFIG_FLAGS.items() if args.suite in suites]
+    flags = [flag for flag, suites in _VERIFY_FLAGS.items()
+             if args.suite in suites and "all" not in suites]
     given = [getattr(args, flag) is not None for flag in flags]
     if any(given) and not all(given):
         names = [f"--{flag}" for flag in flags]
@@ -325,9 +330,9 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    foreign = ", ".join(f"--{flag}" for flag, suites in _CONFIG_FLAGS.items()
-                        if getattr(args, flag) is not None
-                        and args.suite not in suites)
+    foreign = ", ".join("--" + flag.replace("_", "-")
+                        for flag, suites in _VERIFY_FLAGS.items()
+                        if getattr(args, flag) is not None and args.suite not in suites)
     if foreign and args.suite == "all":
         raise InvalidSpec("--suite all runs the built-in sweeps and takes no "
                           f"single-configuration flags, got {foreign}")

@@ -1,11 +1,13 @@
 """Brute-force ground truth for the graph predicates.
 
-Everything here works from first principles: scans of bounded integer
+Everything here works from first principles: walks of bounded integer
 matrices, exhaustive over the residue classes of a, b and c a subgroup's
-moduli allow and filtered by its membership test; the one matrix carrying
-an edge onto another, solved from the endpoints' columns and filtered the
-same way; direct orbit marking over residue pairs; and raw group action,
-with points built only inside the height window.  The graph module's edge
+moduli allow and filtered by its membership test, once each as entry
+tuples, built as matrices only for a sorted scan, a pair in the height
+window or a listed violation; the one matrix carrying an edge onto
+another, solved from the endpoints' columns and filtered the same way;
+direct orbit marking over residue pairs; and raw group action, with
+points built only inside the height window.  The graph module's edge
 conditions are never used to build an oracle set, only compared against
 afterwards, so agreement is evidence rather than circularity.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,33 +69,31 @@ class BoundedGroupSample:
 SCAN_CEILING = 60
 
 
-@lru_cache(maxsize=64)
-def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...]:
-    # Canonical lifts have c > 0, or c == 0 with a == d == 1.  A member
-    # has c == 0 (mod c_mod) and a == +-1 (mod a_mod), so only those values
-    # of c and a are walked; for fixed (a, c) the determinant equation
-    # pins d to the class of a^-1 mod c and b to (a*d - 1)/c.  A member
-    # also has b == 0 (mod b_mod), and b = b0 + k*a meets that for the k
-    # of one class mod b_mod/gcd(a, b_mod), or for none when gcd(a, b_mod)
-    # does not divide b0, so only that class of k is stepped; the c == 0
-    # row steps b by b_mod.  When b_mod > c_mod the walk runs on the
-    # conjugate by S = [[0, -1], [1, 0]]: (a, b, c, d) -> (d, -c, -b, a)
-    # has moduli (d_mod, c_mod, b_mod, a_mod) and the same entry bound, and
-    # is its own inverse.  Every candidate is built and sign-lifted by the
-    # constructor and kept only if the group contains it, so the result is
-    # the naive scan-and-filter set.
+def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, int]]:
+    # Yields each member with |entries| <= bound once, as the entry tuple
+    # (a, b, c, d) of the sign lift the walk reaches: the sample is walked
+    # once as entry tuples, and matrices are built only for window pairs,
+    # listed violations and the sorted scan.  Canonical lifts have c > 0,
+    # or c == 0 with a == d == 1.  A member has c == 0 (mod c_mod) and
+    # a == +-1 (mod a_mod), so only those c and a are walked; for fixed
+    # (a, c) the determinant equation pins d to the class of a^-1 mod c
+    # and b to (a*d - 1)/c.  A member also has b == 0 (mod b_mod), and
+    # b = b0 + k*a meets that for the k of one class mod b_mod/gcd(a, b_mod),
+    # or for none when gcd(a, b_mod) does not divide b0, so only that class
+    # of k is stepped; the c == 0 row steps b by b_mod.  When b_mod > c_mod
+    # the walk runs on the conjugate by S = [[0, -1], [1, 0]]:
+    # (a, b, c, d) -> (d, -c, -b, a) has moduli (d_mod, c_mod, b_mod, a_mod)
+    # and the same entry bound, and is its own inverse, so the c == 0 row
+    # yields (1, 0, -b, 1).  Every candidate is kept only if the group
+    # contains it, so the walk yields the naive scan-and-filter set.
     flip = group.b_mod > group.c_mod
     a_mod, b_mod, c_mod = ((group.d_mod, group.c_mod, group.b_mod) if flip
                            else (group.a_mod, group.b_mod, group.c_mod))
-    found: list[UnimodularMatrix] = []
-
-    def keep(a: int, b: int, c: int, d: int) -> None:
-        g = UnimodularMatrix(d, -c, -b, a) if flip else UnimodularMatrix(a, b, c, d)
-        if group.contains(g):
-            found.append(g)
-
+    contains = group.contains
     for b in range(-(bound // b_mod) * b_mod, bound + 1, b_mod):
-        keep(1, b, 0, 1)
+        g = (1, 0, -b, 1) if flip else (1, b, 0, 1)
+        if contains(g):
+            yield g
     rows = [
         a
         for a in range(-bound, bound + 1)
@@ -111,9 +112,15 @@ def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...
             first = -b0 // shared * pow(a // shared, -1, step)
             # b = b0 + k*a and d = d0 + k*c, both within the bound
             for k in _class_steps(b0, a, d0, c, bound, -bound, first, step):
-                keep(a, b0 + k * a, c, d0 + k * c)
-    found.sort()
-    return tuple(found)
+                b, d = b0 + k * a, d0 + k * c
+                g = (d, -c, -b, a) if flip else (a, b, c, d)
+                if contains(g):
+                    yield g
+
+
+@lru_cache(maxsize=64)
+def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...]:
+    return tuple(sorted(UnimodularMatrix(*g) for g in _members(group, bound)))
 
 
 def _check_entry_bound(entry_bound: int) -> None:
@@ -125,12 +132,11 @@ def _check_entry_bound(entry_bound: int) -> None:
 def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample:
     """Exactly the canonical member matrices with |entries| <= entry_bound.
 
-    Generated from the group's four moduli: only the residue classes of
-    c and a that a member can have are walked, and every candidate is
-    kept only if group.contains accepts it, so the sample equals a naive
-    scan of the whole box filtered by contains.  Deterministically
-    ordered by entry tuple.  Raises InvalidBound for bounds below 1 and
-    BoundTooLarge above the scan ceiling.
+    The walk over the residue classes the group's moduli allow, with every
+    candidate kept only if group.contains accepts it, so the sample equals
+    a naive scan of the whole box filtered by contains, ordered by entry
+    tuple.  Raises InvalidBound below 1 and BoundTooLarge above the scan
+    ceiling.
     """
     _check_entry_bound(entry_bound)
     return BoundedGroupSample(group, entry_bound, _member_scan(group, entry_bound))
@@ -263,34 +269,33 @@ def compare_edges_vs_orbital(
 ) -> OrbitalReport:
     """Compare the enumerated edge set against raw group images of the base pair.
 
-    Each member's image columns are computed as integers: they are
-    primitive, so they give the images' heights and, signed by the first
-    column, one key per distinct image pair.  Only the pairs inside the
-    height window are built as points and sorted by their entries; they
-    hold every edge, so they decide soundness and the misses.  Both
-    bounds are checked, the entry bound first, before any scan."""
+    The group sample is walked once as entry tuples: each member's image
+    columns are primitive integer pairs, which give the images' heights
+    and, signed by the first column, one key per distinct image pair.
+    Only members with both images in the height window become matrices,
+    their images points sorted by entries; they hold every edge, so they
+    decide soundness and the misses.  The entry bound is checked first."""
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
     if (l if spec.family == FAMILY_INFINITY else m) != spec.modulus:
-        raise InvalidSpec(
-            f"group {group.label} does not match graph modulus {spec.modulus}"
-        )
+        raise InvalidSpec(f"group {group.label} does not match graph "
+                          f"modulus {spec.modulus}")
     _check_entry_bound(entry_bound)
     graph = enumerate_graph(spec, height_bound)
-    sample = enumerate_group(group, entry_bound)
     alpha, beta = spec.base_pair()
     (x1, y1), (x2, y2) = alpha, beta
     h = height_bound
-    images, window = set(), set()
-    for g in sample.elements:
-        a, b, c, d = g
+    members, images, window = 0, set(), set()
+    for a, b, c, d in _members(group, entry_bound):
+        members += 1
         p, q = a * x1 + b * y1, c * x1 + d * y1
         r, s = a * x2 + b * y2, c * x2 + d * y2
         # det g == 1 fixes the product of the two columns' signs
         images.add((-p, -q, -r, -s) if q < 0 or (q == 0 and p < 0)
                    else (p, q, r, s))
         if -h <= p <= h and -h <= q <= h and -h <= r <= h and -h <= s <= h:
+            g = UnimodularMatrix(a, b, c, d)
             window.add((g.apply(alpha), g.apply(beta)))
     in_bound = sorted(window, key=lambda pair: (*pair[0], *pair[1]))
     soundness = tuple(
@@ -302,7 +307,7 @@ def compare_edges_vs_orbital(
         group=group,
         entry_bound=entry_bound,
         height_bound=height_bound,
-        member_count=len(sample.elements),
+        member_count=members,
         orbital_count=len(images),
         orbital_in_bound=len(in_bound),
         edge_count=len(graph.edges),
@@ -375,9 +380,8 @@ class LatticeReport:
         }
 
     def text_lines(self) -> list[str]:
-        lcm = self.n1 * self.n2 // math.gcd(self.n1, self.n2)
-        gcd = math.gcd(self.n1, self.n2)
-        lines = [
+        lcm, gcd = math.lcm(self.n1, self.n2), math.gcd(self.n1, self.n2)
+        return [
             f"lattice({self.n1}, {self.n2}) at entries <= {self.entry_bound}:",
             f"  principal({self.n1}) & principal({self.n2}) == principal({lcm}) "
             f"on {self.scanned} matrices: "
@@ -389,7 +393,6 @@ class LatticeReport:
                f"{len(self.product_violations)} violation(s)"),
             f"  unchecked: {self.unchecked}",
         ]
-        return lines
 
 
 # the check forms one product per pair of residue classes, but a failing
@@ -420,10 +423,7 @@ def _product_violations(
     def classes(scan):
         # each class is represented by its first member in the scan
         keys = [(a % n, b % n, c % n, d % n) for a, b, c, d in scan]
-        reps: dict[tuple[int, ...], UnimodularMatrix] = {}
-        for key, g in zip(keys, scan):
-            reps.setdefault(key, g)
-        return keys, reps
+        return keys, dict(zip(keys[::-1], scan[::-1]))
 
     left_keys, left_reps = classes(left)
     right_keys, right_reps = classes(right)
@@ -450,35 +450,30 @@ def _product_violations(
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
     """Scan-check the intersection and product lattice identities.
 
-    Products are decided once per pair of residue classes of the two
-    scans, and violations are listed from the pairs that fail.
-    products_checked counts every product those decisions cover; only a
-    listing above PRODUCT_CEILING is refused.
+    The intersection half walks the full group's sample once as entry
+    tuples, building a matrix only for a violation.  Products are decided
+    once per pair of residue classes of the two scans, and violations are
+    listed from the pairs that fail.  products_checked counts every
+    product those decisions cover; only a listing above PRODUCT_CEILING
+    is refused.
     """
     if n1 < 1 or n2 < 1:
         raise InvalidModulus(f"moduli must be >= 1, got ({n1}, {n2})")
-    everything = enumerate_group(full_group(), entry_bound)
-    lcm = n1 * n2 // math.gcd(n1, n2)
-    meet_a = principal(n1)
-    meet_b = principal(n2)
-    meet = principal(lcm)
-    bad_meet = tuple(
-        g
-        for g in everything.elements
-        if (meet_a.contains(g) and meet_b.contains(g)) != meet.contains(g)
-    )
+    _check_entry_bound(entry_bound)
+    meet_a, meet_b, meet = principal(n1), principal(n2), principal(math.lcm(n1, n2))
+    scanned, bad_meet = 0, []
+    for g in _members(full_group(), entry_bound):
+        scanned += 1
+        if (meet_a.contains(g) and meet_b.contains(g)) != meet.contains(g):
+            bad_meet.append(UnimodularMatrix(*g))
 
-    join = gamma0(math.gcd(n1, n2))
-    left = enumerate_group(principal(n1), entry_bound)
-    right = enumerate_group(gamma0(n2), entry_bound)
+    left = enumerate_group(principal(n1), entry_bound).elements
+    right = enumerate_group(gamma0(n2), entry_bound).elements
     return LatticeReport(
-        n1=n1,
-        n2=n2,
-        entry_bound=entry_bound,
-        scanned=len(everything.elements),
-        intersection_violations=bad_meet,
-        products_checked=len(left.elements) * len(right.elements),
-        product_violations=_product_violations(left.elements, right.elements, join),
+        n1=n1, n2=n2, entry_bound=entry_bound, scanned=scanned,
+        intersection_violations=tuple(sorted(bad_meet)),
+        products_checked=len(left) * len(right),
+        product_violations=_product_violations(left, right, gamma0(math.gcd(n1, n2))),
     )
 
 

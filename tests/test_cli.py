@@ -349,6 +349,26 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == f"error: --suite {suite} does not read {named}\n"
 
+    @pytest.mark.parametrize("suite, flags, named", [
+        ("blocks", ("--max", "2", "--entry-bound", "7", "--height-bound", "3"),
+         "--entry-bound, --height-bound"),
+        ("oracle", ("--max", "3", "--entry-bound", "8"), "--max"),
+        ("selfpaired", ("--mod", "5", "--u", "2", "--height-bound", "4"),
+         "--height-bound"),
+        ("pairing", ("--height-bound", "8", "--entry-bound", "4", "--max", "2"),
+         "--max, --entry-bound"),
+        ("lattice", ("--entry-bound", "8", "--height-bound", "5"), "--height-bound"),
+    ])
+    def test_single_suite_refuses_bounds_it_does_not_read(
+        self, capsys, monkeypatch, suite, flags, named
+    ):
+        # a bound the suite would ignore is refused before the suite runs;
+        # the bounds it does read are accepted alongside
+        monkeypatch.setattr(cli_module, "_SUITES", {})
+        code, out, err = run(capsys, "verify", "--suite", suite, *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: --suite {suite} does not read {named}\n"
+
     def test_all_runs_the_five_sweeps(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "all", "--json",
@@ -403,6 +423,7 @@ class TestVerifyCommand:
             raise AssertionError("the group was scanned")
 
         monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
+        monkeypatch.setattr(oracle_module, "_members", no_scan)
         flags = ("verify", "--suite", "oracle", "--family", "finf", "--u", "1",
                  "--l", "2", "--m", "1", "--height-bound", "100000")
         code, out, err = run(capsys, *flags, "--entry-bound", "60")
@@ -517,6 +538,21 @@ LATTICE_SHA256 = {
 }
 
 
+# sha256 over (exit code, stdout, stderr) at the largest bounds the verify
+# benchmark reaches: the 22 default oracle configurations at entry bound
+# 60 and height bound 40, and lattice(4, 6) at entry bound 28, which fails
+# on its intersection violations.  Written when the oracle still scanned
+# its sample as sorted matrices.
+BENCH_BOUNDS_SHA256 = [
+    (("verify", "--suite", "oracle", "--json", "--entry-bound", "60",
+      "--height-bound", "40"),
+     0, "bc58e6a02eac2b2ccd37901e67fffe03aace336c25bb6ac2efb32f172ee613ab"),
+    (("verify", "--suite", "lattice", "--n1", "4", "--n2", "6",
+      "--entry-bound", "28", "--json"),
+     1, "c3cb2702f90b456fcb99e994824449ddd30a25b3b98cd10fb477e89f5e8c6299"),
+]
+
+
 class TestLatticeOutputs:
     @staticmethod
     def digest(capsys, *argvs):
@@ -542,6 +578,10 @@ class TestLatticeOutputs:
         # intersection coset; no product listing reaches the ceiling
         assert codes == {0: 401, 1: 4}
         assert digest == LATTICE_SHA256[fmt]
+
+    @pytest.mark.parametrize("argv, code, sha", BENCH_BOUNDS_SHA256)
+    def test_benchmark_bounds_are_byte_identical(self, capsys, argv, code, sha):
+        assert self.digest(capsys, argv) == (sha, {code: 1})
 
     def test_all_suites_json_is_byte_identical(self, capsys):
         digest, codes = self.digest(capsys, ["verify", "--suite", "all", "--json"])

@@ -1,5 +1,6 @@
 """Tests for the brute-force ground-truth module."""
 
+import collections
 import itertools
 import math
 import random
@@ -82,6 +83,40 @@ class TestEnumerateGroup:
                 expected = tuple(g for g in box if group.contains(g))
                 assert enumerate_group(group, bound).elements == expected, (
                     moduli, bound)
+
+    def test_member_walk_is_filtered_by_contains(self, monkeypatch):
+        # the walk steps only the classes the moduli allow, which still
+        # holds non-members: contains on every candidate makes the sample
+        # exact, and the oracle's member count depends on it
+        visited = collections.Counter()
+        contains = SubgroupSpec.contains
+
+        def counted(group, g):
+            visited[group.label] += 1
+            return contains(group, g)
+
+        monkeypatch.setattr(SubgroupSpec, "contains", counted)
+        for (l, m), (walked, kept) in {
+            (5, 3): (53, 33), (4, 3): (85, 47), (7, 3): (29, 21),
+        }.items():
+            group = gamma0_pair(l, m)
+            assert len(list(oracle_module._members(group, 20))) == kept
+            assert visited[group.label] == walked
+
+    def test_member_walk_is_the_naive_scan_and_filter(self):
+        # plain entry tuples in the walk's own sign lift, each member once
+        for bound in range(1, 7):
+            box = sorted(naive_scan(bound))
+            for moduli in itertools.product(range(1, 5), repeat=4):
+                group = SubgroupSpec(*moduli, "moduli")
+                walked = list(oracle_module._members(group, bound))
+                assert all(type(g) is tuple for g in walked)
+                canonical = sorted(UnimodularMatrix(*g) for g in walked)
+                assert len(set(canonical)) == len(canonical), (moduli, bound)
+                assert canonical == [g for g in box if group.contains(g)], (
+                    moduli, bound)
+        # on the S-conjugate walk the c == 0 row is (1, 0, -b, 1)
+        assert (1, 0, -1, 1) in oracle_module._members(SubgroupSpec(1, 2, 1, 1, "s"), 1)
 
     def test_pair_subgroup_examples(self):
         sample = enumerate_group(gamma0_pair(2, 3), 3)
@@ -343,6 +378,21 @@ class TestCompareEdgesVsOrbital:
         assert report.orbital_count == report.member_count
         assert len(calls) == 2 * report.orbital_in_bound
 
+    def test_makes_no_matrix_scan(self, monkeypatch):
+        # the oracle walks the group's entry tuples itself; the sorted,
+        # cached matrix scan is not started and the report is unchanged
+        configs = [(F12, gamma0_pair(2, 1), 20, 10), (F12, gamma0_pair(2, 2), 12, 8),
+                   (F32, gamma0_pair(2, 3), 15, 12), (F32, gamma0_pair(1, 3), 30, 5)]
+        references = [full_replay(*config) for config in configs]
+
+        def no_scan(*args):
+            raise AssertionError("the matrix scan was started")
+
+        monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
+        monkeypatch.setattr(oracle_module, "_member_scan", no_scan)
+        for config, reference in zip(configs, references):
+            assert compare_edges_vs_orbital(*config) == reference, config
+
     def test_report_serializes(self):
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 5, 5)
         data = report.to_dict()
@@ -442,6 +492,38 @@ class TestLatticeIdentity:
         assert counts["mul"] <= pairs
         # the intersection half tests at most three memberships per matrix
         assert counts["contains"] <= 3 * scanned + pairs + scan_filter_calls
+
+    @pytest.mark.parametrize("n1, n2, bound", [(3, 4, 28), (2, 3, 12), (4, 8, 20)])
+    def test_meet_builds_matrices_only_for_violations(
+        self, monkeypatch, n1, n2, bound
+    ):
+        # the intersection half walks the full group as entry tuples: the
+        # only matrices built are its listed violations, the members of
+        # the two product scans and the products, and the full group's
+        # sample is not cached
+        counts = collections.Counter()
+        new, mul = UnimodularMatrix.__new__, UnimodularMatrix.__mul__
+
+        def counted_new(cls, *entries):
+            counts["new"] += 1
+            return new(cls, *entries)
+
+        def counted_mul(p, q):
+            counts["mul"] += 1
+            return mul(p, q)
+
+        oracle_module._member_scan.cache_clear()
+        monkeypatch.setattr(UnimodularMatrix, "__new__", counted_new)
+        monkeypatch.setattr(UnimodularMatrix, "__mul__", counted_mul)
+        report = verify_lattice_identity(n1, n2, bound)
+        monkeypatch.undo()
+        assert oracle_module._member_scan.cache_info().currsize == 2
+        left = enumerate_group(principal(n1), bound).elements
+        right = enumerate_group(gamma0(n2), bound).elements
+        violations = len(report.intersection_violations)
+        assert counts["new"] == violations + len(left) + len(right) + counts["mul"]
+        assert counts["new"] < report.scanned
+        assert (violations > 0) == ((n1, n2) == (3, 4))
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidModulus):
