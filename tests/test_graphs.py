@@ -75,6 +75,23 @@ F32_AT_4_EDGES = [
 ]
 
 
+def record_lookups(monkeypatch, looked_up):
+    """Make enumerate_graph's walk append every head it looks up, hit or
+    miss, to looked_up: the real walk runs with a counting find."""
+    walk = graphs_module._lattice_heads
+
+    def counted(*args):
+        *rest, find = args
+
+        def look(head):
+            looked_up.append(head)
+            return find(head)
+
+        return walk(*rest, look)
+
+    monkeypatch.setattr(graphs_module, "_lattice_heads", counted)
+
+
 class TestGraphSpec:
     def test_validation(self):
         with pytest.raises(InvalidSpec):
@@ -310,16 +327,9 @@ class TestEnumerateGraph:
         self, family, reversed_, monkeypatch
     ):
         # the lookups enumerate_graph makes: every head its lattice walk
-        # yields, which depend on u
+        # hands to find, hit or miss, which depend on u
         lookups = []
-        walk = graphs_module._lattice_heads
-
-        def counted(*args):
-            for head in walk(*args):
-                lookups.append(head)
-                yield head
-
-        monkeypatch.setattr(graphs_module, "_lattice_heads", counted)
+        record_lookups(monkeypatch, lookups)
         for m in range(1, 9):
             for u in range(1, max(m, 2)):
                 if math.gcd(u, m) != 1:
@@ -414,14 +424,7 @@ class TestEnumerateGraph:
         # allow, so every head the walk finds among the vertices is an
         # edge, with the sign edge_check gives it
         heads = []
-        walk = graphs_module._lattice_heads
-
-        def counted(*args):
-            for head in walk(*args):
-                heads.append(head)
-                yield head
-
-        monkeypatch.setattr(graphs_module, "_lattice_heads", counted)
+        record_lookups(monkeypatch, heads)
         for m in range(1, 13):
             for u in range(1, max(m, 2)):
                 if math.gcd(u, m) != 1:
@@ -435,6 +438,29 @@ class TestEnumerateGraph:
                     assert found == len(graph.edges), (spec, bound)
                     for e in graph.edges:
                         assert edge_check(spec, e.src, e.dst) == e.sign, (spec, e)
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
+    def test_walk_holds_only_what_the_constructors_would_build(
+        self, family, reversed_
+    ):
+        # the walk builds its points and edges without the checking
+        # constructors; each must still be exactly what they would give
+        for m in range(1, 13):
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
+                for bound in range(1, 41):
+                    graph = enumerate_graph(spec, bound)
+                    for v in graph.vertices:
+                        assert type(v) is ProjectiveRational, (spec, bound, v)
+                        assert tuple(v) == tuple(ProjectiveRational(*v)), (spec, v)
+                    for e in graph.edges:
+                        assert type(e) is DirectedEdge, (spec, bound, e)
+                        assert e.src != e.dst, (spec, bound, e)
+                    assert len(set(graph.edges)) == len(graph.edges), (spec, bound)
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
