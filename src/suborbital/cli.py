@@ -1,7 +1,10 @@
 """Command line front end.
 
 Commands: edges (emit a graph as json/dot/svg), verify (run the
-brute-force check suites), psi, phi-pair, partner, selfpaired.
+brute-force check suites), psi, phi-pair, partner, selfpaired.  Each
+command and each of its flags is declared once, in one table that also
+names the verify suites reading each flag; a run builds the arguments of
+the command it names only.
 
 Exit codes: 0 success, 1 a checked mathematical property failed,
 2 invalid arguments, 3 resource limit exceeded.  Payloads go to
@@ -14,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 
 from .errors import (
     BoundTooLarge,
@@ -55,92 +59,6 @@ LATTICE_CONFIGS = ((2, 3), (2, 4), (4, 6))
 # the blocks suite marks about n*n residue pairs for each modulus n <= --max;
 # larger estimated totals are refused
 BLOCKS_WORK_CEILING = 1_000_000
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="suborbital",
-        description=(
-            "Construct and verify the suborbital graphs of the"
-            " two-parameter congruence subgroups of the modular group."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_edges = sub.add_parser(
-        "edges", help="enumerate one graph and emit it as json, dot, or svg"
-    )
-    p_edges.add_argument(
-        "--family", required=True, choices=(FAMILY_INFINITY, FAMILY_ZERO)
-    )
-    p_edges.add_argument("--u", type=int, required=True)
-    p_edges.add_argument("--mod", type=int, required=True)
-    p_edges.add_argument("--bound", type=int, required=True,
-                         help="height bound for vertex enumeration")
-    p_edges.add_argument("--format", choices=("json", "dot", "svg"),
-                         default="json")
-    p_edges.add_argument("--reversed", action="store_true",
-                         help="emit the reversed-orientation partner family")
-    p_edges.add_argument("--width", type=int, default=640,
-                         help="svg width in pixels (64 to 100000)")
-    p_edges.set_defaults(handler=cmd_edges)
-
-    p_verify = sub.add_parser(
-        "verify", help="run a brute-force verification suite"
-    )
-    p_verify.add_argument(
-        "--suite",
-        required=True,
-        choices=("oracle", "blocks", "selfpaired", "pairing", "lattice", "all"),
-    )
-    p_verify.add_argument("--max", type=int, default=None,
-                          help="blocks suite: largest modulus to test")
-    p_verify.add_argument("--family",
-                          choices=(FAMILY_INFINITY, FAMILY_ZERO),
-                          default=None,
-                          help="oracle suite: restrict to one configuration")
-    p_verify.add_argument("--u", type=int, default=None)
-    p_verify.add_argument("--mod", type=int, default=None)
-    p_verify.add_argument("--l", type=int, default=None,
-                          help="oracle suite: first group modulus")
-    p_verify.add_argument("--m", type=int, default=None,
-                          help="oracle suite: second group modulus")
-    p_verify.add_argument("--n1", type=int, default=None,
-                          help="lattice suite: first modulus")
-    p_verify.add_argument("--n2", type=int, default=None,
-                          help="lattice suite: second modulus")
-    p_verify.add_argument("--entry-bound", type=int, default=None)
-    p_verify.add_argument("--height-bound", type=int, default=None)
-    p_verify.add_argument("--json", action="store_true",
-                          help="emit the report as JSON instead of text")
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_psi = sub.add_parser("psi", help="multiplicative block-count formula")
-    p_psi.add_argument("n", type=int)
-    p_psi.set_defaults(handler=cmd_psi)
-
-    p_phi = sub.add_parser(
-        "phi-pair", help="invariant-relation count for a modulus pair"
-    )
-    p_phi.add_argument("l", type=int)
-    p_phi.add_argument("m", type=int)
-    p_phi.set_defaults(handler=cmd_phi_pair)
-
-    p_partner = sub.add_parser(
-        "partner", help="label of the edge-reversal partner graph"
-    )
-    p_partner.add_argument("--u", type=int, required=True)
-    p_partner.add_argument("--mod", type=int, required=True)
-    p_partner.set_defaults(handler=cmd_partner)
-
-    p_self = sub.add_parser(
-        "selfpaired", help="whether the graph contains its own reversed edges"
-    )
-    p_self.add_argument("--u", type=int, required=True)
-    p_self.add_argument("--mod", type=int, required=True)
-    p_self.set_defaults(handler=cmd_selfpaired)
-
-    return parser
 
 
 def cmd_edges(args: argparse.Namespace) -> int:
@@ -189,23 +107,6 @@ def _suite_blocks(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
         "ok": ok,
     }
     return ok, lines, data
-
-
-# each flag of verify, in the order messages name them, and the suites
-# that read it: a suite refuses the others, and --suite all reads only the
-# bounds, which it passes to each suite that reads them
-_VERIFY_FLAGS = {
-    "family": ("oracle",),
-    "u": ("oracle", "selfpaired", "pairing"),
-    "mod": ("selfpaired", "pairing"),
-    "l": ("oracle",),
-    "m": ("oracle",),
-    "n1": ("lattice",),
-    "n2": ("lattice",),
-    "max": ("all", "blocks"),
-    "entry_bound": ("all", "oracle", "selfpaired", "lattice"),
-    "height_bound": ("all", "oracle", "pairing"),
-}
 
 
 def _single_config(args: argparse.Namespace, what: str) -> bool:
@@ -378,9 +279,93 @@ def cmd_selfpaired(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# each command: (help, handler, arguments), and each argument in help
+# order: (flag, argparse options, the verify suites that read it); a suite
+# refuses the others, and --suite all reads only the bounds, which it
+# passes to each suite that reads them
+_COMMANDS = {
+    "edges": ("enumerate one graph and emit it as json, dot, or svg", cmd_edges, (
+        ("--family", dict(required=True, choices=(FAMILY_INFINITY, FAMILY_ZERO)), ()),
+        ("--u", dict(type=int, required=True), ()),
+        ("--mod", dict(type=int, required=True), ()),
+        ("--bound", dict(type=int, required=True,
+                         help="height bound for vertex enumeration"), ()),
+        ("--format", dict(choices=("json", "dot", "svg"), default="json"), ()),
+        ("--reversed", dict(action="store_true",
+                            help="emit the reversed-orientation partner family"), ()),
+        ("--width", dict(type=int, default=640,
+                         help="svg width in pixels (64 to 100000)"), ()),
+    )),
+    "verify": ("run a brute-force verification suite", cmd_verify, (
+        ("--suite", dict(required=True, choices=(
+            "oracle", "blocks", "selfpaired", "pairing", "lattice", "all")), ()),
+        ("--max", dict(type=int, help="blocks suite: largest modulus to test"),
+         ("all", "blocks")),
+        ("--family", dict(choices=(FAMILY_INFINITY, FAMILY_ZERO),
+                          help="oracle suite: restrict to one configuration"),
+         ("oracle",)),
+        ("--u", dict(type=int), ("oracle", "selfpaired", "pairing")),
+        ("--mod", dict(type=int), ("selfpaired", "pairing")),
+        ("--l", dict(type=int, help="oracle suite: first group modulus"), ("oracle",)),
+        ("--m", dict(type=int, help="oracle suite: second group modulus"), ("oracle",)),
+        ("--n1", dict(type=int, help="lattice suite: first modulus"), ("lattice",)),
+        ("--n2", dict(type=int, help="lattice suite: second modulus"), ("lattice",)),
+        ("--entry-bound", dict(type=int), ("all", "oracle", "selfpaired", "lattice")),
+        ("--height-bound", dict(type=int), ("all", "oracle", "pairing")),
+        ("--json", dict(action="store_true",
+                        help="emit the report as JSON instead of text"), ()),
+    )),
+    "psi": ("multiplicative block-count formula", cmd_psi, (
+        ("n", dict(type=int), ()),
+    )),
+    "phi-pair": ("invariant-relation count for a modulus pair", cmd_phi_pair, (
+        ("l", dict(type=int), ()),
+        ("m", dict(type=int), ()),
+    )),
+    "partner": ("label of the edge-reversal partner graph", cmd_partner, (
+        ("--u", dict(type=int, required=True), ()),
+        ("--mod", dict(type=int, required=True), ()),
+    )),
+    "selfpaired": ("whether the graph contains its own reversed edges", cmd_selfpaired, (
+        ("--u", dict(type=int, required=True), ()),
+        ("--mod", dict(type=int, required=True), ()),
+    )),
+}
+
+# verify's suite-scoped flags by dest, in the order messages name them:
+# the single-configuration flags, then the bounds
+_VERIFY_FLAGS = {
+    flag.lstrip("-").replace("-", "_"): suites
+    for flag, _, suites in sorted(_COMMANDS["verify"][2], key=lambda row: "all" in row[2])
+    if suites
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser with every command, and the arguments of the command
+    argv[0] names, or of every command when it names none."""
+    parser = argparse.ArgumentParser(
+        prog="suborbital",
+        description=(
+            "Construct and verify the suborbital graphs of the"
+            " two-parameter congruence subgroups of the modular group."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.set_defaults(handler=handler)
+        if named in (None, name):
+            for flag, options, _ in arguments:
+                command.add_argument(flag, **options)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except BoundTooLarge as exc:

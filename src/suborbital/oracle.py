@@ -18,7 +18,6 @@ import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidBound, InvalidModulus, InvalidSpec, refuse_above
 from .graphs import (
@@ -118,11 +117,6 @@ def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, i
                     yield g
 
 
-@lru_cache(maxsize=64)
-def _member_scan(group: SubgroupSpec, bound: int) -> tuple[UnimodularMatrix, ...]:
-    return tuple(sorted(UnimodularMatrix(*g) for g in _members(group, bound)))
-
-
 def _check_entry_bound(entry_bound: int) -> None:
     if entry_bound < 1:
         raise InvalidBound(f"entry bound must be >= 1, got {entry_bound}")
@@ -139,7 +133,8 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
     ceiling.
     """
     _check_entry_bound(entry_bound)
-    return BoundedGroupSample(group, entry_bound, _member_scan(group, entry_bound))
+    elements = sorted(UnimodularMatrix(*g) for g in _members(group, entry_bound))
+    return BoundedGroupSample(group, entry_bound, tuple(elements))
 
 
 def transitivity_witness(

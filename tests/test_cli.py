@@ -336,6 +336,8 @@ class TestVerifyCommand:
         ("blocks", ("--max", "3", "--u", "3", "--n1", "4"), "--u, --n1"),
         ("oracle", ("--family", "finf", "--u", "1", "--l", "2", "--m", "1",
                     "--mod", "2"), "--mod"),
+        ("oracle", ("--family", "finf", "--u", "1", "--l", "2", "--m", "1",
+                    "--max", "3", "--mod", "2"), "--mod, --max"),
         ("selfpaired", ("--u", "1", "--mod", "2", "--l", "5"), "--l"),
         ("pairing", ("--mod", "5", "--u", "2", "--n2", "3"), "--n2"),
         ("lattice", ("--n1", "2", "--n2", "3", "--family", "finf"), "--family"),
@@ -503,6 +505,68 @@ def _contract_cases():
                 for action, value in values.items():
                     argv += action.option_strings[:1] + [str(value)]
                 yield argv, "/".join(target.option_strings) or target.dest
+
+
+# per command: a valid run, the run without a required argument, a bad
+# choice (None when the command has no choices) and a non-integer
+SCOPED_RUNS = {
+    "edges": (("--family", "finf", "--u", "1", "--mod", "2", "--bound", "4"),
+              ("--family", "finf", "--u", "1", "--mod", "2"),
+              ("--family", "finf", "--u", "1", "--mod", "2", "--bound", "4",
+               "--format", "png"),
+              ("--family", "finf", "--u", "one", "--mod", "2", "--bound", "4")),
+    "verify": (("--suite", "blocks", "--max", "3"), ("--max", "3"),
+               ("--suite", "every"), ("--suite", "blocks", "--max", "3.5")),
+    "psi": (("12",), (), None, ("twelve",)),
+    "phi-pair": (("2", "3"), ("2",), None, ("2", "x")),
+    "partner": (("--u", "3", "--mod", "7"), ("--u", "3"), None,
+                ("--u", "3", "--mod", "0x7")),
+    "selfpaired": (("--u", "1", "--mod", "2"), ("--mod", "2"), None,
+                   ("--u", "", "--mod", "2")),
+}
+
+
+def _scoped_argvs():
+    for name, (valid, missing, choice, non_int) in SCOPED_RUNS.items():
+        for args in (valid, missing, choice, non_int, ("-h",),
+                     (*valid, "--bogus", "1"), (*valid, "7")):
+            if args is not None:
+                yield [name, *args]
+    # the last two print the top-level usage, which lists every command
+    yield from ([], ["-h"], ["-h", "edges"], ["--", "psi", "3"], ["bogus"],
+                ["psi", "3", "4"], ["edges", *SCOPED_RUNS["edges"][0], "edges"])
+
+
+class TestArgvScopedParser:
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_runs_as_the_whole_tree(self, capsys, monkeypatch):
+        argvs = list(_scoped_argvs())
+        scoped = [self.outcome(capsys, argv) for argv in argvs]
+        whole = build_parser
+        monkeypatch.setattr(cli_module, "build_parser", lambda argv=(): whole())
+        for argv, got in zip(argvs, scoped):
+            assert got == self.outcome(capsys, argv), argv
+        assert {code for code, _, _ in scoped} == {0, 2}
+
+    def test_other_commands_hold_only_help(self):
+        parser = build_parser(["edges", *SCOPED_RUNS["edges"][0]])
+        commands = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        held = {name: [a.dest for a in sub._actions]
+                for name, sub in commands.choices.items()}
+        assert held.pop("edges") == [
+            "help", "family", "u", "mod", "bound", "format", "reversed", "width"
+        ]
+        assert held == {name: ["help"] for name in cli_module._COMMANDS if name != "edges"}
 
 
 class TestExitCodeContract:
