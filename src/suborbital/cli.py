@@ -36,6 +36,7 @@ from .graphs import (
     paired_partner,
 )
 from .oracle import (
+    SCAN_CEILING,
     compare_edges_vs_orbital,
     count_blocks,
     verify_lattice_identity,
@@ -171,7 +172,8 @@ def _suite_selfpaired(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
     return _collect("selfpaired", [
         verify_self_paired(
             GraphSpec(family=FAMILY_INFINITY, u=u, modulus=modulus),
-            args.entry_bound if args.entry_bound is not None else 4 * modulus,
+            args.entry_bound if args.entry_bound is not None
+            else min(4 * modulus, SCAN_CEILING),
         )
         for u, modulus in configs
     ])

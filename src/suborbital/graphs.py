@@ -6,7 +6,8 @@ determinant r*y - s*x to +m or -m by one set of congruences.  The
 "fzero" family F[m, u] lives on the block of 0/1 and is the image of
 F[u, m] under the reflection R: x/y -> y/x, which swaps 1/0 and 0/1.
 The reversed flag realizes the partner graph whose edges are exactly
-the originals written backwards.
+the originals written backwards.  Specs and graphs are tuple records,
+as points and edges are tuple values.
 
 Only the finf rule is written out: an fzero pair is tested as its
 R-image, swapped for a reversed spec.  The canonical fraction of a
@@ -26,8 +27,8 @@ canonical are held without re-running the normalising constructors.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
@@ -51,37 +52,36 @@ FAMILY_INFINITY = "finf"
 FAMILY_ZERO = "fzero"
 
 
-@dataclass(frozen=True)
-class GraphSpec:
-    """Parameters (family, u, modulus, reversed) of one graph.
+class GraphSpec(namedtuple("GraphSpec", "family u modulus reversed")):
+    """Parameters (family, u, modulus, reversed) of one graph: the tuple
+    it equals and hashes as.
 
     u must be a unit for the modulus, strictly below it once the modulus
     exceeds 1, and 1 at modulus 1.  The reversed flag is only meaningful
     for the fzero family, where it encodes the partner graph.
     """
 
-    family: str
-    u: int
-    modulus: int
-    reversed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in (FAMILY_INFINITY, FAMILY_ZERO):
-            raise InvalidSpec(f"unknown graph family {self.family!r}")
-        if self.modulus < 1:
-            raise InvalidSpec(f"modulus must be >= 1, got {self.modulus}")
-        if self.u < 1:
-            raise InvalidSpec(f"u must be >= 1, got {self.u}")
-        if self.u >= max(self.modulus, 2):
-            need = "be 1 at modulus 1" if self.modulus == 1 else (
-                f"satisfy 1 <= u < {self.modulus}")
-            raise InvalidSpec(f"u must {need}, got {self.u}")
-        if math.gcd(self.u, self.modulus) != 1:
-            raise InvalidSpec(
-                f"u and modulus must be coprime, got ({self.u}, {self.modulus})"
-            )
-        if self.reversed and self.family != FAMILY_ZERO:
+    def __new__(cls, family: str, u: int, modulus: int, reversed: bool = False):
+        if family not in (FAMILY_INFINITY, FAMILY_ZERO):
+            raise InvalidSpec(f"unknown graph family {family!r}")
+        if modulus < 1:
+            raise InvalidSpec(f"modulus must be >= 1, got {modulus}")
+        if u < 1:
+            raise InvalidSpec(f"u must be >= 1, got {u}")
+        if u >= max(modulus, 2):
+            need = "be 1 at modulus 1" if modulus == 1 else (
+                f"satisfy 1 <= u < {modulus}")
+            raise InvalidSpec(f"u must {need}, got {u}")
+        if math.gcd(u, modulus) != 1:
+            raise InvalidSpec(f"u and modulus must be coprime, got ({u}, {modulus})")
+        if reversed and family != FAMILY_ZERO:
             raise InvalidSpec("only fzero graphs have a reversed form")
+        return tuple.__new__(cls, (family, u, modulus, reversed))
+
+    # _replace builds through _make, so both construct through the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def forward_u(self) -> int:
         """The unit the edge congruences actually use.
@@ -339,14 +339,10 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     return SuborbitalGraph(spec, height_bound, tuple(vertices), tuple(edges))
 
 
-@dataclass(frozen=True)
-class SuborbitalGraph:
+class SuborbitalGraph(namedtuple("SuborbitalGraph", "spec height_bound vertices edges")):
     """One enumerated graph: spec, height bound, sorted vertices, sorted edges."""
 
-    spec: GraphSpec
-    height_bound: int
-    vertices: tuple[ProjectiveRational, ...]
-    edges: tuple[DirectedEdge, ...]
+    __slots__ = ()
 
 
 def is_self_paired(spec: GraphSpec) -> bool:

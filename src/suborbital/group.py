@@ -3,12 +3,13 @@
 Matrices are stored as a canonical representative of the pair {M, -M}:
 the lift with c > 0, or with c == 0 and a > 0.  Subgroup membership is a
 congruence test on the entries and accepts a matrix when either lift
-satisfies the conditions, since both lifts act identically.
+satisfies the conditions, since both lifts act identically.  Matrices
+and subgroup specs are tuples, which they equal and hash as.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .errors import InvalidModulus
@@ -91,9 +92,9 @@ class UnimodularMatrix(tuple):
 IDENTITY = UnimodularMatrix(1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A congruence subgroup given by four moduli and its label.
+class SubgroupSpec(namedtuple("SubgroupSpec", "a_mod b_mod c_mod d_mod label")):
+    """A congruence subgroup given by four moduli and its label: the
+    tuple (a_mod, b_mod, c_mod, d_mod, label), which it equals and hashes as.
 
     A matrix is a member when one of its sign lifts has
     a == 1 (mod a_mod), b == 0 (mod b_mod), c == 0 (mod c_mod) and
@@ -109,16 +110,16 @@ class SubgroupSpec:
     gamma00_pair(l, m)   (1, m, l, 1)
     """
 
-    a_mod: int
-    b_mod: int
-    c_mod: int
-    d_mod: int
-    label: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for n in (self.a_mod, self.b_mod, self.c_mod, self.d_mod):
+    def __new__(cls, a_mod: int, b_mod: int, c_mod: int, d_mod: int, label: str):
+        for n in (a_mod, b_mod, c_mod, d_mod):
             if n < 1:
                 raise InvalidModulus(f"subgroup modulus must be >= 1, got {n}")
+        return tuple.__new__(cls, (a_mod, b_mod, c_mod, d_mod, label))
+
+    # _replace builds through _make, so both construct through the checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def contains(self, g: UnimodularMatrix) -> bool:
         """True when either sign lift of g satisfies the congruences.

@@ -3,21 +3,21 @@
 Everything here works from first principles: walks of bounded integer
 matrices, exhaustive over the residue classes of a, b and c a subgroup's
 moduli allow and filtered by its membership test, once each as entry
-tuples, built as matrices only for a sorted scan, a pair in the height
-window or a listed violation; the one matrix carrying an edge onto
-another, solved from the endpoints' columns and filtered the same way;
-direct orbit marking over residue pairs; and raw group action, with
-points built only inside the height window.  The graph module's edge
+tuples, built as matrices only for a sorted scan or a listed violation;
+the one matrix carrying an edge onto another, solved from the endpoints'
+columns and filtered the same way; direct orbit marking over residue
+pairs; and raw group action on the base pair's columns, with points
+built only inside the height window.  The graph module's edge
 conditions are never used to build an oracle set, only compared against
-afterwards, so agreement is evidence rather than circularity.
+afterwards, so agreement is evidence rather than circularity.  Samples
+and reports are tuple records that equal and hash as their field tuples.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import InvalidBound, InvalidModulus, InvalidSpec, refuse_above
 from .graphs import (
@@ -53,13 +53,10 @@ __all__ = [
     "verify_self_paired",
 ]
 
-@dataclass(frozen=True)
-class BoundedGroupSample:
+class BoundedGroupSample(namedtuple("BoundedGroupSample", "group entry_bound elements")):
     """Every canonical member matrix with all entries inside the bound."""
 
-    group: SubgroupSpec
-    entry_bound: int
-    elements: tuple[UnimodularMatrix, ...]
+    __slots__ = ()
 
 
 # larger entry bounds are refused; a scan grows with the bound's square,
@@ -71,8 +68,8 @@ SCAN_CEILING = 60
 def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, int]]:
     # Yields each member with |entries| <= bound once, as the entry tuple
     # (a, b, c, d) of the sign lift the walk reaches: the sample is walked
-    # once as entry tuples, and matrices are built only for window pairs,
-    # listed violations and the sorted scan.  Canonical lifts have c > 0,
+    # once as entry tuples, and matrices are built only for listed
+    # violations and the sorted scan.  Canonical lifts have c > 0,
     # or c == 0 with a == d == 1.  A member has c == 0 (mod c_mod) and
     # a == +-1 (mod a_mod), so only those c and a are walked; for fixed
     # (a, c) the determinant equation pins d to the class of a^-1 mod c
@@ -179,12 +176,15 @@ def transitivity_witness(
     return None
 
 
-@dataclass(frozen=True)
-class OrbitalReport:
+class OrbitalReport(namedtuple("OrbitalReport", (
+    "spec group entry_bound height_bound member_count orbital_count "
+    "orbital_in_bound edge_count soundness_failures completeness_misses"
+))):
     """Outcome of one oracle-versus-predicate comparison.
 
     orbital_count counts the distinct image pairs of the base pair over
-    all member_count members, and orbital_in_bound those in the window.
+    all member_count members, and orbital_in_bound those in the window;
+    distinct members give distinct pairs, so orbital_count == member_count.
     soundness_failures lists orbital pairs inside the height window that
     the edge predicate rejected; a correct build keeps it empty.
     completeness_misses lists predicate edges the bounded orbital never
@@ -195,16 +195,7 @@ class OrbitalReport:
     from entry bound 30 on.
     """
 
-    spec: GraphSpec
-    group: SubgroupSpec
-    entry_bound: int
-    height_bound: int
-    member_count: int
-    orbital_count: int
-    orbital_in_bound: int
-    edge_count: int
-    soundness_failures: tuple[tuple[ProjectiveRational, ProjectiveRational], ...]
-    completeness_misses: tuple[DirectedEdge, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -265,11 +256,13 @@ def compare_edges_vs_orbital(
     """Compare the enumerated edge set against raw group images of the base pair.
 
     The group sample is walked once as entry tuples: each member's image
-    columns are primitive integer pairs, which give the images' heights
-    and, signed by the first column, one key per distinct image pair.
-    Only members with both images in the height window become matrices,
-    their images points sorted by entries; they hold every edge, so they
-    decide soundness and the misses.  The entry bound is checked first."""
+    columns are primitive integer pairs, which give the images' heights.
+    Two distinct points have a trivial joint stabilizer, so distinct
+    members carry the base pair to distinct image pairs and the orbital
+    count is the member count.  Only the image pairs inside the height
+    window become points, built from the columns and sorted by entries;
+    they hold every edge, so they decide soundness and the misses.  The
+    entry bound is checked first."""
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
@@ -278,20 +271,15 @@ def compare_edges_vs_orbital(
                           f"modulus {spec.modulus}")
     _check_entry_bound(entry_bound)
     graph = enumerate_graph(spec, height_bound)
-    alpha, beta = spec.base_pair()
-    (x1, y1), (x2, y2) = alpha, beta
+    (x1, y1), (x2, y2) = spec.base_pair()
     h = height_bound
-    members, images, window = 0, set(), set()
+    members, window = 0, set()
     for a, b, c, d in _members(group, entry_bound):
         members += 1
         p, q = a * x1 + b * y1, c * x1 + d * y1
         r, s = a * x2 + b * y2, c * x2 + d * y2
-        # det g == 1 fixes the product of the two columns' signs
-        images.add((-p, -q, -r, -s) if q < 0 or (q == 0 and p < 0)
-                   else (p, q, r, s))
         if -h <= p <= h and -h <= q <= h and -h <= r <= h and -h <= s <= h:
-            g = UnimodularMatrix(a, b, c, d)
-            window.add((g.apply(alpha), g.apply(beta)))
+            window.add((ProjectiveRational(p, q), ProjectiveRational(r, s)))
     in_bound = sorted(window, key=lambda pair: (*pair[0], *pair[1]))
     soundness = tuple(
         pair for pair in in_bound if edge_check(spec, pair[0], pair[1]) is None
@@ -303,7 +291,7 @@ def compare_edges_vs_orbital(
         entry_bound=entry_bound,
         height_bound=height_bound,
         member_count=members,
-        orbital_count=len(images),
+        orbital_count=members,
         orbital_in_bound=len(in_bound),
         edge_count=len(graph.edges),
         soundness_failures=soundness,
@@ -333,8 +321,10 @@ def count_blocks(n: int) -> int:
     return blocks
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(namedtuple("LatticeReport", (
+    "n1 n2 entry_bound scanned intersection_violations products_checked "
+    "product_violations unchecked"
+), defaults=("product identity reverse inclusion",))):
     """Scan evidence for the two subgroup lattice identities.
 
     The intersection identity is checked as an equivalence matrix by
@@ -346,14 +336,7 @@ class LatticeReport:
     fail, in scan order.
     """
 
-    n1: int
-    n2: int
-    entry_bound: int
-    scanned: int
-    intersection_violations: tuple[UnimodularMatrix, ...]
-    products_checked: int
-    product_violations: tuple[UnimodularMatrix, ...]
-    unchecked: str = "product identity reverse inclusion"
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -472,14 +455,11 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     )
 
 
-@dataclass(frozen=True)
-class SelfPairedReport:
+class SelfPairedReport(namedtuple("SelfPairedReport",
+                                  "spec entry_bound predicted witness")):
     """Bounded witness search for an element exchanging the base pair."""
 
-    spec: GraphSpec
-    entry_bound: int
-    predicted: bool
-    witness: UnimodularMatrix | None
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

@@ -3,6 +3,8 @@
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import suborbital
 
@@ -54,3 +56,16 @@ def test_sources_parse_under_the_declared_python_floor():
     assert len(sources) == len(MODULES) + 2  # with __init__ and errors
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_cold_cli_import_loads_no_introspection_modules():
+    # python -S skips site, so sys.modules holds only what the package
+    # and its stdlib imports load; records are named tuples, not
+    # dataclasses, which would pull in inspect, ast, dis and tokenize
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    root = str(pathlib.Path(suborbital.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {root!r}); import suborbital.cli; "
+             f"print(sorted(set({heavy!r}) & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

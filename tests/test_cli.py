@@ -275,6 +275,19 @@ class TestVerifyCommand:
         assert code == 1
         assert "DISAGREEMENT" in out
 
+    def test_selfpaired_default_bound_stops_at_the_scan_ceiling(self, capsys):
+        # an unset bound is 4 * mod capped at SCAN_CEILING = 60, so it is
+        # never refused; a bound the user gives above the ceiling still is
+        single = ("verify", "--suite", "selfpaired", "--u")
+        assert run(capsys, *single, "4", "--mod", "17") == (0, (
+            "F[4, 17] (entries <= 60): self-paired, witness [[4, -1], [17, -4]]"
+            " -- agreement\nresult: ok\n"), "")
+        assert run(capsys, *single, "1", "--mod", "16") == (0, (
+            "F[1, 16] (entries <= 60): not self-paired, no witness"
+            " -- agreement\nresult: ok\n"), "")
+        assert run(capsys, *single, "4", "--mod", "17", "--entry-bound", "61") == (
+            3, "", "error: the entry bound is 61, above the ceiling 60\n")
+
     def test_lattice_zero_bound_is_invalid_arguments(self, capsys):
         code, _, _ = run(
             capsys, "verify", "--suite", "lattice", "--n1", "2", "--n2", "3",

@@ -365,14 +365,16 @@ class TestCompareEdgesVsOrbital:
         assert outside >= 20
 
     def test_images_are_built_only_in_the_window(self, monkeypatch):
+        # image points are built from the integer columns, two per pair
+        # in the window and none outside it
         calls = []
-        apply = UnimodularMatrix.apply
 
-        def counted(g, v):
-            calls.append(g)
-            return apply(g, v)
+        def counted(num, den):
+            calls.append((num, den))
+            return ProjectiveRational(num, den)
 
-        monkeypatch.setattr(UnimodularMatrix, "apply", counted)
+        monkeypatch.setattr(oracle_module, "ProjectiveRational", counted)
+        monkeypatch.setattr(oracle_module, "UnimodularMatrix", None)  # no matrix
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
         assert 0 < report.orbital_in_bound < report.member_count
         assert report.orbital_count == report.member_count
