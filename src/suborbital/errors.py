@@ -1,8 +1,23 @@
 """Exception hierarchy shared by every module in the package.
 
 All errors raised on purpose derive from SuborbitalError so callers can
-catch domain failures without swallowing programming mistakes.
+catch domain failures without swallowing programming mistakes.  The
+exception classes are public; refuse_above is the package's shared
+helper for resource ceilings and is not exported.
 """
+
+__all__ = [
+    "SuborbitalError",
+    "ZeroOverZero",
+    "NotInvertible",
+    "InvalidModulus",
+    "InvalidSpec",
+    "InvalidBound",
+    "BoundTooLarge",
+    "MalformedDocument",
+    "VersionMismatch",
+    "InvariantViolation",
+]
 
 
 class SuborbitalError(Exception):

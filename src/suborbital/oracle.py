@@ -177,14 +177,15 @@ def transitivity_witness(
 
 
 class OrbitalReport(namedtuple("OrbitalReport", (
-    "spec group entry_bound height_bound member_count orbital_count "
+    "spec group entry_bound height_bound member_count "
     "orbital_in_bound edge_count soundness_failures completeness_misses"
 ))):
     """Outcome of one oracle-versus-predicate comparison.
 
-    orbital_count counts the distinct image pairs of the base pair over
-    all member_count members, and orbital_in_bound those in the window;
-    distinct members give distinct pairs, so orbital_count == member_count.
+    Distinct members give distinct image pairs of the base pair, so the
+    orbital pair count is derived, not stored: to_dict writes
+    member_count as orbital_pairs.  orbital_in_bound counts the pairs
+    inside the height window.
     soundness_failures lists orbital pairs inside the height window that
     the edge predicate rejected; a correct build keeps it empty.
     completeness_misses lists predicate edges the bounded orbital never
@@ -212,7 +213,7 @@ class OrbitalReport(namedtuple("OrbitalReport", (
             "entry_bound": self.entry_bound,
             "height_bound": self.height_bound,
             "members": self.member_count,
-            "orbital_pairs": self.orbital_count,
+            "orbital_pairs": self.member_count,
             "orbital_in_bound": self.orbital_in_bound,
             "edges": self.edge_count,
             "soundness_failures": [
@@ -291,7 +292,6 @@ def compare_edges_vs_orbital(
         entry_bound=entry_bound,
         height_bound=height_bound,
         member_count=members,
-        orbital_count=members,
         orbital_in_bound=len(in_bound),
         edge_count=len(graph.edges),
         soundness_failures=soundness,
@@ -323,8 +323,8 @@ def count_blocks(n: int) -> int:
 
 class LatticeReport(namedtuple("LatticeReport", (
     "n1 n2 entry_bound scanned intersection_violations products_checked "
-    "product_violations unchecked"
-), defaults=("product identity reverse inclusion",))):
+    "product_violations"
+))):
     """Scan evidence for the two subgroup lattice identities.
 
     The intersection identity is checked as an equivalence matrix by
@@ -333,10 +333,12 @@ class LatticeReport(namedtuple("LatticeReport", (
     recorded as unchecked.  Every one of the products_checked products
     is decided exactly, through the pair of residue classes of its
     factors, and product_violations lists the products of the pairs that
-    fail, in scan order.
+    fail, in scan order.  unchecked, the same on every report, is a class
+    attribute and not a field.
     """
 
     __slots__ = ()
+    unchecked = "product identity reverse inclusion"
 
     @property
     def ok(self) -> bool:
@@ -455,11 +457,18 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     )
 
 
-class SelfPairedReport(namedtuple("SelfPairedReport",
-                                  "spec entry_bound predicted witness")):
-    """Bounded witness search for an element exchanging the base pair."""
+class SelfPairedReport(namedtuple("SelfPairedReport", "spec entry_bound witness")):
+    """Bounded witness search for an element exchanging the base pair.
+
+    predicted, the closed-form answer is_self_paired(spec), is derived
+    from the spec and not stored.
+    """
 
     __slots__ = ()
+
+    @property
+    def predicted(self) -> bool:
+        return is_self_paired(self.spec)
 
     @property
     def found(self) -> bool:
@@ -519,4 +528,4 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     witness = transitivity_witness(
         DirectedEdge(alpha, beta), DirectedEdge(beta, alpha), full_group(), entry_bound
     )
-    return SelfPairedReport(spec, entry_bound, predicted, witness)
+    return SelfPairedReport(spec, entry_bound, witness)

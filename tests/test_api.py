@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import suborbital
+from suborbital import errors, graph_io, graphs, group, oracle, rational
 
 MODULES = ("rational", "group", "graphs", "oracle", "graph_io", "cli")
 
@@ -25,18 +26,42 @@ PUBLIC = {
     # graphs
     "GraphSpec", "DirectedEdge", "SuborbitalGraph", "FAMILY_INFINITY",
     "FAMILY_ZERO", "edge_check", "enumerate_graph", "is_self_paired",
-    "paired_partner",
+    "paired_partner", "ENUMERATION_CEILING",
     # oracle
     "BoundedGroupSample", "enumerate_group", "transitivity_witness",
     "compare_edges_vs_orbital", "count_blocks", "verify_lattice_identity",
-    "verify_self_paired",
+    "verify_self_paired", "SCAN_CEILING", "OrbitalReport", "LatticeReport",
+    "SelfPairedReport",
     # graph_io
-    "emit_json", "parse_json", "emit_dot", "emit_svg",
+    "emit_json", "parse_json", "emit_dot", "emit_svg", "FORMAT_VERSION",
+    "check_svg_width",
 }
 
 
 def test_package_exports_the_public_names():
     assert sorted(suborbital.__all__) == sorted(PUBLIC)
+
+
+def test_the_root_re_exports_each_module_list_once():
+    # a module's __all__ is the only list of its public names
+    library = (errors, rational, group, graphs, oracle, graph_io)
+    assert suborbital.__all__ == ["__version__", *(n for m in library for n in m.__all__)]
+    assert len(set(suborbital.__all__)) == len(suborbital.__all__)
+    for module in library:
+        for name in module.__all__:
+            assert getattr(suborbital, name) is getattr(module, name), name
+    tree = ast.parse(pathlib.Path(suborbital.__file__).read_text())
+    spelled = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            spelled.add(node.value)
+        elif isinstance(node, ast.Name):
+            spelled.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            spelled.add(node.attr)
+        elif isinstance(node, ast.alias):
+            spelled.update({node.name, node.asname})
+    assert spelled & set(suborbital.__all__) == {"__version__"}
 
 
 def test_every_exported_name_resolves():

@@ -283,13 +283,13 @@ def full_replay(spec, group, entry_bound, height_bound):
         if pair[0].height <= height_bound and pair[1].height <= height_bound
     ]
     reached = set(pairs)
+    assert len(pairs) == len(sample.elements)  # the orbital pair count
     return OrbitalReport(
         spec=spec,
         group=group,
         entry_bound=entry_bound,
         height_bound=height_bound,
         member_count=len(sample.elements),
-        orbital_count=len(pairs),
         orbital_in_bound=len(in_bound),
         edge_count=len(graph.edges),
         soundness_failures=tuple(
@@ -377,7 +377,7 @@ class TestCompareEdgesVsOrbital:
         monkeypatch.setattr(oracle_module, "UnimodularMatrix", None)  # no matrix
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
         assert 0 < report.orbital_in_bound < report.member_count
-        assert report.orbital_count == report.member_count
+        assert report.to_dict()["orbital_pairs"] == report.member_count
         assert len(calls) == 2 * report.orbital_in_bound
 
     def test_makes_no_matrix_scan(self, monkeypatch):

@@ -1,7 +1,6 @@
 """Specs, graphs, samples and reports are tuple records.
 
-Each keeps its field names, its defaults and the repr the package has
-always printed, equals and hashes as its plain field tuple, refuses
+Each keeps its field names, its defaults and its pinned repr, equals and hashes as its plain field tuple, refuses
 attribute assignment, and the two specs with checks refuse bad values on
 every construction path.
 """
@@ -48,18 +47,17 @@ REPRS = [
     (compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 3, 3),
      "OrbitalReport(spec=GraphSpec(family='finf', u=1, modulus=2, reversed=False),"
      " group=SubgroupSpec(a_mod=2, b_mod=1, c_mod=2, d_mod=1, label='gamma0_pair(2,1)'),"
-     " entry_bound=3, height_bound=3, member_count=19, orbital_count=19,"
+     " entry_bound=3, height_bound=3, member_count=19,"
      " orbital_in_bound=8, edge_count=8, soundness_failures=(), completeness_misses=())"),
     (verify_lattice_identity(2, 3, 2),
      "LatticeReport(n1=2, n2=3, entry_bound=2, scanned=26, intersection_violations=(),"
-     " products_checked=25, product_violations=(),"
-     " unchecked='product identity reverse inclusion')"),
+     " products_checked=25, product_violations=())"),
     (verify_self_paired(GraphSpec("finf", 2, 5), 10),
      "SelfPairedReport(spec=GraphSpec(family='finf', u=2, modulus=5, reversed=False),"
-     " entry_bound=10, predicted=True, witness=UnimodularMatrix(2, -1, 5, -2))"),
+     " entry_bound=10, witness=UnimodularMatrix(2, -1, 5, -2))"),
     (verify_self_paired(GraphSpec("finf", 1, 3), 4),
      "SelfPairedReport(spec=GraphSpec(family='finf', u=1, modulus=3, reversed=False),"
-     " entry_bound=4, predicted=False, witness=None)"),
+     " entry_bound=4, witness=None)"),
 ]
 RECORDS = [record for record, _ in REPRS]
 IDS = [type(record).__name__ for record in RECORDS]
@@ -95,9 +93,12 @@ def test_field_names_and_defaults():
     assert BoundedGroupSample._fields == ("group", "entry_bound", "elements")
     assert OrbitalReport._fields == (
         "spec", "group", "entry_bound", "height_bound", "member_count",
-        "orbital_count", "orbital_in_bound", "edge_count", "soundness_failures",
+        "orbital_in_bound", "edge_count", "soundness_failures",
         "completeness_misses")
-    assert SelfPairedReport._fields == ("spec", "entry_bound", "predicted", "witness")
+    assert SelfPairedReport._fields == ("spec", "entry_bound", "witness")
+    assert LatticeReport._fields == (
+        "n1", "n2", "entry_bound", "scanned", "intersection_violations",
+        "products_checked", "product_violations")
     report = LatticeReport(2, 3, 1, 0, (), 0, ())
     assert report.unchecked == "product identity reverse inclusion"
     assert report.ok
