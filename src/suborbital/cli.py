@@ -3,8 +3,9 @@
 Commands: edges (emit a graph as json/dot/svg), verify (run the
 brute-force check suites), psi, phi-pair, partner, selfpaired.  Each
 command and each of its flags is declared once, in one table that also
-names the verify suites reading each flag; a run builds the arguments of
-the command it names only.
+names the verify suites reading each flag.  A run that names a command
+builds that command's subparser only; help, a missing command or an
+unknown one builds every command.
 
 Exit codes: 0 success, 1 a checked mathematical property failed,
 2 invalid arguments, 3 resource limit exceeded.  Payloads go to
@@ -344,8 +345,15 @@ _VERIFY_FLAGS = {
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser with every command, and the arguments of the command
-    argv[0] names, or of every command when it names none."""
+    """The parser of the command argv[0] names, or of every command when
+    it names none.
+
+    A named run adds that one subparser, and its metavar lists every
+    command, so the top-level usage line that "unrecognized arguments"
+    prints is the whole tree's.  Without a named command the metavar stays
+    unset: the errors for a missing or unknown command name the argument
+    by its dest.
+    """
     parser = argparse.ArgumentParser(
         prog="suborbital",
         description=(
@@ -353,14 +361,15 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
             " two-parameter congruence subgroups of the modular group."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _COMMANDS else None
-    for name, (help_text, handler, arguments) in _COMMANDS.items():
+    metavar = "{" + ",".join(_COMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in (named,) if named else _COMMANDS:
+        help_text, handler, arguments = _COMMANDS[name]
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler)
-        if named in (None, name):
-            for flag, options, _ in arguments:
-                command.add_argument(flag, **options)
+        for flag, options, _ in arguments:
+            command.add_argument(flag, **options)
     return parser
 
 

@@ -2,8 +2,9 @@
 
 All errors raised on purpose derive from SuborbitalError so callers can
 catch domain failures without swallowing programming mistakes.  The
-exception classes are public; refuse_above is the package's shared
-helper for resource ceilings and is not exported.
+exception classes are public.  refuse_above, the shared helper for
+resource ceilings, and plain_int, the one test of an integer parameter,
+are not exported.
 """
 
 __all__ = [
@@ -54,6 +55,12 @@ def refuse_above(what: str, estimate: int, ceiling: int) -> None:
         bits = estimate.bit_length()  # str() fails past a few thousand digits
         shown = str(estimate) if bits <= 10_000 else f"more than 2**{bits - 1}"
         raise BoundTooLarge(f"{what} is {shown}, above the ceiling {ceiling}")
+
+
+def plain_int(value: object) -> bool:
+    """Whether value is an integer and not a bool: exactly what a JSON
+    document's integer fields accept."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class MalformedDocument(SuborbitalError):

@@ -19,10 +19,11 @@ from .errors import (
     InvariantViolation,
     MalformedDocument,
     VersionMismatch,
+    plain_int,
     refuse_above,
 )
 from .graphs import GraphSpec, SuborbitalGraph, enumerate_graph
-from .rational import ProjectiveRational
+from .rational import POINT_TEXT, ProjectiveRational
 
 __all__ = [
     "FORMAT_VERSION",
@@ -57,8 +58,9 @@ _Edge = tuple[str, str, str]
 
 
 def _vertex_text(graph: SuborbitalGraph) -> dict[ProjectiveRational, str]:
-    """Each vertex's str(), written once for every writer to read."""
-    return {v: str(v) for v in graph.vertices}
+    """Each vertex's str(), written once for every writer to read: the
+    point format is mapped over the vertices, with no str() call each."""
+    return dict(zip(graph.vertices, map(POINT_TEXT.__mod__, graph.vertices)))
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
@@ -94,10 +96,6 @@ def emit_json(graph: SuborbitalGraph) -> str:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise MalformedDocument(message)
-
-
-def _plain_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _point(text: object, where: str) -> None:
@@ -141,7 +139,7 @@ def parse_json(text: str) -> SuborbitalGraph:
     )
     _require(isinstance(document["family"], str), "family must be a string")
     for key in ("u", "modulus", "height_bound"):
-        _require(_plain_int(document[key]), f"{key} must be an integer")
+        _require(plain_int(document[key]), f"{key} must be an integer")
     _require(isinstance(document["reversed"], bool), "reversed must be a boolean")
     _require(isinstance(document["vertices"], list), "vertices must be a list")
     _require(isinstance(document["edges"], list), "edges must be a list")
@@ -298,12 +296,8 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         lo, hi = -1.0, 1.0
     span = hi - lo
 
-    def x_px(value: float) -> float:
-        return pad + (value - lo) / span * (width - 2.0 * pad)
-
-    def vx(vertex: ProjectiveRational) -> float:
-        return x_px(vertex.num / vertex.den)
-
+    # each finite vertex's x pixel, computed once for its edges and circle
+    vx = {v: pad + (v.num / v.den - lo) / span * (width - 2.0 * pad) for v in finite}
     spelling = _vertex_text(graph)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -323,13 +317,13 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         stroke = _STROKE[edge.sign]
         if edge.src.is_infinite or edge.dst.is_infinite:
             foot = edge.dst if edge.src.is_infinite else edge.src
-            x = vx(foot)
+            x = vx[foot]
             if edge.src.is_infinite:
                 d = f"M {x:.2f} {top_y:.2f} L {x:.2f} {axis_y - 4.0:.2f}"
             else:
                 d = f"M {x:.2f} {axis_y:.2f} L {x:.2f} {top_y:.2f}"
         else:
-            x1, x2 = vx(edge.src), vx(edge.dst)
+            x1, x2 = vx[edge.src], vx[edge.dst]
             r = abs(x2 - x1) / 2.0
             sweep = 1 if x2 > x1 else 0
             d = (
@@ -340,8 +334,7 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
             f'  <path d="{d}" fill="none" stroke="{stroke}"'
             ' stroke-width="1.5" marker-end="url(#arrow)"/>'
         )
-    for vertex in finite:
-        x = vx(vertex)
+    for vertex, x in vx.items():
         out.append(
             f'  <circle cx="{x:.2f}" cy="{axis_y:.2f}" r="2.5" fill="#303030"/>'
         )

@@ -19,20 +19,27 @@ second vertex to the first.
 Enumeration is output-sensitive: the congruences admit a tail by one
 residue up to sign and put its heads in one class of steps along each
 line r*y - s*x = +m or -m, so every head found among the vertices is
-an edge.  Each admitted tail is one plain call that returns its heads'
-sorted vertex positions, and the points and edges the walk proves
-canonical are held without re-running the normalising constructors.
+an edge.  Each admitted tail is walked inline in the enumeration loop,
+which sorts its heads' vertex positions, and the points and edges the
+walk proves canonical are held without re-running the normalising
+constructors.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import partial
 from operator import itemgetter
 
-from .errors import InvalidBound, InvalidSpec, InvariantViolation, refuse_above
+from .errors import (
+    InvalidBound,
+    InvalidSpec,
+    InvariantViolation,
+    plain_int,
+    refuse_above,
+)
 from .rational import INFINITY, ZERO, ProjectiveRational, mod_inverse
 
 __all__ = [
@@ -56,9 +63,11 @@ class GraphSpec(namedtuple("GraphSpec", "family u modulus reversed")):
     """Parameters (family, u, modulus, reversed) of one graph: the tuple
     it equals and hashes as.
 
-    u must be a unit for the modulus, strictly below it once the modulus
-    exceeds 1, and 1 at modulus 1.  The reversed flag is only meaningful
-    for the fzero family, where it encodes the partner graph.
+    u and the modulus are integers, not bools, and the reversed flag is a
+    bool, as a JSON document holds them.  u must be a unit for the
+    modulus, strictly below it once the modulus exceeds 1, and 1 at
+    modulus 1.  The reversed flag is only meaningful for the fzero
+    family, where it encodes the partner graph.
     """
 
     __slots__ = ()
@@ -66,6 +75,10 @@ class GraphSpec(namedtuple("GraphSpec", "family u modulus reversed")):
     def __new__(cls, family: str, u: int, modulus: int, reversed: bool = False):
         if family not in (FAMILY_INFINITY, FAMILY_ZERO):
             raise InvalidSpec(f"unknown graph family {family!r}")
+        if not (plain_int(u) and plain_int(modulus)):
+            raise InvalidSpec(f"u and modulus must be integers, got ({u!r}, {modulus!r})")
+        if not isinstance(reversed, bool):
+            raise InvalidSpec(f"reversed must be a boolean, got {reversed!r}")
         if modulus < 1:
             raise InvalidSpec(f"modulus must be >= 1, got {modulus}")
         if u < 1:
@@ -238,7 +251,7 @@ def _candidate_estimate(spec: GraphSpec, bound: int) -> int:
 
 # enumerate_graph's vertices plus lattice lookups; more are refused.  This
 # admits F[1, 1] up to height 725, which enumerates and emits as JSON in
-# about 16 s at 655 MB peak memory (Python 3.11.7, one Xeon core).
+# 16.6 to 19.2 s at 656 MB peak memory (Python 3.11.7, one Xeon core).
 ENUMERATION_CEILING = 2 * 10**7
 
 
@@ -260,39 +273,6 @@ def _class_steps(
     return range(lo + (cls - lo) % mod, hi + 1, mod)
 
 
-def _lattice_heads(
-    r: int, s: int, m: int, bound: int, c: int,
-    find: Callable[[tuple[int, int]], int | None],
-) -> list[int]:
-    """The sorted vertex positions find gives the (x, y) with
-    0 <= y <= bound, |x| <= bound and delta = r*y - s*x equal to m or -m
-    whose step k is in the class (delta/m)*c mod m, where r/s is a
-    canonical vertex; find gives None for points that are not vertices.
-    One plain call walks the tail, with no generator or comprehension
-    frame.
-
-    For s > 0 these points lie on the lines (x, y) = delta*(x0, y0) +
-    k*(r, s), where r*y0 - s*x0 = 1.  For 1/0 delta is y itself, and the
-    line is (k, m).
-    """
-    found = []
-    if s == 0:
-        if m <= bound:
-            for x in range(-bound + (c + bound) % m, bound + 1, m):
-                if (i := find((x, m))) is not None:
-                    found.append(i)
-    else:
-        y0 = pow(r, -1, s)
-        x0 = (r * y0 - 1) // s
-        for delta, cls in ((m, c), (-m, -c)):
-            xt, yt = delta * x0, delta * y0
-            for k in _class_steps(xt, r, yt, s, bound, 0, cls, m):
-                if (i := find((xt + k * r, yt + k * s))) is not None:
-                    found.append(i)
-    found.sort()  # the lines run in step order, not in vertex order
-    return found
-
-
 def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     """All vertices of the base vertex's block up to the height bound, and
     every edge among them that the congruences accept.
@@ -308,12 +288,18 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     for the stored unit u'.  Every block vertex has s == 0 (mod m) in
     finf coordinates, so this walk is the whole rule: every head found
     among the vertices is an edge, and the work is the vertices plus the
-    edges.  Vertices come in (num, den) order and each tail's heads as
-    their sorted positions in that list, so vertices and edges are
-    sorted as plain integer tuples.
-    Raises InvalidBound below 1 and BoundTooLarge when the estimated
-    vertices plus lattice lookups exceed ENUMERATION_CEILING.
+    edges.  For s > 0 the lines are (x, y) = delta*(x0, y0) + k*(r, s)
+    with r*y0 - s*x0 = 1, each walked through _class_steps; for 1/0,
+    delta is y itself and the one line in the window is (k, m).  Each
+    tail is walked inline, with no call of its own.  Vertices come in
+    (num, den) order and each tail's heads as their sorted positions in
+    that list, so vertices and edges are sorted as plain integer tuples.
+    Raises InvalidBound for a bound that is no integer (bools included) or
+    is below 1, and BoundTooLarge when the estimated vertices plus lattice
+    lookups exceed ENUMERATION_CEILING.
     """
+    if not plain_int(height_bound):
+        raise InvalidBound(f"height bound must be an integer, got {height_bound!r}")
     if height_bound < 1:
         raise InvalidBound(f"height bound must be >= 1, got {height_bound}")
     refuse_above(
@@ -325,6 +311,7 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     vertices = _block_vertices(spec, height_bound)
     tails = _as_finf(spec, vertices)
     find = dict(zip(tails, range(len(tails)))).get
+    bound = height_bound
     m = spec.modulus
     u = spec.forward_u()
     t, c = (u, -spec.u) if spec.reversed else (1, u)
@@ -332,10 +319,26 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     # both ends are vertices with r*y - s*x = +-m != 0, never a loop
     edge = partial(tuple.__new__, DirectedEdge)
     edges: list[DirectedEdge] = []
-    for v, tail in zip(vertices, tails):
-        if tail[0] % m in admitted:
-            for i in _lattice_heads(*tail, m, height_bound, c, find):
-                edges.append(edge((v, vertices[i])))
+    for v, (r, s) in zip(vertices, tails):
+        if r % m not in admitted:
+            continue
+        found = []
+        if s == 0:  # 1/0: delta is y itself, and the line is (k, m)
+            if m <= bound:
+                for x in range(-bound + (c + bound) % m, bound + 1, m):
+                    if (i := find((x, m))) is not None:
+                        found.append(i)
+        else:
+            y0 = pow(r, -1, s)
+            x0 = (r * y0 - 1) // s
+            for delta, cls in ((m, c), (-m, -c)):
+                xt, yt = delta * x0, delta * y0
+                for k in _class_steps(xt, r, yt, s, bound, 0, cls, m):
+                    if (i := find((xt + k * r, yt + k * s))) is not None:
+                        found.append(i)
+        found.sort()  # the lines run in step order, not in vertex order
+        for i in found:
+            edges.append(edge((v, vertices[i])))
     return SuborbitalGraph(spec, height_bound, tuple(vertices), tuple(edges))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import itemgetter
 
-from .errors import InvalidModulus
+from .errors import InvalidModulus, plain_int
 from .rational import ProjectiveRational
 
 __all__ = [
@@ -95,6 +95,7 @@ IDENTITY = UnimodularMatrix(1, 0, 0, 1)
 class SubgroupSpec(namedtuple("SubgroupSpec", "a_mod b_mod c_mod d_mod label")):
     """A congruence subgroup given by four moduli and its label: the
     tuple (a_mod, b_mod, c_mod, d_mod, label), which it equals and hashes as.
+    Each modulus is an integer, not a bool, and at least 1.
 
     A matrix is a member when one of its sign lifts has
     a == 1 (mod a_mod), b == 0 (mod b_mod), c == 0 (mod c_mod) and
@@ -114,6 +115,8 @@ class SubgroupSpec(namedtuple("SubgroupSpec", "a_mod b_mod c_mod d_mod label")):
 
     def __new__(cls, a_mod: int, b_mod: int, c_mod: int, d_mod: int, label: str):
         for n in (a_mod, b_mod, c_mod, d_mod):
+            if not plain_int(n):
+                raise InvalidModulus(f"subgroup modulus must be an integer, got {n!r}")
             if n < 1:
                 raise InvalidModulus(f"subgroup modulus must be >= 1, got {n}")
         return tuple.__new__(cls, (a_mod, b_mod, c_mod, d_mod, label))

@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 
+# the text of a point: "num/den", formatted from the pair itself
+POINT_TEXT = "%d/%d"
+
+
 class ProjectiveRational(tuple):
     """A point of the extended rational line: the reduced pair (num, den).
 
@@ -90,7 +94,7 @@ class ProjectiveRational(tuple):
     __radd__ = __mul__ = __rmul__ = __add__
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return POINT_TEXT % self
 
     def __repr__(self) -> str:
         return f"ProjectiveRational({self.num}, {self.den})"

@@ -569,17 +569,16 @@ class TestArgvScopedParser:
             assert got == self.outcome(capsys, argv), argv
         assert {code for code, _, _ in scoped} == {0, 2}
 
-    def test_other_commands_hold_only_help(self):
-        parser = build_parser(["edges", *SCOPED_RUNS["edges"][0]])
-        commands = next(
-            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-        )
-        held = {name: [a.dest for a in sub._actions]
-                for name, sub in commands.choices.items()}
-        assert held.pop("edges") == [
-            "help", "family", "u", "mod", "bound", "format", "reversed", "width"
-        ]
-        assert held == {name: ["help"] for name in cli_module._COMMANDS if name != "edges"}
+    def test_a_named_command_builds_its_subparser_alone(self):
+        for name, (help_text, _, arguments) in cli_module._COMMANDS.items():
+            parser = build_parser([name, *SCOPED_RUNS[name][0]])
+            commands = next(
+                a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+            )
+            assert list(commands.choices) == [name]
+            assert [a.help for a in commands._choices_actions] == [help_text]
+            held = [a.option_strings or [a.dest] for a in commands.choices[name]._actions]
+            assert held == [["-h", "--help"], *([flag] for flag, _, _ in arguments)]
 
 
 class TestExitCodeContract:

@@ -77,19 +77,30 @@ F32_AT_4_EDGES = [
 
 def record_lookups(monkeypatch, looked_up):
     """Make enumerate_graph's walk append every head it looks up, hit or
-    miss, to looked_up: the real walk runs with a counting find."""
-    walk = graphs_module._lattice_heads
+    miss, to looked_up, in finf coordinates.  On each line of a finite
+    tail that is (x + k*dx, y + k*dy) for every k in the range the real
+    _class_steps returns.  The tail 1/0 is admitted when the unit t that
+    tails must match (1, or the forward unit for a reversed spec) is 1 or
+    -1 mod m, and then looks up the (k, m) with |k| <= bound in the step
+    class c; those are recorded when _block_vertices starts an
+    enumeration."""
+    steps = graphs_module._class_steps
+    block = graphs_module._block_vertices
 
-    def counted(*args):
-        *rest, find = args
+    def counted_steps(x, dx, y, dy, *rest):
+        ks = steps(x, dx, y, dy, *rest)
+        looked_up.extend((x + k * dx, y + k * dy) for k in ks)
+        return ks
 
-        def look(head):
-            looked_up.append(head)
-            return find(head)
+    def counted_block(spec, bound):
+        m, u = spec.modulus, spec.forward_u()
+        t, c = (u, -spec.u) if spec.reversed else (1, u)
+        if m <= bound and ((t - 1) % m == 0 or (t + 1) % m == 0):
+            looked_up.extend((k, m) for k in range(-bound, bound + 1) if (k - c) % m == 0)
+        return block(spec, bound)
 
-        return walk(*rest, look)
-
-    monkeypatch.setattr(graphs_module, "_lattice_heads", counted)
+    monkeypatch.setattr(graphs_module, "_class_steps", counted_steps)
+    monkeypatch.setattr(graphs_module, "_block_vertices", counted_block)
 
 
 class TestGraphSpec:

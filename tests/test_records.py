@@ -5,11 +5,13 @@ attribute assignment, and the two specs with checks refuse bad values on
 every construction path.
 """
 
+import itertools
 import re
 
 import pytest
 
-from suborbital.errors import InvalidModulus, InvalidSpec
+from suborbital.errors import InvalidBound, InvalidModulus, InvalidSpec
+from suborbital.graph_io import emit_json, parse_json
 from suborbital.graphs import GraphSpec, SuborbitalGraph, enumerate_graph
 from suborbital.group import SubgroupSpec, gamma0_pair, principal
 from suborbital.oracle import (
@@ -151,3 +153,38 @@ def test_checked_paths_build_the_same_record():
         GraphSpec._make(("finf", 1))
     with pytest.raises(ValueError):
         F12._replace(modulo=3)
+
+
+# values a caller may pass for an integer field or for reversed; a JSON
+# document holds only the plain ints among them, and bools for reversed
+LOOSE = (1, 2, 3, True, False, 1.0, 2.0, "1", None)
+
+
+def test_specs_accept_exactly_what_a_document_holds():
+    accepted = []
+    for family, u, modulus, reversed_ in itertools.product(
+        ("finf", "fzero"), LOOSE, LOOSE, LOOSE
+    ):
+        try:
+            spec = GraphSpec(family, u, modulus, reversed_)
+        except InvalidSpec:
+            continue
+        for bound in LOOSE:
+            try:
+                graph = enumerate_graph(spec, bound)
+            except InvalidBound:
+                continue
+            assert parse_json(emit_json(graph)) == graph
+            accepted.append((u, modulus, reversed_, bound))
+    # finf (u, m) in (1, 1), (1, 2), (1, 3), (2, 3); fzero twice, reversed
+    # or not; each at the bounds 1, 2 and 3
+    assert len(accepted) == 36
+    for u, modulus, reversed_, bound in accepted:
+        assert {type(u), type(modulus), type(bound)} == {int}
+        assert type(reversed_) is bool
+    for n in LOOSE:
+        try:
+            group = SubgroupSpec(n, 1, 1, 1, "s")
+        except InvalidModulus:
+            continue
+        assert type(group.a_mod) is int
