@@ -2,15 +2,16 @@
 
 Everything here works from first principles: walks of bounded integer
 matrices, exhaustive over the residue classes of a, b and c a subgroup's
-moduli allow and filtered by its membership test, once each as entry
-tuples, built as matrices only for a sorted scan or a listed violation;
-the one matrix carrying an edge onto another, solved from the endpoints'
-columns and filtered the same way; direct orbit marking over residue
-pairs; and raw group action on the base pair's columns, with points
-built only inside the height window.  The graph module's edge
-conditions are never used to build an oracle set, only compared against
-afterwards, so agreement is evidence rather than circularity.  Samples
-and reports are tuple records that equal and hash as their field tuples.
+moduli allow, in rows of one first column each filtered once by its
+membership test, built as matrices only for a sorted scan or a listed
+violation; the one matrix carrying an edge onto another, solved from the
+endpoints' columns and filtered the same way; direct orbit marking over
+residue pairs; and raw group action on the base pair's columns, counted
+and solved for the height window row by row, with points built only for
+soundness failures.  The graph module's edge conditions are never used
+to build an oracle set, only compared against afterwards, so agreement
+is evidence rather than circularity.  Samples and reports are tuple
+records that equal and hash as their field tuples.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .group import (
     gamma0_pair,
     principal,
 )
-from .rational import ProjectiveRational
+from .rational import INFINITY, ZERO, ProjectiveRational
 
 __all__ = [
     "SCAN_CEILING",
@@ -65,38 +66,42 @@ class BoundedGroupSample(namedtuple("BoundedGroupSample", "group entry_bound ele
 SCAN_CEILING = 60
 
 
-def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, int]]:
-    # Yields each member with |entries| <= bound once, as the entry tuple
-    # (a, b, c, d) of the sign lift the walk reaches: the sample is walked
-    # once as entry tuples, and matrices are built only for listed
-    # violations and the sorted scan.  Canonical lifts have c > 0,
-    # or c == 0 with a == d == 1.  A member has c == 0 (mod c_mod) and
-    # a == +-1 (mod a_mod), so only those c and a are walked; for fixed
-    # (a, c) the determinant equation pins d to the class of a^-1 mod c
-    # and b to (a*d - 1)/c.  A member also has b == 0 (mod b_mod), and
-    # b = b0 + k*a meets that for the k of one class mod b_mod/gcd(a, b_mod),
-    # or for none when gcd(a, b_mod) does not divide b0, so only that class
-    # of k is stepped; the c == 0 row steps b by b_mod.  When b_mod > c_mod
-    # the walk runs on the conjugate by S = [[0, -1], [1, 0]]:
-    # (a, b, c, d) -> (d, -c, -b, a) has moduli (d_mod, c_mod, b_mod, a_mod)
-    # and the same entry bound, and is its own inverse, so the c == 0 row
-    # yields (1, 0, -b, 1).  Every candidate is kept only if the group
-    # contains it, so the walk yields the naive scan-and-filter set.
-    flip = group.b_mod > group.c_mod
-    a_mod, b_mod, c_mod = ((group.d_mod, group.c_mod, group.b_mod) if flip
-                           else (group.a_mod, group.b_mod, group.c_mod))
-    contains = group.contains
-    for b in range(-(bound // b_mod) * b_mod, bound + 1, b_mod):
-        g = (1, 0, -b, 1) if flip else (1, b, 0, 1)
-        if contains(g):
-            yield g
-    rows = [
-        a
-        for a in range(-bound, bound + 1)
-        if (a - 1) % a_mod == 0 or (a + 1) % a_mod == 0
-    ]
+def _member_rows(
+    group: SubgroupSpec, bound: int, flip: bool
+) -> Iterator[tuple[int, int, int, int, range]]:
+    """Every member with |entries| <= bound once, in rows (a, c, b0, d0, ks)
+    holding the walked tuples (a, b0 + k*a, c, d0 + k*c) for k in ks.
+
+    With flip the walk runs on the conjugate by S = [[0, -1], [1, 0]]:
+    (a, b, c, d) -> (d, -c, -b, a) has moduli (d_mod, c_mod, b_mod, a_mod)
+    and the same entry bound, and is its own inverse, so a walked tuple
+    stands for the member (d, -c, -b, a).  Canonical lifts have c > 0, or
+    c == 0 with a == d == 1, a row that steps b by b_mod and holds members
+    only.  A member has c == 0 (mod c_mod) and a == +-1 (mod a_mod), so
+    only those (a, c) are walked; the determinant pins d to the class of
+    a^-1 mod c and b to (a*d - 1)/c, and b == 0 (mod b_mod) holds for one
+    class of k mod b_mod/gcd(a, b_mod), or for none when gcd(a, b_mod)
+    does not divide b0: ks is that class within the entry bound.  Along
+    it only d moves the membership test, by the class step times c, so
+    where d_mod divides that, as for every factory of the group module,
+    group.contains is tested once per row; for any other spec each k is
+    tested and kept as a row of its own.  The mirror (a, b, c, d) ->
+    (-a, b, c, -d) keeps the determinant, the entry box and membership,
+    so each row with a > 0 is solved once and followed by its mirror
+    (-a, c, b0, -d0, -ks), which holds equally many members.
+    """
+    a_mod, b_mod, c_mod, d_mod = ((group.d_mod, group.c_mod, group.b_mod, group.a_mod)
+                                  if flip else group[:4])
+
+    def kept(a, c, b0, d0, k):
+        b, d = b0 + k * a, d0 + k * c
+        return group.contains((d, -c, -b, a) if flip else (a, b, c, d))
+
+    yield 1, 0, 0, 1, range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
+    tops = [a for a in range(bound + 1)
+            if (a - 1) % a_mod == 0 or (a + 1) % a_mod == 0]
     for c in range(c_mod, bound + 1, c_mod):
-        for a in rows:
+        for a in tops:
             if math.gcd(a, c) != 1:
                 continue
             d0 = pow(a, -1, c) if c > 1 else 0
@@ -107,11 +112,29 @@ def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, i
             step = b_mod // shared
             first = -b0 // shared * pow(a // shared, -1, step)
             # b = b0 + k*a and d = d0 + k*c, both within the bound
-            for k in _class_steps(b0, a, d0, c, bound, -bound, first, step):
-                b, d = b0 + k * a, d0 + k * c
-                g = (d, -c, -b, a) if flip else (a, b, c, d)
-                if contains(g):
-                    yield g
+            ks = _class_steps(b0, a, d0, c, bound, -bound, first, step)
+            if step * c % d_mod == 0:
+                rows = [ks] if ks and kept(a, c, b0, d0, first) else []
+            else:
+                rows = [range(k, k + 1) for k in ks if kept(a, c, b0, d0, k)]
+            for ks in rows:
+                yield a, c, b0, d0, ks
+                if a:
+                    yield -a, c, b0, -d0, range(-ks[-1], 1 - ks[0], ks.step)
+
+
+def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, int]]:
+    """Every member with |entries| <= bound once, as the entry tuple
+    (a, b, c, d) of the sign lift the walk reaches: the rows of
+    _member_rows expanded k by k, on the S-conjugate, which has fewer
+    rows, when b_mod > c_mod.  The walk yields the naive scan-and-filter
+    set; matrices are built only for listed violations and the sorted scan.
+    """
+    flip = group.b_mod > group.c_mod
+    for a, c, b0, d0, ks in _member_rows(group, bound, flip):
+        for k in ks:
+            b, d = b0 + k * a, d0 + k * c
+            yield (d, -c, -b, a) if flip else (a, b, c, d)
 
 
 def _check_entry_bound(entry_bound: int) -> None:
@@ -184,10 +207,14 @@ class OrbitalReport(namedtuple("OrbitalReport", (
 
     Distinct members give distinct image pairs of the base pair, so the
     orbital pair count is derived, not stored: to_dict writes
-    member_count as orbital_pairs.  orbital_in_bound counts the pairs
-    inside the height window.
+    member_count as orbital_pairs.  member_count sums the range lengths
+    of the member rows, a row and its mirror (-a, c) alike, and no member
+    is visited to be counted.  orbital_in_bound counts the pairs inside
+    the height window, solved per row where the cusp's image is fixed
+    along the row and taken k by k where the walk's orientation moves it.
     soundness_failures lists orbital pairs inside the height window that
-    the edge predicate rejected; a correct build keeps it empty.
+    the edge predicate rejected, the only pairs built as points; a
+    correct build keeps it empty.
     completeness_misses lists predicate edges the bounded orbital never
     reached; they are reported, not failed.  The predicate ignores the
     group's other modulus, so where that exceeds 1 the edges whose
@@ -256,34 +283,85 @@ def compare_edges_vs_orbital(
 ) -> OrbitalReport:
     """Compare the enumerated edge set against raw group images of the base pair.
 
-    The group sample is walked once as entry tuples: each member's image
-    columns are primitive integer pairs, which give the images' heights.
-    Two distinct points have a trivial joint stabilizer, so distinct
-    members carry the base pair to distinct image pairs and the orbital
-    count is the member count.  Only the image pairs inside the height
-    window become points, built from the columns and sorted by entries;
-    they hold every edge, so they decide soundness and the misses.  The
+    The group sample is walked once by rows (_member_rows), and each row
+    is counted as its range length.  Two distinct points have a trivial
+    joint stabilizer, so distinct members carry the base pair to distinct
+    image pairs and the orbital count is the member count.  The walk
+    keeps the orientation with fewer rows, the S-conjugate when m > l.
+    Where that fixes the image of the family's cusp along each row, 1/0
+    maps to (a, c) on the group itself for finf, and 0/1 to (-c, a) on
+    the S-conjugate for fzero.  A row whose cusp image lies outside the
+    height window is then only counted, as is its mirror row (-a, c),
+    which the walk derives without a solve.  On every other row the other
+    base point's image is linear in k, and one _class_steps call solves
+    the k that keep it inside the window, intersected with the row's
+    range.  Where the orientation moves the cusp's image along each row
+    (finf with m > l, fzero with l >= m), the row's k are expanded and
+    both images tested, with no membership test per k.  A determinant-one
+    image of a primitive column is primitive, so a window image is held
+    as its column with the sign fixed, which equals and hashes as the
+    point.  The window pairs hold every edge, so they decide soundness
+    and the misses; points are built only for soundness failures.  The
     entry bound is checked first."""
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
-    if (l if spec.family == FAMILY_INFINITY else m) != spec.modulus:
+    finf = spec.family == FAMILY_INFINITY
+    if (l if finf else m) != spec.modulus:
         raise InvalidSpec(f"group {group.label} does not match graph "
                           f"modulus {spec.modulus}")
     _check_entry_bound(entry_bound)
     graph = enumerate_graph(spec, height_bound)
-    (x1, y1), (x2, y2) = spec.base_pair()
+    alpha, beta = spec.base_pair()
+    cusp_first = alpha == (INFINITY if finf else ZERO)
+    flip = m > l
+    # the other base point as a walked column: S^-1 of it on the conjugate,
+    # up to sign, with a positive second entry either way
+    x, y = beta if cusp_first else alpha
+    if flip:
+        x, y = -y, x
     h = height_bound
+
+    def point(p, q):
+        # the canonical column of the group image of a walked image column
+        if flip:
+            p, q = -q, p
+        return (p, q) if q > 0 else (-p, -q) if q else (1, 0)
+
     members, window = 0, set()
-    for a, b, c, d in _members(group, entry_bound):
-        members += 1
-        p, q = a * x1 + b * y1, c * x1 + d * y1
-        r, s = a * x2 + b * y2, c * x2 + d * y2
-        if -h <= p <= h and -h <= q <= h and -h <= r <= h and -h <= s <= h:
-            window.add((ProjectiveRational(p, q), ProjectiveRational(r, s)))
-    in_bound = sorted(window, key=lambda pair: (*pair[0], *pair[1]))
+    add = window.add
+    rows = _member_rows(group, entry_bound, flip)
+    if flip != finf:  # the cusp is walked as 1/0, with the image (a, c)
+        for a, c, b0, d0, ks in rows:
+            members += len(ks)
+            if c > h or a > h or a < -h:
+                continue
+            cusp = point(a, c)
+            # the other image (t0 + k*dt, s0 + k*ds) inside the window
+            t0, dt, s0, ds = a * x + b0 * y, a * y, c * x + d0 * y, c * y
+            if c:
+                steps = _class_steps(t0, dt, s0, ds, h, -h, ks.start, ks.step)
+            else:  # the row (1, k, 0, 1) moves the first entry alone
+                steps = _class_steps(s0, 0, t0, dt, h, -h, ks.start, ks.step)
+            lo = steps.start if steps.start > ks.start else ks.start
+            hi = steps.stop if steps.stop < ks.stop else ks.stop
+            for k in range(lo, hi, ks.step):
+                other = point(t0 + k * dt, s0 + k * ds)
+                add((cusp, other) if cusp_first else (other, cusp))
+    else:  # the cusp is walked as 0/1, with the image (b, d); these rows
+        # are short, and expanding them beats a second window solve
+        for a, c, b0, d0, ks in rows:
+            members += len(ks)
+            for k in ks:
+                b, d = b0 + k * a, d0 + k * c
+                p, q = a * x + b * y, c * x + d * y
+                if -h <= b <= h and -h <= d <= h and -h <= p <= h and -h <= q <= h:
+                    cusp, other = point(b, d), point(p, q)
+                    add((cusp, other) if cusp_first else (other, cusp))
+    in_bound = sorted(window)
     soundness = tuple(
-        pair for pair in in_bound if edge_check(spec, pair[0], pair[1]) is None
+        (ProjectiveRational(*src), ProjectiveRational(*dst))
+        for src, dst in in_bound if edge_check(spec, src, dst) is None
     )
     misses = tuple(edge for edge in graph.edges if edge not in window)
     return OrbitalReport(

@@ -439,6 +439,7 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
         monkeypatch.setattr(oracle_module, "_members", no_scan)
+        monkeypatch.setattr(oracle_module, "_member_rows", no_scan)
         flags = ("verify", "--suite", "oracle", "--family", "finf", "--u", "1",
                  "--l", "2", "--m", "1", "--height-bound", "100000")
         code, out, err = run(capsys, *flags, "--entry-bound", "60")

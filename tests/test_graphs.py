@@ -338,19 +338,44 @@ class TestEnumerateGraph:
         self, family, reversed_, monkeypatch
     ):
         # the lookups enumerate_graph makes: every head its lattice walk
-        # hands to find, hit or miss, which depend on u
-        lookups = []
-        record_lookups(monkeypatch, lookups)
+        # hands to find, hit or miss, which depend on u, counted on the
+        # vertex index itself.  Besides the estimate, they meet a bound
+        # that counts the step class: an admitted finite tail r/s walks two
+        # lines, and one class of k mod m meets at most B//(m*s) + 1 of
+        # their heights in [0, B]; the tail 1/0 walks one class of x mod m
+        # in [-B, B], at most 2B//m + 1 lookups
+        lookups = 0
+
+        class Index(dict):
+            def get(self, key):
+                nonlocal lookups
+                lookups += 1
+                return dict.get(self, key)
+
+        def class_bound(spec, bound, vertices):
+            m = spec.modulus
+            t = spec.forward_u() if spec.reversed else 1
+            return sum(
+                2 * (bound // (m * s) + 1) if s else 2 * bound // m + 1
+                for r, s in graphs_module._as_finf(spec, vertices)
+                if (r - t) % m == 0 or (r + t) % m == 0
+            )
+
+        monkeypatch.setattr(graphs_module, "dict", Index, raising=False)
+        tight = 0
         for m in range(1, 9):
             for u in range(1, max(m, 2)):
                 if math.gcd(u, m) != 1:
                     continue
                 spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
                 for bound in range(1, 41):
-                    lookups.clear()
-                    enumerate_graph(spec, bound)
+                    lookups = 0
+                    vertices = enumerate_graph(spec, bound).vertices
                     estimate = graphs_module._candidate_estimate(spec, bound)
-                    assert estimate >= len(lookups)
+                    assert estimate >= lookups
+                    assert class_bound(spec, bound, vertices) >= lookups, (spec, bound)
+                    tight += m >= 2 and bound >= m * m and lookups > 0
+        assert tight >= 100
 
     def test_both_families_refuse_from_the_same_height(self, monkeypatch):
         # every family is priced as the one finf walk, so the first

@@ -86,8 +86,9 @@ class TestEnumerateGroup:
 
     def test_member_walk_is_filtered_by_contains(self, monkeypatch):
         # the walk steps only the classes the moduli allow, which still
-        # holds non-members: contains on every candidate makes the sample
-        # exact, and the oracle's member count depends on it
+        # holds non-members: contains decides each candidate row once, on
+        # one k of its class, and the oracle's member count depends on it.
+        # A contains that accepts everything keeps every candidate.
         visited = collections.Counter()
         contains = SubgroupSpec.contains
 
@@ -96,12 +97,29 @@ class TestEnumerateGroup:
             return contains(group, g)
 
         monkeypatch.setattr(SubgroupSpec, "contains", counted)
-        for (l, m), (walked, kept) in {
-            (5, 3): (53, 33), (4, 3): (85, 47), (7, 3): (29, 21),
-        }.items():
+        cases = {(5, 3): (16, 33, 53), (4, 3): (29, 47, 85), (7, 3): (6, 21, 29)}
+        for (l, m), (tested, kept, candidates) in cases.items():
             group = gamma0_pair(l, m)
             assert len(list(oracle_module._members(group, 20))) == kept
-            assert visited[group.label] == walked
+            assert visited[group.label] == tested
+        monkeypatch.setattr(SubgroupSpec, "contains", lambda group, g: True)
+        for (l, m), (tested, kept, candidates) in cases.items():
+            assert len(list(oracle_module._members(gamma0_pair(l, m), 20))) == candidates
+
+    def test_rows_count_the_sample(self):
+        # for every pair group with moduli up to 6, in both orientations
+        # and at entry bounds up to 30, the rows' range lengths sum to the
+        # sorted sample's size, and the rows (a, c) and (-a, c) hold
+        # equally many members
+        for l, m, flip in itertools.product(range(1, 7), range(1, 7), (False, True)):
+            group = gamma0_pair(l, m)
+            for bound in (1, 2, 3, 5, 8, 13, 21, 30):
+                held = collections.Counter()
+                for a, c, b0, d0, ks in oracle_module._member_rows(group, bound, flip):
+                    held[a, c] += len(ks)
+                assert sum(held.values()) == len(enumerate_group(group, bound).elements)
+                for (a, c), count in held.items():
+                    assert c == 0 or held[-a, c] == count, (l, m, flip, bound, a, c)
 
     def test_member_walk_is_the_naive_scan_and_filter(self):
         # plain entry tuples in the walk's own sign lift, each member once
@@ -347,26 +365,36 @@ class TestCompareEdgesVsOrbital:
     @pytest.mark.parametrize("family", ["finf", "fzero"])
     def test_window_replay_matches_full_replay(self, family):
         # every unit, l and m up to 5, and height bounds below the base
-        # pair's height, so that it falls outside the window
-        outside = 0
+        # pair's height, so that it falls outside the window.  Reversed
+        # fzero specs have the cusp 0/1 as their second base point.  Where
+        # the walk's orientation moves the cusp's image along each row
+        # (finf with m > l, fzero with l >= m), the rows are expanded: those
+        # cases come with entry bounds both below and above the height bound
+        seen = collections.Counter()
         for modulus, other in itertools.product(range(1, 6), repeat=2):
             l, m = (modulus, other) if family == "finf" else (other, modulus)
-            for u in range(1, max(modulus, 2)):
+            moving = m > l if family == "finf" else l >= m
+            flags = (False, True) if family == "fzero" else (False,)
+            for u, reversed_ in itertools.product(range(1, max(modulus, 2)), flags):
                 if math.gcd(u, modulus) != 1:
                     continue
-                spec = GraphSpec(family=family, u=u, modulus=modulus)
+                spec = GraphSpec(family=family, u=u, modulus=modulus,
+                                 reversed=reversed_)
                 base_height = max(v.height for v in spec.base_pair())
                 for bounds in itertools.product((1, 7, 20), (1, 5, 30)):
                     report = compare_edges_vs_orbital(spec, gamma0_pair(l, m), *bounds)
                     reference = full_replay(spec, gamma0_pair(l, m), *bounds)
                     assert report.to_dict() == reference.to_dict(), (spec, l, m, bounds)
                     assert report.text_lines() == reference.text_lines()
-                    outside += base_height > bounds[1]
-        assert outside >= 20
+                    seen["outside"] += base_height > bounds[1]
+                    seen[moving, bounds[0] < bounds[1]] += 1
+        assert seen["outside"] >= 20
+        assert min(seen[key] for key in itertools.product((False, True), repeat=2)) >= 20
 
     def test_images_are_built_only_in_the_window(self, monkeypatch):
-        # image points are built from the integer columns, two per pair
-        # in the window and none outside it
+        # window pairs are held as canonical integer columns: points are
+        # built only for soundness failures, two per failing pair, and no
+        # matrix is built at all
         calls = []
 
         def counted(num, den):
@@ -378,7 +406,16 @@ class TestCompareEdgesVsOrbital:
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
         assert 0 < report.orbital_in_bound < report.member_count
         assert report.to_dict()["orbital_pairs"] == report.member_count
-        assert len(calls) == 2 * report.orbital_in_bound
+        assert report.soundness_failures == () and calls == []
+        # a predicate that rejects every pair leaving 1/0 fails those pairs
+        monkeypatch.setattr(oracle_module, "edge_check",
+                            lambda spec, src, dst: None if src == INFINITY else 1)
+        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
+        failures = report.soundness_failures
+        assert 0 < len(failures) < report.orbital_in_bound
+        assert all(src == INFINITY for src, dst in failures)
+        assert all(type(v) is ProjectiveRational for pair in failures for v in pair)
+        assert len(calls) == 2 * len(failures)
 
     def test_makes_no_matrix_scan(self, monkeypatch):
         # the oracle walks the group's entry tuples itself; the sorted
