@@ -66,30 +66,40 @@ class BoundedGroupSample(namedtuple("BoundedGroupSample", "group entry_bound ele
 SCAN_CEILING = 60
 
 
+def _conjugated(group: SubgroupSpec) -> bool:
+    """Whether _member_rows walks the S-conjugate, which steps c by b_mod
+    and so has fewer rows when b_mod > c_mod."""
+    return group.b_mod > group.c_mod
+
+
 def _member_rows(
-    group: SubgroupSpec, bound: int, flip: bool
+    group: SubgroupSpec, bound: int
 ) -> Iterator[tuple[int, int, int, int, range]]:
     """Every member with |entries| <= bound once, in rows (a, c, b0, d0, ks)
     holding the walked tuples (a, b0 + k*a, c, d0 + k*c) for k in ks.
 
-    With flip the walk runs on the conjugate by S = [[0, -1], [1, 0]]:
-    (a, b, c, d) -> (d, -c, -b, a) has moduli (d_mod, c_mod, b_mod, a_mod)
-    and the same entry bound, and is its own inverse, so a walked tuple
-    stands for the member (d, -c, -b, a).  Canonical lifts have c > 0, or
-    c == 0 with a == d == 1, a row that steps b by b_mod and holds members
-    only.  A member has c == 0 (mod c_mod) and a == +-1 (mod a_mod), so
-    only those (a, c) are walked; the determinant pins d to the class of
-    a^-1 mod c and b to (a*d - 1)/c, and b == 0 (mod b_mod) holds for one
-    class of k mod b_mod/gcd(a, b_mod), or for none when gcd(a, b_mod)
-    does not divide b0: ks is that class within the entry bound.  Along
-    it only d moves the membership test, by the class step times c, so
-    where d_mod divides that, as for every factory of the group module,
-    group.contains is tested once per row; for any other spec each k is
-    tested and kept as a row of its own.  The mirror (a, b, c, d) ->
-    (-a, b, c, -d) keeps the determinant, the entry box and membership,
-    so each row with a > 0 is solved once and followed by its mirror
-    (-a, c, b0, -d0, -ks), which holds equally many members.
+    Where _conjugated(group), the walk runs on the conjugate by
+    S = [[0, -1], [1, 0]]: (a, b, c, d) -> (d, -c, -b, a) has moduli
+    (d_mod, c_mod, b_mod, a_mod) and the same entry bound, and is its own
+    inverse, so a walked tuple stands for the member (d, -c, -b, a).
+    Canonical lifts have c > 0, or c == 0 with a == d == 1, a row that
+    steps b by b_mod and holds members only.  A member has c == 0
+    (mod c_mod) and a == +-1 (mod a_mod), so only those (a, c) are walked;
+    the determinant pins d to the class of a^-1 mod c and b to
+    (a*d - 1)/c.  A factor a shares with b_mod would divide a*d - b*c = 1
+    wherever b == 0 (mod b_mod), so a row is walked only for a a unit mod
+    b_mod, and then b == 0 (mod b_mod) holds for one class of k mod b_mod:
+    ks is that class within the entry bound.  Along it only d moves the
+    membership test, by b_mod*c per class step.  Where d_mod divides
+    that, group.contains is tested once per row, on its first k; on every
+    factory of the group module the walked d_mod divides b_mod itself, so
+    every row is.  Any other spec is tested k by k, and each k kept is a
+    row of its own.  The mirror (a, b, c, d) -> (-a, b, c, -d) keeps the
+    determinant, the entry box and membership, so each row with a > 0 is
+    solved once and followed by its mirror (-a, c, b0, -d0, -ks), which
+    holds equally many members.
     """
+    flip = _conjugated(group)
     a_mod, b_mod, c_mod, d_mod = ((group.d_mod, group.c_mod, group.b_mod, group.a_mod)
                                   if flip else group[:4])
 
@@ -98,22 +108,18 @@ def _member_rows(
         return group.contains((d, -c, -b, a) if flip else (a, b, c, d))
 
     yield 1, 0, 0, 1, range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
-    tops = [a for a in range(bound + 1)
-            if (a - 1) % a_mod == 0 or (a + 1) % a_mod == 0]
+    tops = [a for a in range(bound + 1) if math.gcd(a, b_mod) == 1
+            and ((a - 1) % a_mod == 0 or (a + 1) % a_mod == 0)]
     for c in range(c_mod, bound + 1, c_mod):
         for a in tops:
             if math.gcd(a, c) != 1:
                 continue
             d0 = pow(a, -1, c) if c > 1 else 0
             b0 = (a * d0 - 1) // c
-            shared = math.gcd(a, b_mod)
-            if b0 % shared:
-                continue
-            step = b_mod // shared
-            first = -b0 // shared * pow(a // shared, -1, step)
+            first = -b0 * pow(a, -1, b_mod)
             # b = b0 + k*a and d = d0 + k*c, both within the bound
-            ks = _class_steps(b0, a, d0, c, bound, -bound, first, step)
-            if step * c % d_mod == 0:
+            ks = _class_steps(b0, a, d0, c, bound, -bound, first, b_mod)
+            if b_mod * c % d_mod == 0:
                 rows = [ks] if ks and kept(a, c, b0, d0, first) else []
             else:
                 rows = [range(k, k + 1) for k in ks if kept(a, c, b0, d0, k)]
@@ -126,12 +132,12 @@ def _member_rows(
 def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, int]]:
     """Every member with |entries| <= bound once, as the entry tuple
     (a, b, c, d) of the sign lift the walk reaches: the rows of
-    _member_rows expanded k by k, on the S-conjugate, which has fewer
-    rows, when b_mod > c_mod.  The walk yields the naive scan-and-filter
+    _member_rows expanded k by k and mapped back from the S-conjugate
+    where that was walked.  The walk yields the naive scan-and-filter
     set; matrices are built only for listed violations and the sorted scan.
     """
-    flip = group.b_mod > group.c_mod
-    for a, c, b0, d0, ks in _member_rows(group, bound, flip):
+    flip = _conjugated(group)
+    for a, c, b0, d0, ks in _member_rows(group, bound):
         for k in ks:
             b, d = b0 + k * a, d0 + k * c
             yield (d, -c, -b, a) if flip else (a, b, c, d)
@@ -314,7 +320,7 @@ def compare_edges_vs_orbital(
     graph = enumerate_graph(spec, height_bound)
     alpha, beta = spec.base_pair()
     cusp_first = alpha == (INFINITY if finf else ZERO)
-    flip = m > l
+    flip = _conjugated(group)  # m > l
     # the other base point as a walked column: S^-1 of it on the conjugate,
     # up to sign, with a positive second entry either way
     x, y = beta if cusp_first else alpha
@@ -330,7 +336,7 @@ def compare_edges_vs_orbital(
 
     members, window = 0, set()
     add = window.add
-    rows = _member_rows(group, entry_bound, flip)
+    rows = _member_rows(group, entry_bound)
     if flip != finf:  # the cusp is walked as 1/0, with the image (a, c)
         for a, c, b0, d0, ks in rows:
             members += len(ks)
@@ -349,7 +355,8 @@ def compare_edges_vs_orbital(
                 other = point(t0 + k * dt, s0 + k * ds)
                 add((cusp, other) if cusp_first else (other, cusp))
     else:  # the cusp is walked as 0/1, with the image (b, d); these rows
-        # are short, and expanding them beats a second window solve
+        # are short, and expanding them beats both a second window solve
+        # and the other orientation's walk, which has more rows
         for a, c, b0, d0, ks in rows:
             members += len(ks)
             for k in ks:

@@ -107,19 +107,31 @@ class TestEnumerateGroup:
             assert len(list(oracle_module._members(gamma0_pair(l, m), 20))) == candidates
 
     def test_rows_count_the_sample(self):
-        # for every pair group with moduli up to 6, in both orientations
-        # and at entry bounds up to 30, the rows' range lengths sum to the
-        # sorted sample's size, and the rows (a, c) and (-a, c) hold
-        # equally many members
-        for l, m, flip in itertools.product(range(1, 7), range(1, 7), (False, True)):
+        # for every pair group with moduli up to 6, so that both walk
+        # orientations occur, and at entry bounds up to 30, the rows' range
+        # lengths sum to a three-loop count of the members, and the rows
+        # (a, c) and (-a, c) hold equally many members
+        rng = range(-30, 31)
+        box = []  # (largest entry, entries) of every determinant-one tuple
+        for a, b, c in itertools.product(rng, repeat=3):
+            if a:
+                d, rem = divmod(1 + b * c, a)
+                ds = () if rem or abs(d) > 30 else (d,)
+            else:
+                ds = rng if b * c == -1 else ()
+            box.extend((max(abs(a), abs(b), abs(c), abs(d)), (a, b, c, d)) for d in ds)
+        for l, m in itertools.product(range(1, 7), repeat=2):
             group = gamma0_pair(l, m)
+            heights = collections.Counter(h for h, g in box if group.contains(g))
             for bound in (1, 2, 3, 5, 8, 13, 21, 30):
                 held = collections.Counter()
-                for a, c, b0, d0, ks in oracle_module._member_rows(group, bound, flip):
+                for a, c, b0, d0, ks in oracle_module._member_rows(group, bound):
                     held[a, c] += len(ks)
-                assert sum(held.values()) == len(enumerate_group(group, bound).elements)
+                # the box holds both sign lifts of every member
+                assert 2 * sum(held.values()) == sum(
+                    n for h, n in heights.items() if h <= bound), (l, m, bound)
                 for (a, c), count in held.items():
-                    assert c == 0 or held[-a, c] == count, (l, m, flip, bound, a, c)
+                    assert c == 0 or held[-a, c] == count, (l, m, bound, a, c)
 
     def test_member_walk_is_the_naive_scan_and_filter(self):
         # plain entry tuples in the walk's own sign lift, each member once
