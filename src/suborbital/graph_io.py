@@ -4,14 +4,16 @@ Three emitters share one rule: the same graph always produces the same
 bytes.  JSON is the canonical interchange format and the only one that
 parses back; DOT is for graph tooling; SVG draws the edges as
 upper-half-plane geodesics (semicircles between finite vertices,
-vertical rays toward infinity).
+vertical rays toward infinity).  The parser checks a document's items
+in bulk passes and walks them one by one only to name a malformed one.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from operator import itemgetter
 
 from .errors import (
     InvalidBound,
@@ -47,8 +49,8 @@ _DOC_KEYS = (
     "edges",
 )
 _EDGE_KEYS = frozenset({"src", "dst", "sign"})
-_SIGN_TEXT = {1: "+", -1: "-"}
-_SIGNS = tuple(_SIGN_TEXT.values())
+_EDGE_ROW = itemgetter("src", "dst", "sign")
+_SIGNS = ("+", "-")
 # every point str() writes: 1/0, 0/1, or a nonzero numerator over a positive
 # denominator, ASCII digits without leading zeros
 _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
@@ -63,13 +65,23 @@ def _vertex_text(graph: SuborbitalGraph) -> dict[ProjectiveRational, str]:
     return dict(zip(graph.vertices, map(POINT_TEXT.__mod__, graph.vertices)))
 
 
+def _edge_rows(
+    graph: SuborbitalGraph, spelling: dict[ProjectiveRational, str]
+) -> Iterator[_Edge]:
+    """Each edge as its (src, dst, sign) text, the sign by the rule of
+    DirectedEdge.sign computed inline: + exactly when r*y > s*x."""
+    for src, dst in graph.edges:
+        (r, s), (x, y) = src, dst
+        yield spelling[src], spelling[dst], "+" if r * y > s * x else "-"
+
+
 def emit_json(graph: SuborbitalGraph) -> str:
     """Canonical JSON: fixed key order, compact separators, version "1".
 
     Only the header goes through json.dumps; each vertex and each edge is
     written as one row, so no per-edge dict is built.  Endpoints are read
-    from one text per vertex, and the table and the rows are released
-    before the final join, which holds the document twice.
+    from one text per vertex, and the table is released before the final
+    join, which holds the document twice.
     """
     header = {
         "format_version": FORMAT_VERSION,
@@ -82,14 +94,9 @@ def emit_json(graph: SuborbitalGraph) -> str:
     head = json.dumps(header, separators=(",", ":"))[:-1]
     spelling = _vertex_text(graph)
     vertices = ",".join([f'"{spelling[v]}"' for v in graph.vertices])
-    rows = [
-        f'{{"src":"{spelling[e[0]]}","dst":"{spelling[e[1]]}",'
-        f'"sign":"{_SIGN_TEXT[e.sign]}"}}'
-        for e in graph.edges
-    ]
+    edges = ",".join(map('{"src":"%s","dst":"%s","sign":"%s"}'.__mod__,
+                         _edge_rows(graph, spelling)))
     del spelling
-    edges = ",".join(rows)
-    del rows
     return f'{head},"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
@@ -116,9 +123,11 @@ def parse_json(text: str) -> SuborbitalGraph:
     -6/8 is an unknown vertex.  A height bound whose enumeration
     enumerate_graph would refuse raises BoundTooLarge.
 
-    Before the graph is enumerated, one pass checks the vertices and then
-    the edges in document order, within an edge its shape, then src, dst
-    and sign, and names the first malformed item.
+    Before the graph is enumerated, bulk passes decide whether every item
+    is well formed: each edge an object with exactly the keys src, dst and
+    sign, each sign + or -, and each distinct point text in the grammar.
+    Only if one fails does _name_first_malformed walk the items to name
+    the first malformed one.
     """
     try:
         document = json.loads(text)
@@ -154,25 +163,19 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidSpec as exc:
         raise InvariantViolation(f"graph parameters invalid: {exc}") from None
 
-    vertices = document["vertices"]
-    point = _POINT.fullmatch
-    for i, v in enumerate(vertices):
-        if not (isinstance(v, str) and point(v)):
-            _point(v, f"vertices[{i}]")
-    rows: list[_Edge] = []
-    for i, e in enumerate(document["edges"]):
-        if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
-            _require(isinstance(e, dict), f"edges[{i}] must be an object")
-            raise MalformedDocument(
-                f"edges[{i}] must have exactly keys src, dst, sign")
-        src, dst, sign = row = (e["src"], e["dst"], e["sign"])
-        if not (isinstance(src, str) and point(src)
-                and isinstance(dst, str) and point(dst) and sign in _SIGNS):
-            _point(src, f"edges[{i}].src")
-            _point(dst, f"edges[{i}].dst")
-            raise MalformedDocument(
-                f"edges[{i}].sign must be '+' or '-', got {sign!r}")
-        rows.append(row)
+    vertices, edges = document["vertices"], document["edges"]
+    try:  # a non-object edge or a missing key raises
+        rows: tuple[_Edge, ...] = tuple(map(_EDGE_ROW, edges))
+        well_formed = (
+            sum(map(len, edges)) == 3 * len(rows)
+            and set(map(itemgetter(2), rows)).issubset(_SIGNS)
+            and all(map(_POINT.fullmatch, set(vertices).union(
+                map(itemgetter(0), rows), map(itemgetter(1), rows))))
+        )
+    except (TypeError, KeyError):  # also unhashable or non-string texts
+        well_formed = False
+    if not well_formed:
+        _name_first_malformed(vertices, edges)
 
     try:
         expected = enumerate_graph(spec, document["height_bound"])
@@ -182,11 +185,31 @@ def parse_json(text: str) -> SuborbitalGraph:
     spelling = _vertex_text(expected)
     _check_list("vertex", "vertices", tuple(vertices),
                 tuple(spelling.values()), str, _unknown_vertex)
-    _check_list("edge", "edges", tuple(rows),
-                tuple((spelling[e[0]], spelling[e[1]], _SIGN_TEXT[e.sign])
-                      for e in expected.edges),
+    _check_list("edge", "edges", rows, tuple(_edge_rows(expected, spelling)),
                 _edge_text, _unknown_edge)
     return expected
+
+
+def _name_first_malformed(vertices: list, edges: list) -> None:
+    """Raise MalformedDocument naming the first malformed item: the
+    vertices and then the edges in document order, within an edge its
+    shape, then src, dst and sign."""
+    point = _POINT.fullmatch
+    for i, v in enumerate(vertices):
+        if not (isinstance(v, str) and point(v)):
+            _point(v, f"vertices[{i}]")
+    for i, e in enumerate(edges):
+        if not (isinstance(e, dict) and e.keys() == _EDGE_KEYS):
+            _require(isinstance(e, dict), f"edges[{i}] must be an object")
+            raise MalformedDocument(
+                f"edges[{i}] must have exactly keys src, dst, sign")
+        src, dst, sign = e["src"], e["dst"], e["sign"]
+        if not (isinstance(src, str) and point(src)
+                and isinstance(dst, str) and point(dst) and sign in _SIGNS):
+            _point(src, f"edges[{i}].src")
+            _point(dst, f"edges[{i}].dst")
+            raise MalformedDocument(
+                f"edges[{i}].sign must be '+' or '-', got {sign!r}")
 
 
 def _edge_text(edge: _Edge) -> str:
@@ -250,15 +273,13 @@ def emit_dot(graph: SuborbitalGraph) -> str:
     spelling = _vertex_text(graph)
     lines = [f'digraph "{graph.spec.label()}" {{']
     lines.extend([f'  "{t}";' for t in spelling.values()])
-    lines.extend([
-        f'  "{spelling[e[0]]}" -> "{spelling[e[1]]}" [label="{_SIGN_TEXT[e.sign]}"];'
-        for e in graph.edges
-    ])
+    lines.extend(map('  "%s" -> "%s" [label="%s"];'.__mod__,
+                     _edge_rows(graph, spelling)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-_STROKE = {1: "#205080", -1: "#a03030"}
+_STROKE = ("#a03030", "#205080")  # indexed by whether the sign is +
 # wider drawings are refused, far below where float coordinates overflow
 WIDTH_CEILING = 100_000
 
@@ -296,8 +317,11 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         lo, hi = -1.0, 1.0
     span = hi - lo
 
-    # each finite vertex's x pixel, computed once for its edges and circle
+    # each finite vertex's x pixel and its text, computed once for its
+    # edges and circle
     vx = {v: pad + (v.num / v.den - lo) / span * (width - 2.0 * pad) for v in finite}
+    px = {v: f"{x:.2f}" for v, x in vx.items()}
+    axis, top, ray_end = f"{axis_y:.2f}", f"{top_y:.2f}", f"{axis_y - 4.0:.2f}"
     spelling = _vertex_text(graph)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -313,33 +337,30 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         f'  <line x1="{pad:.2f}" y1="{axis_y:.2f}" x2="{width - pad:.2f}"'
         f' y2="{axis_y:.2f}" stroke="#303030" stroke-width="1"/>',
     ]
-    for edge in graph.edges:
-        stroke = _STROKE[edge.sign]
-        if edge.src.is_infinite or edge.dst.is_infinite:
-            foot = edge.dst if edge.src.is_infinite else edge.src
-            x = vx[foot]
-            if edge.src.is_infinite:
-                d = f"M {x:.2f} {top_y:.2f} L {x:.2f} {axis_y - 4.0:.2f}"
-            else:
-                d = f"M {x:.2f} {axis_y:.2f} L {x:.2f} {top_y:.2f}"
+    for src, dst in graph.edges:
+        (r, s), (x, y) = src, dst
+        stroke = _STROKE[r * y > s * x]  # the rule of DirectedEdge.sign
+        if s == 0:  # 1/0 is the only point with denominator 0
+            d = f"M {px[dst]} {top} L {px[dst]} {ray_end}"
+        elif y == 0:
+            d = f"M {px[src]} {axis} L {px[src]} {top}"
         else:
-            x1, x2 = vx[edge.src], vx[edge.dst]
-            r = abs(x2 - x1) / 2.0
-            sweep = 1 if x2 > x1 else 0
+            x1, x2 = vx[src], vx[dst]
+            radius = f"{abs(x2 - x1) / 2.0:.2f}"
             d = (
-                f"M {x1:.2f} {axis_y:.2f} "
-                f"A {r:.2f} {r:.2f} 0 0 {sweep} {x2:.2f} {axis_y:.2f}"
+                f"M {px[src]} {axis} "
+                f"A {radius} {radius} 0 0 {1 if x2 > x1 else 0} {px[dst]} {axis}"
             )
         out.append(
             f'  <path d="{d}" fill="none" stroke="{stroke}"'
             ' stroke-width="1.5" marker-end="url(#arrow)"/>'
         )
-    for vertex, x in vx.items():
+    for vertex, x in px.items():
         out.append(
-            f'  <circle cx="{x:.2f}" cy="{axis_y:.2f}" r="2.5" fill="#303030"/>'
+            f'  <circle cx="{x}" cy="{axis}" r="2.5" fill="#303030"/>'
         )
         out.append(
-            f'  <text x="{x:.2f}" y="{axis_y + 14.0:.2f}" font-size="9"'
+            f'  <text x="{x}" y="{axis_y + 14.0:.2f}" font-size="9"'
             f' text-anchor="middle" font-family="monospace">{spelling[vertex]}</text>'
         )
     if any(v.is_infinite for v in graph.vertices):

@@ -40,7 +40,7 @@ from .errors import (
     plain_int,
     refuse_above,
 )
-from .rational import INFINITY, ZERO, ProjectiveRational, mod_inverse
+from .rational import INFINITY, POINT_TEXT, ZERO, ProjectiveRational, mod_inverse
 
 __all__ = [
     "FAMILY_INFINITY",
@@ -57,6 +57,7 @@ __all__ = [
 
 FAMILY_INFINITY = "finf"
 FAMILY_ZERO = "fzero"
+_EDGE_TEXT = f"{POINT_TEXT} -> {POINT_TEXT} [%s]"  # str() of an edge
 
 
 class GraphSpec(namedtuple("GraphSpec", "family u modulus reversed")):
@@ -150,8 +151,8 @@ class DirectedEdge(tuple):
     __radd__ = __mul__ = __rmul__ = __add__
 
     def __str__(self) -> str:
-        mark = "+" if self.sign > 0 else "-"
-        return f"{self.src} -> {self.dst} [{mark}]"
+        (r, s), (x, y) = self
+        return _EDGE_TEXT % (r, s, x, y, "+" if r * y > s * x else "-")
 
 
 def _congruences_hold(

@@ -1,8 +1,10 @@
 """Tests for JSON, DOT, and SVG emission."""
 
+import copy
 import hashlib
 import json
 import math
+import random
 import re
 
 import pytest
@@ -15,7 +17,13 @@ from suborbital.errors import (
     MalformedDocument,
     VersionMismatch,
 )
-from suborbital.graph_io import emit_dot, emit_json, emit_svg, parse_json
+from suborbital.graph_io import (
+    _name_first_malformed,
+    emit_dot,
+    emit_json,
+    emit_svg,
+    parse_json,
+)
 from suborbital.graphs import (
     GraphSpec,
     SuborbitalGraph,
@@ -293,6 +301,35 @@ MALFORMED_ITEMS = [
 ]
 
 
+# values put in place of a whole item or of one edge key
+SPOILERS = [None, 5, True, 1.5, "x", "03/4", "+", "positive", [], {}]
+
+
+def spoiled_documents(seed, count):
+    """Documents of TEST_GRAPHS with one to three changes to their items:
+    a spoiler in place of an item or of an edge key, an edge key dropped
+    or added, an item deleted, or a spoiler or a copy of an item inserted."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        data = json.loads(emit_json(rng.choice(TEST_GRAPHS)))
+        for _ in range(rng.randint(1, 3)):
+            items = data[rng.choice(("vertices", "edges"))]
+            i = rng.randrange(len(items) + 1)
+            value = copy.deepcopy(rng.choice(SPOILERS + items[:1] + items[-1:]))
+            how = rng.choice(("insert", "delete", "replace", "set key", "drop key"))
+            if how == "insert" or i == len(items):
+                items.insert(i, value)
+            elif how == "delete":
+                del items[i]
+            elif how == "replace" or not isinstance(items[i], dict):
+                items[i] = value
+            elif how == "set key":
+                items[i][rng.choice(("src", "dst", "sign", "weight"))] = value
+            else:
+                items[i].pop(rng.choice(("src", "dst", "sign")), None)
+        yield data
+
+
 class TestMalformedItems:
     """A malformed item is named by the same message wherever it stands,
     and of several the first in document order is named."""
@@ -347,6 +384,27 @@ class TestMalformedItems:
         data["edges"][-1]["sign"] = "positive"
         with pytest.raises(MalformedDocument):
             parse_json(json.dumps(data))
+
+    def test_the_bulk_decision_agrees_with_the_naming_walk(self):
+        # parse_json refuses a document's items as malformed exactly when
+        # the item-by-item walk names one, and with the walk's message
+        named_or_not = {True: 0, False: 0}
+        for data in spoiled_documents(20261019, 600):
+            try:
+                _name_first_malformed(data["vertices"], data["edges"])
+                named = None
+            except MalformedDocument as exc:
+                named = str(exc)
+            try:
+                parse_json(json.dumps(data))
+                refused = None
+            except MalformedDocument as exc:
+                refused = str(exc)
+            except InvariantViolation:
+                refused = None
+            assert refused == named, data
+            named_or_not[named is None] += 1
+        assert min(named_or_not.values()) >= 50, named_or_not
 
 
 class TestNonCanonicalText:
