@@ -300,8 +300,7 @@ _COMMANDS = {
                          help="svg width in pixels (64 to 100000)"), ()),
     )),
     "verify": ("run a brute-force verification suite", cmd_verify, (
-        ("--suite", dict(required=True, choices=(
-            "oracle", "blocks", "selfpaired", "pairing", "lattice", "all")), ()),
+        ("--suite", dict(required=True, choices=(*_SUITES, "all")), ()),
         ("--max", dict(type=int, help="blocks suite: largest modulus to test"),
          ("all", "blocks")),
         ("--family", dict(choices=(FAMILY_INFINITY, FAMILY_ZERO),

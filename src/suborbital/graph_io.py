@@ -285,9 +285,10 @@ WIDTH_CEILING = 100_000
 
 
 def check_svg_width(width_px: int) -> None:
-    """Refuse a width below 64 px (InvalidBound) or above WIDTH_CEILING."""
-    if width_px < 64:
-        raise InvalidBound(f"width must be at least 64 px, got {width_px}")
+    """Refuse a width that is no integer or is below 64 px (InvalidBound),
+    or is above WIDTH_CEILING."""
+    if not plain_int(width_px) or width_px < 64:
+        raise InvalidBound(f"width must be an integer >= 64 px, got {width_px!r}")
     refuse_above("the svg width in px", width_px, WIDTH_CEILING)
 
 

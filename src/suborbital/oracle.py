@@ -3,8 +3,8 @@
 Everything here works from first principles: walks of bounded integer
 matrices, exhaustive over the residue classes of a, b and c a subgroup's
 moduli allow, in rows of one first column each filtered once by its
-membership test, built as matrices only for a sorted scan or a listed
-violation; the one matrix carrying an edge onto another, solved from the
+membership test, built as matrices only for a sorted scan, a listed
+violation or a class representative; the one matrix carrying an edge onto another, solved from the
 endpoints' columns and filtered the same way; direct orbit marking over
 residue pairs; and raw group action on the base pair's columns, counted
 and solved for the height window row by row, with points built only for
@@ -17,10 +17,10 @@ records that equal and hash as their field tuples.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterator
 
-from .errors import InvalidBound, InvalidModulus, InvalidSpec, refuse_above
+from .errors import InvalidBound, InvalidModulus, InvalidSpec, plain_int, refuse_above
 from .graphs import (
     FAMILY_INFINITY,
     DirectedEdge,
@@ -134,7 +134,8 @@ def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, i
     (a, b, c, d) of the sign lift the walk reaches: the rows of
     _member_rows expanded k by k and mapped back from the S-conjugate
     where that was walked.  The walk yields the naive scan-and-filter
-    set; matrices are built only for listed violations and the sorted scan.
+    set; matrices are built only for listed violations, class
+    representatives and the sorted scan.
     """
     flip = _conjugated(group)
     for a, c, b0, d0, ks in _member_rows(group, bound):
@@ -144,8 +145,8 @@ def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, i
 
 
 def _check_entry_bound(entry_bound: int) -> None:
-    if entry_bound < 1:
-        raise InvalidBound(f"entry bound must be >= 1, got {entry_bound}")
+    if not plain_int(entry_bound) or entry_bound < 1:
+        raise InvalidBound(f"entry bound must be an integer >= 1, got {entry_bound!r}")
     refuse_above("the entry bound", entry_bound, SCAN_CEILING)
 
 
@@ -155,8 +156,8 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
     The walk over the residue classes the group's moduli allow, with every
     candidate kept only if group.contains accepts it, so the sample equals
     a naive scan of the whole box filtered by contains, ordered by entry
-    tuple.  Raises InvalidBound below 1 and BoundTooLarge above the scan
-    ceiling.
+    tuple.  Raises InvalidBound for a bound that is no integer (bools
+    included) or is below 1, and BoundTooLarge above the scan ceiling.
     """
     _check_entry_bound(entry_bound)
     elements = sorted(UnimodularMatrix(*g) for g in _members(group, entry_bound))
@@ -391,8 +392,8 @@ def count_blocks(n: int) -> int:
     gcd(x, y, n) == 1.  Independent of the multiplicative formula in the
     rational module, which it exists to corroborate.
     """
-    if n < 1:
-        raise InvalidModulus(f"count_blocks needs n >= 1, got {n}")
+    if not plain_int(n) or n < 1:
+        raise InvalidModulus(f"count_blocks needs an integer n >= 1, got {n!r}")
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
     seen: set[tuple[int, int]] = set()
     blocks = 0
@@ -417,8 +418,8 @@ class LatticeReport(namedtuple("LatticeReport", (
     direction only; the reverse inclusion needs unbounded factors and is
     recorded as unchecked.  Every one of the products_checked products
     is decided exactly, through the pair of residue classes of its
-    factors, and product_violations lists the products of the pairs that
-    fail, in scan order.  unchecked, the same on every report, is a class
+    factors, and product_violations lists one product for each pair
+    that fails, sorted.  unchecked, the same on every report, is a class
     attribute and not a field.
     """
 
@@ -460,85 +461,57 @@ class LatticeReport(namedtuple("LatticeReport", (
         ]
 
 
-# the check forms one product per pair of residue classes, but a failing
-# pair lists every product it decides: a listing of more products than
-# this is refused before any of them is formed
-PRODUCT_CEILING = 1_000_000
-
-
-def _product_violations(
-    left: tuple[UnimodularMatrix, ...],
-    right: tuple[UnimodularMatrix, ...],
-    join: SubgroupSpec,
-) -> tuple[UnimodularMatrix, ...]:
-    """Every p * q with p in left and q in right that join does not
-    contain, p-major and q-minor, forming one product per pair of residue
-    classes mod n, the lcm of join's moduli.
-
-    join.contains reads b and c mod their moduli and a and d on both sign
-    lifts, so it depends only on the entries mod n up to an overall sign.
-    Reduction mod n is a ring homomorphism, so the factors' classes fix
-    the raw product's entries mod n, and the canonical lift of p * q only
-    negates all four: one product decides its whole pair of classes.
-    The products of the failing pairs are counted from the class sizes
-    and refused above PRODUCT_CEILING before any of them is listed.
-    """
-    n = math.lcm(join.a_mod, join.b_mod, join.c_mod, join.d_mod)
-
-    def classes(scan):
-        # each class is represented by its first member in the scan
-        keys = [(a % n, b % n, c % n, d % n) for a, b, c, d in scan]
-        return keys, dict(zip(keys[::-1], scan[::-1]))
-
-    left_keys, left_reps = classes(left)
-    right_keys, right_reps = classes(right)
-    failed = {
-        (kp, kq)
-        for kp, p in left_reps.items()
-        for kq, q in right_reps.items()
-        if not join.contains(p * q)
-    }
-    if not failed:
-        return ()
-    left_sizes, right_sizes = Counter(left_keys), Counter(right_keys)
-    refuse_above("the count of lattice products to list",
-                 sum(left_sizes[kp] * right_sizes[kq] for kp, kq in failed),
-                 PRODUCT_CEILING)
-    return tuple(
-        p * q
-        for p, kp in zip(left, left_keys)
-        for q, kq in zip(right, right_keys)
-        if (kp, kq) in failed
-    )
-
-
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
     """Scan-check the intersection and product lattice identities.
 
-    The intersection half walks the full group's sample once as entry
-    tuples, building a matrix only for a violation.  Products are decided
-    once per pair of residue classes of the two scans, and violations are
-    listed from the pairs that fail.  products_checked counts every
-    product those decisions cover; only a listing above PRODUCT_CEILING
-    is refused.
+    One walk of the full group's sample, as entry tuples, decides both
+    halves.  The intersection half builds a matrix only for a violation.
+    The product half counts the members of principal(n1) and gamma0(n2)
+    among the walked ones, and keeps the first member of each residue
+    class mod n, the lcm of the join's moduli.  join.contains reads b and
+    c mod their moduli and a and d on both sign lifts, so it depends only
+    on the entries mod n up to an overall sign.  Reduction mod n is a
+    ring homomorphism, so the factors' classes fix the product's entries
+    mod n, and the canonical lift of p * q only negates all four: one
+    product of representatives decides its whole pair of classes.
+    products_checked counts every product those decisions cover, and
+    product_violations lists the representative products the join
+    rejects, sorted, one per failing pair.
     """
     if n1 < 1 or n2 < 1:
         raise InvalidModulus(f"moduli must be >= 1, got ({n1}, {n2})")
     _check_entry_bound(entry_bound)
-    meet_a, meet_b, meet = principal(n1), principal(n2), principal(math.lcm(n1, n2))
+    left, right, join = principal(n1), gamma0(n2), gamma0(math.gcd(n1, n2))
+    meet_b, meet = principal(n2), principal(math.lcm(n1, n2))
+    n = math.lcm(*join[:4])
     scanned, bad_meet = 0, []
+    left_count = right_count = 0
+    left_reps, right_reps = {}, {}
     for g in _members(full_group(), entry_bound):
         scanned += 1
-        if (meet_a.contains(g) and meet_b.contains(g)) != meet.contains(g):
+        in_left, in_right = left.contains(g), right.contains(g)
+        if (in_left and meet_b.contains(g)) != meet.contains(g):
             bad_meet.append(UnimodularMatrix(*g))
+        if in_left or in_right:
+            a, b, c, d = g
+            key = (a % n, b % n, c % n, d % n)
+            if in_left:
+                left_count += 1
+                left_reps.setdefault(key, g)
+            if in_right:
+                right_count += 1
+                right_reps.setdefault(key, g)
 
-    left = enumerate_group(principal(n1), entry_bound).elements
-    right = enumerate_group(gamma0(n2), entry_bound).elements
+    lefts = [UnimodularMatrix(*g) for g in left_reps.values()]
+    rights = [UnimodularMatrix(*g) for g in right_reps.values()]
     return LatticeReport(
         n1=n1, n2=n2, entry_bound=entry_bound, scanned=scanned,
         intersection_violations=tuple(sorted(bad_meet)),
-        products_checked=len(left) * len(right),
-        product_violations=_product_violations(left, right, gamma0(math.gcd(n1, n2))),
+        products_checked=left_count * right_count,
+        product_violations=tuple(sorted(
+            pq for pq in (p * q for p in lefts for q in rights)
+            if not join.contains(pq)
+        )),
     )
 
 

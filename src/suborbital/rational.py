@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .errors import InvalidModulus, NotInvertible, ZeroOverZero, refuse_above
+from .errors import InvalidModulus, NotInvertible, ZeroOverZero, plain_int, refuse_above
 
 __all__ = [
     "ProjectiveRational",
@@ -128,8 +128,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     factorize(1) is the empty tuple.  Plain trial division, so BoundTooLarge
     refuses n whose isqrt exceeds TRIAL_DIVISION_CEILING.
     """
-    if n < 1:
-        raise InvalidModulus(f"factorize needs n >= 1, got {n}")
+    if not plain_int(n) or n < 1:
+        raise InvalidModulus(f"factorize needs an integer n >= 1, got {n!r}")
     refuse_above("the trial division bound isqrt(n)", math.isqrt(n),
                  TRIAL_DIVISION_CEILING)
     out: list[tuple[int, int]] = []
@@ -153,8 +153,8 @@ def dedekind_psi(n: int) -> int:
     Counts the blocks of the mod-n equivalence on the extended rationals;
     the oracle module recounts the same number by direct orbit scanning.
     """
-    if n < 1:
-        raise InvalidModulus(f"dedekind_psi needs n >= 1, got {n}")
+    if not plain_int(n) or n < 1:
+        raise InvalidModulus(f"dedekind_psi needs an integer n >= 1, got {n!r}")
     value = 1
     for p, k in factorize(n):
         value *= p ** (k - 1) * (p + 1)

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import suborbital
 from suborbital import errors, graph_io, graphs, group, oracle, rational
 
@@ -36,6 +38,10 @@ PUBLIC = {
     "emit_json", "parse_json", "emit_dot", "emit_svg", "FORMAT_VERSION",
     "check_svg_width",
 }
+
+F12 = graphs.GraphSpec("finf", 1, 2)
+FULL = group.full_group()
+GRAPH = graphs.enumerate_graph(F12, 4)
 
 
 def test_package_exports_the_public_names():
@@ -94,3 +100,38 @@ def test_cold_cli_import_loads_no_introspection_modules():
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+# every bound and modulus parameter takes a plain int only, as the JSON
+# fields do: floats and bools are refused by class, not by a raw
+# TypeError or AttributeError, nor accepted
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: oracle.enumerate_group(FULL, 1e3), errors.InvalidBound,
+                 id="enumerate_group-1e3"),
+    pytest.param(lambda: oracle.enumerate_group(FULL, True), errors.InvalidBound,
+                 id="enumerate_group-True"),
+    pytest.param(lambda: oracle.compare_edges_vs_orbital(
+        F12, group.gamma0_pair(2, 1), 20.0, 30), errors.InvalidBound,
+        id="compare_edges_vs_orbital-20.0"),
+    pytest.param(lambda: oracle.verify_lattice_identity(2, 3, 5.0), errors.InvalidBound,
+                 id="verify_lattice_identity-5.0"),
+    pytest.param(lambda: oracle.verify_self_paired(F12, 8.0), errors.InvalidBound,
+                 id="verify_self_paired-8.0"),
+    pytest.param(lambda: graph_io.emit_svg(GRAPH, 1e6), errors.InvalidBound,
+                 id="emit_svg-1e6"),
+    pytest.param(lambda: graph_io.emit_svg(GRAPH, 640.0), errors.InvalidBound,
+                 id="emit_svg-640.0"),
+    pytest.param(lambda: graph_io.check_svg_width(True), errors.InvalidBound,
+                 id="check_svg_width-True"),
+    pytest.param(lambda: rational.dedekind_psi(4.0), errors.InvalidModulus,
+                 id="dedekind_psi-4.0"),
+    pytest.param(lambda: rational.factorize(4.0), errors.InvalidModulus,
+                 id="factorize-4.0"),
+    pytest.param(lambda: rational.factorize(True), errors.InvalidModulus,
+                 id="factorize-True"),
+    pytest.param(lambda: oracle.count_blocks(4.0), errors.InvalidModulus,
+                 id="count_blocks-4.0"),
+])
+def test_bounds_that_are_not_plain_ints_are_refused(call, error):
+    with pytest.raises(error, match="integer"):
+        call()

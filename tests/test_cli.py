@@ -225,21 +225,21 @@ class TestVerifyCommand:
         self, capsys, monkeypatch
     ):
         # with gamma0(3) as the join, the full group's products with
-        # gamma0(3) fail; the listing is priced from the class sizes and
-        # refused before any of its products is formed
+        # gamma0(3) fail; each failing pair of classes mod 3 is listed by
+        # one product, and no more products are formed than there are pairs
         real_gamma0 = oracle_module.gamma0
         monkeypatch.setattr(oracle_module, "gamma0", lambda n: real_gamma0(3))
-        monkeypatch.setattr(oracle_module, "PRODUCT_CEILING", 100)
         formed = self.count_products(monkeypatch)
         code, out, err = run(
             capsys, "verify", "--suite", "lattice", "--n1", "1", "--n2", "1",
             "--entry-bound", "6",
         )
-        assert (code, out) == (3, "")
-        assert "lattice products to list is 6533, above the ceiling 100" in err
-        # one product per pair of classes mod 3: the 24 classes of the
-        # full group's scan times the 6 of gamma0(3)'s
-        assert formed == [24 * 6]
+        assert (code, err) == (1, "")
+        # 186 members times gamma0(3)'s 47; a pair fails exactly when its
+        # full-group class lies outside gamma0(3), on 18 of the 24 classes
+        assert "on 8742 products: 108 violation(s)" in out
+        # the 24 classes of the full group's scan times the 6 of gamma0(3)'s
+        assert formed[0] <= 24 * 6
 
     def test_selfpaired_single(self, capsys):
         code, out, _ = run(

@@ -491,25 +491,52 @@ class TestLatticeIdentity:
             for q in right[:20]:
                 assert join.contains(p * q)
 
+    @staticmethod
+    def classes(group, bound, n):
+        """The residue classes mod n of group's members within bound."""
+        return {tuple(x % n for x in g) for g in enumerate_group(group, bound).elements}
+
     @pytest.mark.parametrize("left, right, join, entry_bound, violations", [
         (principal(2), gamma0(4), principal(3), 5, True),
         (principal(2), gamma0(4), gamma0(8), 5, True),
-        (principal(3), full_group(), gamma0_pair(3, 4), 4, True),
+        (principal(3), gamma0(2), gamma0_pair(3, 4), 4, True),
         (principal(2), gamma0(4), gamma0(2), 5, False),
     ])
     def test_class_decision_matches_every_product(
-        self, left, right, join, entry_bound, violations
+        self, monkeypatch, left, right, join, entry_bound, violations
     ):
-        left = enumerate_group(left, entry_bound).elements
-        right = enumerate_group(right, entry_bound).elements
-        naive = tuple(
-            p * q for p in left for q in right if not join.contains(p * q)
+        # the suite's factors are principal(n1) and gamma0(n2); only the
+        # join, gamma0(gcd), is replaced, and gcd differs from n2 here
+        n1, n2 = left.a_mod, right.c_mod
+        gcd = math.gcd(n1, n2)
+        assert (left, right) == (principal(n1), gamma0(n2)) and gcd != n2
+        monkeypatch.setattr(
+            oracle_module, "gamma0", lambda n: join if n == gcd else gamma0(n)
         )
+        report = verify_lattice_identity(n1, n2, entry_bound)
+        monkeypatch.undo()
+        naive = {
+            p * q
+            for p in enumerate_group(left, entry_bound).elements
+            for q in enumerate_group(right, entry_bound).elements
+            if not join.contains(p * q)
+        }
         assert bool(naive) == violations
-        assert oracle_module._product_violations(left, right, join) == naive
+        assert report.intersection_violations == ()
+        assert report.ok == (not naive)
+        listed = report.product_violations
+        assert list(listed) == sorted(listed)
+        assert set(listed) <= naive
 
     def test_products_are_formed_once_per_class_pair(self, monkeypatch):
         n1, n2, bound = 4, 8, 20
+        # the join is gamma0(4), whose classes are the entries mod 4
+        pairs = len(self.classes(principal(n1), bound, 4)) * len(
+            self.classes(gamma0(n2), bound, 4))
+        products = len(enumerate_group(principal(n1), bound).elements) * len(
+            enumerate_group(gamma0(n2), bound).elements)
+        scanned = len(enumerate_group(full_group(), bound).elements)
+        rows = sum(1 for _ in oracle_module._member_rows(full_group(), bound))
         counts = {"contains": 0, "mul": 0}
 
         def counted(name, method):
@@ -524,31 +551,22 @@ class TestLatticeIdentity:
         monkeypatch.setattr(
             UnimodularMatrix, "__mul__", counted("mul", UnimodularMatrix.__mul__)
         )
-        scanned = len(enumerate_group(full_group(), bound).elements)
-        left = enumerate_group(principal(n1), bound).elements
-        right = enumerate_group(gamma0(n2), bound).elements
-        scan_filter_calls = counts["contains"]
-        counts.update(contains=0, mul=0)
-
         report = verify_lattice_identity(n1, n2, bound)
-        # the join is gamma0(4), whose classes are the entries mod 4
-        pairs = math.prod(
-            len({tuple(x % 4 for x in g) for g in scan}) for scan in (left, right)
-        )
         assert report.ok
-        assert report.products_checked == len(left) * len(right) > 3 * scanned + pairs
+        assert report.products_checked == products > 3 * scanned + pairs
         assert counts["mul"] <= pairs
-        # the intersection half tests at most three memberships per matrix
-        assert counts["contains"] <= 3 * scanned + pairs + scan_filter_calls
+        # the walk tests its rows once each and each member at most four
+        # times, and each product once against the join
+        assert counts["contains"] <= rows + 4 * scanned + pairs
 
     @pytest.mark.parametrize("n1, n2, bound", [(3, 4, 28), (2, 3, 12), (4, 8, 20)])
     def test_meet_builds_matrices_only_for_violations(
         self, monkeypatch, n1, n2, bound
     ):
-        # the intersection half walks the full group as entry tuples: the
-        # only matrices built are its listed violations, the members of
-        # the two product scans and the products, and the full group's
-        # sample is not cached
+        # the suite walks the full group as entry tuples: the only matrices
+        # built are the intersection's listed violations, one representative
+        # per residue class of each product factor, and the products, and
+        # the full group's sample is not cached
         counts = collections.Counter()
         new, mul = UnimodularMatrix.__new__, UnimodularMatrix.__mul__
 
@@ -565,12 +583,29 @@ class TestLatticeIdentity:
         report = verify_lattice_identity(n1, n2, bound)
         monkeypatch.undo()
         assert not [v for v in vars(oracle_module).values() if hasattr(v, "cache_info")]
-        left = enumerate_group(principal(n1), bound).elements
-        right = enumerate_group(gamma0(n2), bound).elements
+        n = math.gcd(n1, n2)
+        reps = len(self.classes(principal(n1), bound, n)) + len(
+            self.classes(gamma0(n2), bound, n))
         violations = len(report.intersection_violations)
-        assert counts["new"] == violations + len(left) + len(right) + counts["mul"]
+        assert counts["new"] == violations + reps + counts["mul"]
         assert counts["new"] < report.scanned
         assert (violations > 0) == ((n1, n2) == (3, 4))
+
+    def test_walks_the_full_group_once(self, monkeypatch):
+        walked = []
+        members = oracle_module._members
+
+        def recorded(group, bound):
+            walked.append(group)
+            return members(group, bound)
+
+        def no_scan(*args):
+            raise AssertionError("the lattice suite calls no enumerate_group")
+
+        monkeypatch.setattr(oracle_module, "_members", recorded)
+        monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
+        assert verify_lattice_identity(4, 6, 12).products_checked > 0
+        assert walked == [full_group()]
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidModulus):
