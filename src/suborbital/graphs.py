@@ -17,12 +17,11 @@ and the sign of the edge determinant fixes the sign that relates the
 second vertex to the first.
 
 Enumeration is output-sensitive: the congruences admit a tail by one
-residue up to sign and put its heads in one class of steps along each
-line r*y - s*x = +m or -m, so every head found among the vertices is
-an edge.  Each admitted tail is walked inline in the enumeration loop,
-which sorts its heads' vertex positions, and the points and edges the
-walk proves canonical are held without re-running the normalising
-constructors.
+residue up to sign and put its heads in one class of steps along the
+line r*y - s*x = +m, whose points with y <= 0 are the -m line's heads
+negated, so every point walked is an edge.  The enumeration loop sorts
+each tail's heads by vertex position, and holds the points and edges it
+proves canonical without re-running the normalising constructors.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import partial
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import (
@@ -215,19 +215,20 @@ def edge_check(
 def _block_vertices(spec: GraphSpec, bound: int) -> list[ProjectiveRational]:
     """The block's points up to the height bound, generated in (num, den)
     order: den == 0 (mod m) for finf, num == 0 (mod m) for fzero.  Each
-    pair costs one gcd and is held without the normalising constructor."""
+    row's coprime denominators are solved once for num and -num, and its
+    pairs are held without the normalising constructor."""
     m = spec.modulus
     finf = spec.family == FAMILY_INFINITY
-    step = m if finf else 1
+    dens = range(m, bound + 1, m) if finf else range(1, bound + 1)
+    rows = [[den for den in dens if math.gcd(num, den) == 1]
+            if finf or num % m == 0 else () for num in range(bound + 1)]
     # gcd(num, den) == 1 with den > 0 is already a canonical point
     point = partial(tuple.__new__, ProjectiveRational)
     out: list[ProjectiveRational] = []
     for num in range(-bound, bound + 1):
         if num == 1 and (finf or m == 1):
             out.append(INFINITY)
-        if finf or num % m == 0:
-            out += [point((num, den)) for den in range(step, bound + 1, step)
-                    if math.gcd(num, den) == 1]
+        out += map(point, zip(repeat(num), rows[abs(num)]))
     return out
 
 
@@ -241,13 +242,13 @@ def _candidate_estimate(spec: GraphSpec, bound: int) -> int:
 
     Every family walks the block of 1/0 up to the height bound (fzero
     through R).  1/0 looks up 2B+1 points, and a vertex with denominator
-    s at most B//s + 1 on each of its two lines; there are at most 2B+1
-    vertices with each denominator m*j, j <= n = B//m.  A sum of
-    k//j + 1 over j <= k is at most k*(2 + ln k) < k*(2 + 0.7*bitlen(k)).
+    s at most 2B//s + 1 on its one line, priced as 2*(B//s + 1); there
+    are at most 2B+1 vertices with each denominator m*j, j <= n = B//m.
+    A sum of k//j + 1 over j <= k is at most k*(2 + ln k) < k*(2 + 0.7*bitlen(k)).
     """
     n = bound // spec.modulus
-    two_lines = 2 * n * (2 + -(-7 * n.bit_length() // 10))
-    return (2 * bound + 1) * (1 + two_lines)
+    walked = 2 * n * (2 + -(-7 * n.bit_length() // 10))
+    return (2 * bound + 1) * (1 + walked)
 
 
 # enumerate_graph's vertices plus lattice lookups; more are refused.  This
@@ -257,13 +258,12 @@ ENUMERATION_CEILING = 2 * 10**7
 
 
 def _class_steps(
-    x: int, dx: int, y: int, dy: int, bound: int, y_low: int, cls: int, mod: int
+    x: int, dx: int, y: int, dy: int, bound: int, cls: int, mod: int
 ) -> range:
-    """The k == cls (mod mod) with |x + k*dx| <= bound and
-    y_low <= y + k*dy <= bound, for dy > 0.  The x window is symmetric,
-    so a negative dx is walked as -x, -dx.  The two ranges of k meet by
-    comparisons: max and min would cost two calls on every line walked."""
-    lo, hi = -((y - y_low) // dy), (bound - y) // dy
+    """The k == cls (mod mod) with |x + k*dx| <= bound and |y + k*dy| <= bound,
+    for dy > 0; a negative dx is walked as -x, -dx.  The two ranges of k meet
+    by comparisons: max and min would cost two calls on every line walked."""
+    lo, hi = -((y + bound) // dy), (bound - y) // dy
     if dx:
         if dx < 0:
             x, dx = -x, -dx
@@ -282,19 +282,21 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     reflection R(v), and each head found is looked up by its reflection,
     so fzero is the R-image of finf and a reversed spec is its swapped
     partner.  The tail r/s of an edge fixes its head x/y up to the two
-    lattice lines r*y - s*x = +m and -m.  A forward tail needs
+    lattice lines r*y - s*x = delta = +m and -m.  A forward tail needs
     r == +-1 (mod m) and walks the steps k == (delta/m)*u on each line;
     a reversed spec walks the heads of forward edges, r == +-u (mod m)
     for the forward unit u, back to their tails with k == -(delta/m)*u'
     for the stored unit u'.  Every block vertex has s == 0 (mod m) in
-    finf coordinates, so this walk is the whole rule: every head found
-    among the vertices is an edge, and the work is the vertices plus the
-    edges.  For s > 0 the lines are (x, y) = delta*(x0, y0) + k*(r, s)
-    with r*y0 - s*x0 = 1, each walked through _class_steps; for 1/0,
-    delta is y itself and the one line in the window is (k, m).  Each
-    tail is walked inline, with no call of its own.  Vertices come in
-    (num, den) order and each tail's heads as their sorted positions in
-    that list, so vertices and edges are sorted as plain integer tuples.
+    finf coordinates, so this walk is the whole rule: every point walked
+    is a vertex and an edge, and the work is the vertices plus the edges.
+    For s > 0 the lines are (x, y) = delta*(x0, y0) + k*(r, s) with
+    r*y0 - s*x0 = 1; k -> -k maps the -m line's class onto the +m line's,
+    so one _class_steps solve walks the +m line across |y| <= bound, its
+    points with y <= 0 negated onto the -m line ((-1, 0) onto 1/0).  For
+    1/0, delta is y itself and the one line in the window is (k, m).
+    Vertices come in (num, den) order and each tail's heads as their
+    sorted positions in that list, so vertices and edges are sorted as
+    plain integer tuples.
     Raises InvalidBound for a bound that is no integer (bools included) or
     is below 1, and BoundTooLarge when the estimated vertices plus lattice
     lookups exceed ENUMERATION_CEILING.
@@ -327,17 +329,14 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
         if s == 0:  # 1/0: delta is y itself, and the line is (k, m)
             if m <= bound:
                 for x in range(-bound + (c + bound) % m, bound + 1, m):
-                    if (i := find((x, m))) is not None:
-                        found.append(i)
-        else:
+                    found.append(find((x, m)))
+        else:  # the +m line; its points with y <= 0 negate to the -m line
             y0 = pow(r, -1, s)
-            x0 = (r * y0 - 1) // s
-            for delta, cls in ((m, c), (-m, -c)):
-                xt, yt = delta * x0, delta * y0
-                for k in _class_steps(xt, r, yt, s, bound, 0, cls, m):
-                    if (i := find((xt + k * r, yt + k * s))) is not None:
-                        found.append(i)
-        found.sort()  # the lines run in step order, not in vertex order
+            x0, y0 = m * ((r * y0 - 1) // s), m * y0
+            for k in _class_steps(x0, r, y0, s, bound, c, m):
+                y = y0 + k * s
+                found.append(find((x0 + k * r, y) if y > 0 else (-x0 - k * r, -y)))
+        found.sort()  # the line runs in step order, not in vertex order
         for i in found:
             edges.append(edge((v, vertices[i])))
     return SuborbitalGraph(spec, height_bound, tuple(vertices), tuple(edges))

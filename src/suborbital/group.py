@@ -167,6 +167,6 @@ def block_equivalent(v: ProjectiveRational, w: ProjectiveRational, n: int) -> bo
     This is the invariant relation of the mod-n block system; it is
     insensitive to the sign lift chosen for either point.
     """
-    if n < 1:
-        raise InvalidModulus(f"modulus must be >= 1, got {n}")
+    if not plain_int(n) or n < 1:
+        raise InvalidModulus(f"modulus must be an integer >= 1, got {n!r}")
     return (v.num * w.den - v.den * w.num) % n == 0

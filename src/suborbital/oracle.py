@@ -118,7 +118,7 @@ def _member_rows(
             b0 = (a * d0 - 1) // c
             first = -b0 * pow(a, -1, b_mod)
             # b = b0 + k*a and d = d0 + k*c, both within the bound
-            ks = _class_steps(b0, a, d0, c, bound, -bound, first, b_mod)
+            ks = _class_steps(b0, a, d0, c, bound, first, b_mod)
             if b_mod * c % d_mod == 0:
                 rows = [ks] if ks and kept(a, c, b0, d0, first) else []
             else:
@@ -347,9 +347,9 @@ def compare_edges_vs_orbital(
             # the other image (t0 + k*dt, s0 + k*ds) inside the window
             t0, dt, s0, ds = a * x + b0 * y, a * y, c * x + d0 * y, c * y
             if c:
-                steps = _class_steps(t0, dt, s0, ds, h, -h, ks.start, ks.step)
+                steps = _class_steps(t0, dt, s0, ds, h, ks.start, ks.step)
             else:  # the row (1, k, 0, 1) moves the first entry alone
-                steps = _class_steps(s0, 0, t0, dt, h, -h, ks.start, ks.step)
+                steps = _class_steps(s0, 0, t0, dt, h, ks.start, ks.step)
             lo = steps.start if steps.start > ks.start else ks.start
             hi = steps.stop if steps.stop < ks.stop else ks.stop
             for k in range(lo, hi, ks.step):

@@ -108,10 +108,11 @@ def mod_inverse(u: int, m: int) -> int:
     """The residue v in [0, m) with u*v == 1 (mod m).
 
     For m == 1 the answer is 0, the only residue there is.  Raises
-    NotInvertible when gcd(u, m) != 1 and InvalidModulus when m < 1.
+    NotInvertible when gcd(u, m) != 1, and InvalidModulus unless u and m
+    are plain ints with m >= 1.
     """
-    if m < 1:
-        raise InvalidModulus(f"modulus must be >= 1, got {m}")
+    if not (plain_int(u) and plain_int(m)) or m < 1:
+        raise InvalidModulus(f"mod_inverse needs integers, m >= 1, got ({u!r}, {m!r})")
     try:
         return pow(u, -1, m)
     except ValueError:

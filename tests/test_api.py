@@ -131,6 +131,16 @@ def test_cold_cli_import_loads_no_introspection_modules():
                  id="factorize-True"),
     pytest.param(lambda: oracle.count_blocks(4.0), errors.InvalidModulus,
                  id="count_blocks-4.0"),
+    pytest.param(lambda: rational.mod_inverse(3, 7.0), errors.InvalidModulus,
+                 id="mod_inverse-7.0"),
+    pytest.param(lambda: rational.mod_inverse(3.0, 7), errors.InvalidModulus,
+                 id="mod_inverse-3.0"),
+    pytest.param(lambda: group.block_equivalent(
+        rational.ProjectiveRational(1, 2), rational.ProjectiveRational(3, 2), 2.0),
+        errors.InvalidModulus, id="block_equivalent-2.0"),
+    pytest.param(lambda: group.block_equivalent(
+        rational.ProjectiveRational(1, 2), rational.ProjectiveRational(3, 2), True),
+        errors.InvalidModulus, id="block_equivalent-True"),
 ])
 def test_bounds_that_are_not_plain_ints_are_refused(call, error):
     with pytest.raises(error, match="integer"):

@@ -76,10 +76,11 @@ F32_AT_4_EDGES = [
 
 
 def record_lookups(monkeypatch, looked_up):
-    """Make enumerate_graph's walk append every head it looks up, hit or
-    miss, to looked_up, in finf coordinates.  On each line of a finite
-    tail that is (x + k*dx, y + k*dy) for every k in the range the real
-    _class_steps returns.  The tail 1/0 is admitted when the unit t that
+    """Make enumerate_graph's walk append every head it looks up to
+    looked_up, in finf coordinates and as the walk spells it.  A finite
+    tail walks one line, (x + k*dx, y + k*dy) for every k in the range the
+    real _class_steps returns, and looks each point up as itself if y > 0
+    and negated otherwise.  The tail 1/0 is admitted when the unit t that
     tails must match (1, or the forward unit for a reversed spec) is 1 or
     -1 mod m, and then looks up the (k, m) with |k| <= bound in the step
     class c; those are recorded when _block_vertices starts an
@@ -89,7 +90,9 @@ def record_lookups(monkeypatch, looked_up):
 
     def counted_steps(x, dx, y, dy, *rest):
         ks = steps(x, dx, y, dy, *rest)
-        looked_up.extend((x + k * dx, y + k * dy) for k in ks)
+        for k in ks:
+            px, py = x + k * dx, y + k * dy
+            looked_up.append((px, py) if py > 0 else (-px, -py))
         return ks
 
     def counted_block(spec, bound):
@@ -234,17 +237,36 @@ class TestClassSteps:
         for dy, x, y, bound in itertools.product(
             range(1, 4), range(-8, 9), range(-8, 9), range(7)
         ):
-            for y_low in (0, -bound):
-                within = [
-                    k for k in range(-30, 31)
-                    if abs(x + k * dx) <= bound and y_low <= y + k * dy <= bound
+            within = [
+                k for k in range(-30, 31)
+                if abs(x + k * dx) <= bound and abs(y + k * dy) <= bound
+            ]
+            for mod in range(1, 5):
+                for cls in range(-mod, mod):
+                    got = graphs_module._class_steps(x, dx, y, dy, bound, cls, mod)
+                    want = [k for k in within if (k - cls) % mod == 0]
+                    assert list(got) == want, (x, y, dy, bound, cls, mod)
+
+
+class TestBlockVertices:
+    @pytest.mark.parametrize("family", ["finf", "fzero"])
+    def test_rows_match_a_gcd_filter_of_the_box(self, family):
+        # every coprime (num, den) with |num| <= B and 0 <= den <= B in the
+        # block, 1/0 spelled once as (1, 0): den == 0 (mod m) for finf,
+        # num == 0 (mod m) for fzero, which holds 1/0 only at m = 1
+        for m in range(1, 16):
+            spec = GraphSpec(family, 1, m)
+            for bound in range(1, 41):
+                box = [
+                    (num, den)
+                    for num in range(-bound, bound + 1)
+                    for den in range(bound + 1)
+                    if math.gcd(num, den) == 1 and (den or num == 1)
+                    and (den if family == "finf" else num) % m == 0
                 ]
-                for mod in range(1, 5):
-                    for cls in range(-mod, mod):
-                        got = graphs_module._class_steps(
-                            x, dx, y, dy, bound, y_low, cls, mod)
-                        want = [k for k in within if (k - cls) % mod == 0]
-                        assert list(got) == want, (x, y, dy, bound, y_low, cls, mod)
+                got = graphs_module._block_vertices(spec, bound)
+                assert [tuple(v) for v in got] == sorted(box), (spec, bound)
+                assert ((1, 0) in box) == (family == "finf" or m == 1)
 
 
 class TestEnumerateGraph:
@@ -453,12 +475,45 @@ class TestEnumerateGraph:
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
     )
+    def test_an_admitted_finite_tail_solves_one_window(
+        self, family, reversed_, monkeypatch
+    ):
+        # the +m line across the symmetric window holds the -m line's heads
+        # negated, so each admitted finite tail makes one _class_steps call
+        # and the tail 1/0 makes none
+        calls = 0
+        steps = graphs_module._class_steps
+
+        def counted_steps(*args):
+            nonlocal calls
+            calls += 1
+            return steps(*args)
+
+        monkeypatch.setattr(graphs_module, "_class_steps", counted_steps)
+        for m in range(1, 13):
+            for u in range(1, max(m, 2)):
+                if math.gcd(u, m) != 1:
+                    continue
+                spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
+                t = spec.forward_u() if reversed_ else 1
+                for bound in (1, 2, 7, 30):
+                    calls = 0
+                    graph = enumerate_graph(spec, bound)
+                    admitted = sum(
+                        s > 0 and ((r - t) % m == 0 or (r + t) % m == 0)
+                        for r, s in graphs_module._as_finf(spec, graph.vertices)
+                    )
+                    assert calls == admitted, (spec, bound)
+
+    @pytest.mark.parametrize(
+        "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]
+    )
     def test_every_congruence_test_accepts_an_edge(
         self, family, reversed_, monkeypatch
     ):
         # output-sensitive: each tail walks only the heads its congruences
-        # allow, so every head the walk finds among the vertices is an
-        # edge, with the sign edge_check gives it
+        # allow, and every class-stepped point in the window is a vertex,
+        # so every lookup is an edge, with the sign edge_check gives it
         heads = []
         record_lookups(monkeypatch, heads)
         for m in range(1, 13):
@@ -470,8 +525,8 @@ class TestEnumerateGraph:
                     heads.clear()
                     graph = enumerate_graph(spec, bound)
                     index = set(graphs_module._as_finf(spec, graph.vertices))
-                    found = sum(head in index for head in heads)
-                    assert found == len(graph.edges), (spec, bound)
+                    assert all(head in index for head in heads), (spec, bound)
+                    assert len(heads) == len(graph.edges), (spec, bound)
                     for e in graph.edges:
                         assert edge_check(spec, e.src, e.dst) == e.sign, (spec, e)
 
