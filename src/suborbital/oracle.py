@@ -7,11 +7,11 @@ membership test, built as matrices only for a sorted scan, a listed
 violation or a class representative; the one matrix carrying an edge onto another, solved from the
 endpoints' columns and filtered the same way; direct orbit marking over
 residue pairs; and raw group action on the base pair's columns, counted
-and solved for the height window row by row, with points built only for
-soundness failures.  The graph module's edge conditions are never used
-to build an oracle set, only compared against afterwards, so agreement
-is evidence rather than circularity.  Samples and reports are tuple
-records that equal and hash as their field tuples.
+and solved for the height window row by row, then set against the
+enumerated edges, with points built only for soundness failures.  The
+graph module's edge predicate is never read, so agreement is evidence
+rather than circularity.  Samples and reports are tuple records that
+equal and hash as their field tuples.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import filterfalse
 
 from .errors import InvalidBound, InvalidModulus, InvalidSpec, plain_int, refuse_above
 from .graphs import (
@@ -26,7 +27,6 @@ from .graphs import (
     DirectedEdge,
     GraphSpec,
     _class_steps,
-    edge_check,
     enumerate_graph,
     is_self_paired,
 )
@@ -219,11 +219,11 @@ class OrbitalReport(namedtuple("OrbitalReport", (
     is visited to be counted.  orbital_in_bound counts the pairs inside
     the height window, solved per row where the cusp's image is fixed
     along the row and taken k by k where the walk's orientation moves it.
-    soundness_failures lists orbital pairs inside the height window that
-    the edge predicate rejected, the only pairs built as points; a
-    correct build keeps it empty.
-    completeness_misses lists predicate edges the bounded orbital never
-    reached; they are reported, not failed.  The predicate ignores the
+    soundness_failures lists, sorted, the orbital pairs inside the height
+    window that are not enumerated edges, the only pairs built as points;
+    a correct build keeps it empty.
+    completeness_misses lists enumerated edges the bounded orbital never
+    reached; they are reported, not failed.  The enumeration ignores the
     group's other modulus, so where that exceeds 1 the edges whose
     carrier is not a member stay missed at every entry bound: for F[1, 2]
     against gamma0_pair(2, 2) at height 30 the misses level off at 372
@@ -307,9 +307,9 @@ def compare_edges_vs_orbital(
     both images tested, with no membership test per k.  A determinant-one
     image of a primitive column is primitive, so a window image is held
     as its column with the sign fixed, which equals and hashes as the
-    point.  The window pairs hold every edge, so they decide soundness
-    and the misses; points are built only for soundness failures.  The
-    entry bound is checked first."""
+    point.  Soundness is the window pairs that are not edges, the misses
+    the edges that are not window pairs, and points are built only for
+    soundness failures.  The entry bound is checked first."""
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
@@ -366,19 +366,18 @@ def compare_edges_vs_orbital(
                 if -h <= b <= h and -h <= d <= h and -h <= p <= h and -h <= q <= h:
                     cusp, other = point(b, d), point(p, q)
                     add((cusp, other) if cusp_first else (other, cusp))
-    in_bound = sorted(window)
     soundness = tuple(
         (ProjectiveRational(*src), ProjectiveRational(*dst))
-        for src, dst in in_bound if edge_check(spec, src, dst) is None
+        for src, dst in sorted(window.difference(graph.edges))
     )
-    misses = tuple(edge for edge in graph.edges if edge not in window)
+    misses = tuple(filterfalse(window.__contains__, graph.edges))
     return OrbitalReport(
         spec=spec,
         group=group,
         entry_bound=entry_bound,
         height_bound=height_bound,
         member_count=members,
-        orbital_in_bound=len(in_bound),
+        orbital_in_bound=len(window),
         edge_count=len(graph.edges),
         soundness_failures=soundness,
         completeness_misses=misses,
@@ -478,8 +477,8 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     product_violations lists the representative products the join
     rejects, sorted, one per failing pair.
     """
-    if n1 < 1 or n2 < 1:
-        raise InvalidModulus(f"moduli must be >= 1, got ({n1}, {n2})")
+    if not (plain_int(n1) and plain_int(n2)) or n1 < 1 or n2 < 1:
+        raise InvalidModulus(f"moduli must be integers >= 1, got ({n1!r}, {n2!r})")
     _check_entry_bound(entry_bound)
     left, right, join = principal(n1), gamma0(n2), gamma0(math.gcd(n1, n2))
     meet_b, meet = principal(n2), principal(math.lcm(n1, n2))

@@ -168,6 +168,6 @@ def phi_pair(l: int, m: int) -> int:
     The squarefull part of each argument enters through the p^(k-1)
     factors of psi, so no separate radical computation is needed.
     """
-    if l < 1 or m < 1:
-        raise InvalidModulus(f"both arguments must be >= 1, got ({l}, {m})")
+    if not (plain_int(l) and plain_int(m)) or l < 1 or m < 1:
+        raise InvalidModulus(f"both arguments must be integers >= 1, got ({l!r}, {m!r})")
     return dedekind_psi(l) + dedekind_psi(m)

@@ -115,6 +115,14 @@ def test_cold_cli_import_loads_no_introspection_modules():
         id="compare_edges_vs_orbital-20.0"),
     pytest.param(lambda: oracle.verify_lattice_identity(2, 3, 5.0), errors.InvalidBound,
                  id="verify_lattice_identity-5.0"),
+    pytest.param(lambda: oracle.verify_lattice_identity(None, 2, 5), errors.InvalidModulus,
+                 id="verify_lattice_identity-None"),
+    pytest.param(lambda: oracle.verify_lattice_identity("3", 2, 5), errors.InvalidModulus,
+                 id="verify_lattice_identity-str"),
+    pytest.param(lambda: rational.phi_pair(None, 2), errors.InvalidModulus,
+                 id="phi_pair-None"),
+    pytest.param(lambda: rational.phi_pair("3", 2), errors.InvalidModulus,
+                 id="phi_pair-str"),
     pytest.param(lambda: oracle.verify_self_paired(F12, 8.0), errors.InvalidBound,
                  id="verify_self_paired-8.0"),
     pytest.param(lambda: graph_io.emit_svg(GRAPH, 1e6), errors.InvalidBound,

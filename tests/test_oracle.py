@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import suborbital.graphs as graphs_module
 import suborbital.oracle as oracle_module
 from suborbital.errors import BoundTooLarge, InvalidBound, InvalidModulus, InvalidSpec
 from suborbital.cli import main
@@ -329,6 +330,15 @@ def full_replay(spec, group, entry_bound, height_bound):
     )
 
 
+def omit_edges(monkeypatch, dropped):
+    """Make the oracle read a graph without the edges dropped(edge) picks."""
+    def enumerated(spec, height_bound):
+        graph = enumerate_graph(spec, height_bound)
+        return graph._replace(edges=[e for e in graph.edges if not dropped(e)])
+
+    monkeypatch.setattr(oracle_module, "enumerate_graph", enumerated)
+
+
 class TestCompareEdgesVsOrbital:
     def test_infinity_family_soundness(self):
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 10, 10)
@@ -419,15 +429,41 @@ class TestCompareEdgesVsOrbital:
         assert 0 < report.orbital_in_bound < report.member_count
         assert report.to_dict()["orbital_pairs"] == report.member_count
         assert report.soundness_failures == () and calls == []
-        # a predicate that rejects every pair leaving 1/0 fails those pairs
-        monkeypatch.setattr(oracle_module, "edge_check",
-                            lambda spec, src, dst: None if src == INFINITY else 1)
+        # a graph that omits every edge leaving 1/0 fails those pairs
+        omit_edges(monkeypatch, lambda edge: edge.src == INFINITY)
         report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
         failures = report.soundness_failures
         assert 0 < len(failures) < report.orbital_in_bound
         assert all(src == INFINITY for src, dst in failures)
         assert all(type(v) is ProjectiveRational for pair in failures for v in pair)
         assert len(calls) == 2 * len(failures)
+
+    def test_omitted_orbit_edge_fails_soundness(self, monkeypatch):
+        # the base edge is an orbit pair in the window: a graph without it
+        # is unsound, whatever the edge predicate says of the pair
+        base = (INFINITY, ProjectiveRational(1, 2))
+        omit_edges(monkeypatch, lambda edge: edge == base)
+        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 10, 10)
+        assert not report.ok
+        assert report.soundness_failures == (base,)
+
+    @pytest.mark.parametrize("family", ["finf", "fzero"])
+    def test_never_reads_the_edge_predicate(self, monkeypatch, family):
+        # the window replay's reports again, with the congruence test
+        # raising while the oracle runs and only then
+        def raising(*args):
+            raise AssertionError("the edge predicate was read")
+
+        def guarded(*args):
+            with monkeypatch.context() as patch:
+                patch.setattr(graphs_module, "_congruences_hold", raising)
+                with pytest.raises(AssertionError, match="predicate"):
+                    edge_check(F12, INFINITY, ProjectiveRational(1, 2))
+                return oracle_module.compare_edges_vs_orbital(*args)
+
+        assert not hasattr(oracle_module, "edge_check")
+        monkeypatch.setitem(globals(), "compare_edges_vs_orbital", guarded)
+        self.test_window_replay_matches_full_replay(family)
 
     def test_makes_no_matrix_scan(self, monkeypatch):
         # the oracle walks the group's entry tuples itself; the sorted
