@@ -27,11 +27,12 @@ from .errors import (
     SuborbitalError,
     refuse_above,
 )
-from .graph_io import check_svg_width, emit_dot, emit_json, emit_svg
+from .graph_io import _write_dot, _write_json, _write_svg, check_svg_width
 from .graphs import (
     FAMILY_INFINITY,
     FAMILY_ZERO,
     GraphSpec,
+    _walk,
     enumerate_graph,
     is_self_paired,
     paired_partner,
@@ -64,18 +65,16 @@ BLOCKS_WORK_CEILING = 1_000_000
 
 
 def cmd_edges(args: argparse.Namespace) -> int:
-    spec = GraphSpec(
-        family=args.family, u=args.u, modulus=args.mod, reversed=args.reversed
-    )
+    spec = GraphSpec(args.family, args.u, args.mod, args.reversed)
     if args.format == "svg":
-        check_svg_width(args.width)  # before the graph is built
-    graph = enumerate_graph(spec, args.bound)
+        check_svg_width(args.width)  # before the graph is walked
+    # the walk goes to the writer, which frees it early: no edge is built
     if args.format == "json":
-        print(emit_json(graph))
+        print(_write_json(spec, args.bound, _walk(spec, args.bound)))
     elif args.format == "dot":
-        sys.stdout.write(emit_dot(graph))
+        sys.stdout.write(_write_dot(spec, _walk(spec, args.bound)))
     else:
-        sys.stdout.write(emit_svg(graph, args.width))
+        sys.stdout.write(_write_svg(spec, args.bound, _walk(spec, args.bound), args.width))
     return EXIT_OK
 
 

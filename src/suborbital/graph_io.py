@@ -6,13 +6,18 @@ parses back; DOT is for graph tooling; SVG draws the edges as
 upper-half-plane geodesics (semicircles between finite vertices,
 vertical rays toward infinity).  The parser checks a document's items
 in bulk passes and walks them one by one only to name a malformed one.
+
+The writers and the parser read a graph by vertex position, as
+graphs._walk gives it; the edges command hands them that walk, and each
+emit_* function maps the graph it is given to positions.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import islice
 from operator import itemgetter
 
 from .errors import (
@@ -24,7 +29,7 @@ from .errors import (
     plain_int,
     refuse_above,
 )
-from .graphs import GraphSpec, SuborbitalGraph, enumerate_graph
+from .graphs import GraphSpec, SuborbitalGraph, _graph, _walk
 from .rational import POINT_TEXT, ProjectiveRational
 
 __all__ = [
@@ -55,48 +60,54 @@ _SIGNS = ("+", "-")
 # denominator, ASCII digits without leading zeros
 _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 
-# a document edge as text: (src, dst, sign)
+# a document edge as text (src, dst, sign), and a graph by position as _walk gives it
 _Edge = tuple[str, str, str]
+_Walk = tuple[Sequence[ProjectiveRational], Iterable[tuple[int, Iterable[int]]]]
 
 
-def _vertex_text(graph: SuborbitalGraph) -> dict[ProjectiveRational, str]:
-    """Each vertex's str(), written once for every writer to read: the
-    point format is mapped over the vertices, with no str() call each."""
-    return dict(zip(graph.vertices, map(POINT_TEXT.__mod__, graph.vertices)))
+def _positions(graph: SuborbitalGraph) -> _Walk:
+    """The graph by position through one {vertex: position} map, each edge
+    as its tail's position and the 1-tuple of its head's."""
+    at = dict(zip(graph.vertices, range(len(graph.vertices)))).__getitem__
+    edges = graph.edges
+    return graph.vertices, zip(map(at, map(itemgetter(0), edges)),
+                               zip(map(at, map(itemgetter(1), edges))))
 
 
-def _edge_rows(
-    graph: SuborbitalGraph, spelling: dict[ProjectiveRational, str]
-) -> Iterator[_Edge]:
-    """Each edge as its (src, dst, sign) text, the sign by the rule of
-    DirectedEdge.sign computed inline: + exactly when r*y > s*x."""
-    for src, dst in graph.edges:
-        (r, s), (x, y) = src, dst
-        yield spelling[src], spelling[dst], "+" if r * y > s * x else "-"
+def _spelling(walk: _Walk) -> tuple[list[str], Iterator[_Edge]]:
+    """Each vertex's str() once, as a list by position, and each edge as
+    (src, dst, sign) texts read from it, the sign by the rule of
+    DirectedEdge.sign: + exactly when r*y > s*x."""
+    vertices, heads = walk
+    texts = list(map(POINT_TEXT.__mod__, vertices))
+    def rows() -> Iterator[_Edge]:
+        for i, found in heads:
+            (r, s), src = vertices[i], texts[i]
+            for j in found:
+                x, y = vertices[j]
+                yield src, texts[j], "+" if r * y > s * x else "-"
+    return texts, rows()
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
-    """Canonical JSON: fixed key order, compact separators, version "1".
+    """Canonical JSON: fixed key order, compact separators, version "1"."""
+    return _write_json(graph.spec, graph.height_bound, _positions(graph))
 
-    Only the header goes through json.dumps; each vertex and each edge is
-    written as one row, so no per-edge dict is built.  Endpoints are read
-    from one text per vertex, and the table is released before the final
-    join, which holds the document twice.
-    """
-    header = {
-        "format_version": FORMAT_VERSION,
-        "family": graph.spec.family,
-        "u": graph.spec.u,
-        "modulus": graph.spec.modulus,
-        "reversed": graph.spec.reversed,
-        "height_bound": graph.height_bound,
-    }
+
+def _write_json(spec: GraphSpec, height_bound: int, walk: _Walk) -> str:
+    """The JSON document of a walk: only the header goes through json.dumps,
+    and the rows are joined 4096 at a time until a chunk comes back empty,
+    so no string per edge is held.  The texts, and the walk unless the caller
+    holds it, are freed before the final join, which holds the document twice."""
+    # the header keys name the version, the spec's fields and the bound
+    header = dict(zip(_DOC_KEYS, (FORMAT_VERSION, *spec, height_bound)))
     head = json.dumps(header, separators=(",", ":"))[:-1]
-    spelling = _vertex_text(graph)
-    vertices = ",".join([f'"{spelling[v]}"' for v in graph.vertices])
-    edges = ",".join(map('{"src":"%s","dst":"%s","sign":"%s"}'.__mod__,
-                         _edge_rows(graph, spelling)))
-    del spelling
+    texts, rows = _spelling(walk)
+    del walk
+    vertices = ",".join([f'"{t}"' for t in texts])
+    row = '{"src":"%s","dst":"%s","sign":"%s"}'.__mod__
+    edges = ",".join(iter(lambda: ",".join(map(row, islice(rows, 4096))), ""))
+    del texts, rows
     return f'{head},"vertices":[{vertices}],"edges":[{edges}]}}'
 
 
@@ -118,12 +129,12 @@ def parse_json(text: str) -> SuborbitalGraph:
     the numerator, ASCII digits, no leading zeros and no spaces.  Text
     that is no such fraction, like other structural problems, raises
     MalformedDocument; a foreign version string raises VersionMismatch;
-    lists that differ, as text, from those of a fresh enumeration raise
+    lists that differ, as text, from the rows of one fresh walk raise
     InvariantViolation naming the first offending item, so an unreduced
-    -6/8 is an unknown vertex.  A height bound whose enumeration
-    enumerate_graph would refuse raises BoundTooLarge.
+    -6/8 is an unknown vertex; that walk, materialized, is returned.  A
+    height bound that _walk refuses as too large raises BoundTooLarge.
 
-    Before the graph is enumerated, bulk passes decide whether every item
+    Before the graph is walked, bulk passes decide whether every item
     is well formed: each edge an object with exactly the keys src, dst and
     sign, each sign + or -, and each distinct point text in the grammar.
     Only if one fails does _name_first_malformed walk the items to name
@@ -177,17 +188,18 @@ def parse_json(text: str) -> SuborbitalGraph:
     if not well_formed:
         _name_first_malformed(vertices, edges)
 
+    height_bound = document["height_bound"]
     try:
-        expected = enumerate_graph(spec, document["height_bound"])
+        walk = _walk(spec, height_bound)
     except InvalidBound as exc:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
-    spelling = _vertex_text(expected)
-    _check_list("vertex", "vertices", tuple(vertices),
-                tuple(spelling.values()), str, _unknown_vertex)
-    _check_list("edge", "edges", rows, tuple(_edge_rows(expected, spelling)),
-                _edge_text, _unknown_edge)
-    return expected
+    texts, want = _spelling(walk)
+    _check_list("vertex", "vertices", tuple(vertices), tuple(texts),
+                str, _unknown_vertex)
+    _check_list("edge", "edges", rows, tuple(want),
+                "%s -> %s [%s]".__mod__, _unknown_edge)
+    return _graph(spec, height_bound, *walk)
 
 
 def _name_first_malformed(vertices: list, edges: list) -> None:
@@ -212,11 +224,6 @@ def _name_first_malformed(vertices: list, edges: list) -> None:
                 f"edges[{i}].sign must be '+' or '-', got {sign!r}")
 
 
-def _edge_text(edge: _Edge) -> str:
-    src, dst, sign = edge
-    return f"{src} -> {dst} [{sign}]"
-
-
 def _unknown_vertex(vertex: str, want: tuple[str, ...]) -> str | None:
     if vertex in set(want):
         return None
@@ -233,20 +240,12 @@ def _unknown_edge(edge: _Edge, want: tuple[_Edge, ...]) -> str | None:
     return None
 
 
-def _check_list(
-    noun: str,
-    field: str,
-    have: tuple,
-    want: tuple,
-    show: Callable[..., str],
-    unknown: Callable[..., str | None],
-) -> None:
-    """Compare one document list with the fresh enumeration in one pass.
-
-    At the first index where the lists differ, the message names the
-    document's item if the enumeration lacks it (unknown gives that
-    message), else the expected item if the document lacks it, else both
-    items, which are then out of order.
+def _check_list(noun: str, field: str, have: tuple, want: tuple,
+                show: Callable[..., str], unknown: Callable[..., str | None]) -> None:
+    """Compare one document list with the walk's in one pass.  At the
+    first index where they differ, the message names the document's item
+    if the walk lacks it (unknown gives that message), else the expected
+    item if the document lacks it, else both, which are then out of order.
     """
     if have == want:
         return
@@ -268,15 +267,21 @@ def _check_list(
 
 
 def emit_dot(graph: SuborbitalGraph) -> str:
-    """Directed-graph text: one node line per vertex, one arc per edge,
-    whose endpoints are read from one text per vertex."""
-    spelling = _vertex_text(graph)
-    lines = [f'digraph "{graph.spec.label()}" {{']
-    lines.extend([f'  "{t}";' for t in spelling.values()])
-    lines.extend(map('  "%s" -> "%s" [label="%s"];'.__mod__,
-                     _edge_rows(graph, spelling)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """Directed-graph text: one node line per vertex, one arc per edge."""
+    return _write_dot(graph.spec, _positions(graph))
+
+
+def _write_dot(spec: GraphSpec, walk: _Walk) -> str:
+    """The DOT text of a walk, its arcs joined in chunks as in _write_json."""
+    texts, rows = _spelling(walk)
+    del walk
+    lines = [f'digraph "{spec.label()}" {{']
+    lines.extend([f'  "{t}";' for t in texts])
+    arc = '  "%s" -> "%s" [label="%s"];'.__mod__
+    lines.extend(iter(lambda: "\n".join(map(arc, islice(rows, 4096))), ""))
+    lines.append("}\n")
+    del texts, rows
+    return "\n".join(lines)
 
 
 _STROKE = ("#a03030", "#205080")  # indexed by whether the sign is +
@@ -302,33 +307,36 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
     the document is a path.  Widths run from 64 px to WIDTH_CEILING.
     """
     check_svg_width(width_px)
-    width = width_px
+    return _write_svg(graph.spec, graph.height_bound, _positions(graph), width_px)
+
+
+def _write_svg(spec: GraphSpec, height_bound: int, walk: _Walk, width: int) -> str:
+    """The SVG drawing of a walk at a checked width."""
     height = width // 2 + 48
     pad = 16.0
     axis_y = float(height - 32)
     top_y = 16.0
 
-    finite = [v for v in graph.vertices if not v.is_infinite]
-    values = sorted(v.num / v.den for v in finite)
+    vertices, heads = walk
+    values = [num / den for num, den in vertices if den]
     if values:
-        lo, hi = values[0], values[-1]
+        lo, hi = min(values), max(values)
         margin = max((hi - lo) / 10.0, 0.5)
         lo, hi = lo - margin, hi + margin
     else:
         lo, hi = -1.0, 1.0
     span = hi - lo
 
-    # each finite vertex's x pixel and its text, computed once for its
-    # edges and circle
-    vx = {v: pad + (v.num / v.den - lo) / span * (width - 2.0 * pad) for v in finite}
-    px = {v: f"{x:.2f}" for v, x in vx.items()}
+    # each finite vertex's x pixel and its text, by position, computed once
+    vx = [pad + (num / den - lo) / span * (width - 2.0 * pad) if den else None
+          for num, den in vertices]
+    px = [None if x is None else f"{x:.2f}" for x in vx]
     axis, top, ray_end = f"{axis_y:.2f}", f"{top_y:.2f}", f"{axis_y - 4.0:.2f}"
-    spelling = _vertex_text(graph)
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f"  <title>{graph.spec.label()} at height {graph.height_bound}</title>",
+        f"  <title>{spec.label()} at height {height_bound}</title>",
         "  <defs>",
         '    <marker id="arrow" markerWidth="6" markerHeight="6" refX="5" refY="2"'
         ' orient="auto" markerUnits="strokeWidth">',
@@ -338,36 +346,39 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         f'  <line x1="{pad:.2f}" y1="{axis_y:.2f}" x2="{width - pad:.2f}"'
         f' y2="{axis_y:.2f}" stroke="#303030" stroke-width="1"/>',
     ]
-    for src, dst in graph.edges:
-        (r, s), (x, y) = src, dst
-        stroke = _STROKE[r * y > s * x]  # the rule of DirectedEdge.sign
-        if s == 0:  # 1/0 is the only point with denominator 0
-            d = f"M {px[dst]} {top} L {px[dst]} {ray_end}"
-        elif y == 0:
-            d = f"M {px[src]} {axis} L {px[src]} {top}"
-        else:
-            x1, x2 = vx[src], vx[dst]
-            radius = f"{abs(x2 - x1) / 2.0:.2f}"
-            d = (
-                f"M {px[src]} {axis} "
-                f"A {radius} {radius} 0 0 {1 if x2 > x1 else 0} {px[dst]} {axis}"
+    for i, found in heads:  # each tail's paths joined as they come
+        r, s = vertices[i]
+        paths = []
+        for j in found:
+            x, y = vertices[j]
+            stroke = _STROKE[r * y > s * x]  # the rule of DirectedEdge.sign
+            if s == 0:  # 1/0 is the only point with denominator 0
+                d = f"M {px[j]} {top} L {px[j]} {ray_end}"
+            elif y == 0:
+                d = f"M {px[i]} {axis} L {px[i]} {top}"
+            else:
+                x1, x2 = vx[i], vx[j]
+                radius = f"{abs(x2 - x1) / 2.0:.2f}"
+                d = (
+                    f"M {px[i]} {axis} "
+                    f"A {radius} {radius} 0 0 {1 if x2 > x1 else 0} {px[j]} {axis}"
+                )
+            paths.append(
+                f'  <path d="{d}" fill="none" stroke="{stroke}"'
+                ' stroke-width="1.5" marker-end="url(#arrow)"/>'
             )
-        out.append(
-            f'  <path d="{d}" fill="none" stroke="{stroke}"'
-            ' stroke-width="1.5" marker-end="url(#arrow)"/>'
-        )
-    for vertex, x in px.items():
-        out.append(
-            f'  <circle cx="{x}" cy="{axis}" r="2.5" fill="#303030"/>'
-        )
-        out.append(
-            f'  <text x="{x}" y="{axis_y + 14.0:.2f}" font-size="9"'
-            f' text-anchor="middle" font-family="monospace">{spelling[vertex]}</text>'
-        )
-    if any(v.is_infinite for v in graph.vertices):
+        out.append("\n".join(paths))
+    for x, text in zip(px, _spelling(walk)[0]):
+        if x is not None:
+            out.append(
+                f'  <circle cx="{x}" cy="{axis}" r="2.5" fill="#303030"/>\n'
+                f'  <text x="{x}" y="{axis_y + 14.0:.2f}" font-size="9"'
+                f' text-anchor="middle" font-family="monospace">{text}</text>'
+            )
+    if len(values) < len(vertices):
         out.append(
             f'  <text x="{pad:.2f}" y="{top_y - 4.0:.2f}" font-size="9"'
             ' font-family="monospace">1/0</text>'
         )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

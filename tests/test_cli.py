@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import suborbital.cli as cli_module
+import suborbital.graph_io as graph_io_module
 import suborbital.graphs as graphs_module
 import suborbital.oracle as oracle_module
 from suborbital.cli import build_parser, main
@@ -151,6 +152,31 @@ class TestEdgesCommand:
         )
         assert code == 0
         assert out.startswith('digraph "F[-5, 3]" {')
+
+    @pytest.mark.parametrize("fmt", ["json", "dot", "svg"])
+    @pytest.mark.parametrize("family, u, mod, reversed_", [
+        ("finf", 2, 5, False), ("fzero", 3, 7, False), ("fzero", 3, 7, True),
+    ])
+    def test_edges_never_materializes_a_graph(
+        self, capsys, monkeypatch, family, u, mod, reversed_, fmt
+    ):
+        graph = graphs_module.enumerate_graph(
+            graphs_module.GraphSpec(family, u, mod, reversed_), 14)
+        want = {
+            "json": lambda: graph_io_module.emit_json(graph) + "\n",
+            "dot": lambda: graph_io_module.emit_dot(graph),
+            "svg": lambda: graph_io_module.emit_svg(graph, 640),
+        }[fmt]()
+
+        def materialized(*args):
+            raise AssertionError("edges materialized the graph")
+
+        for module in (graphs_module, cli_module, graph_io_module):
+            for name in ("enumerate_graph", "_graph"):
+                monkeypatch.setattr(module, name, materialized, raising=False)
+        argv = ["edges", "--family", family, "--u", str(u), "--mod", str(mod),
+                "--bound", "14", "--format", fmt]
+        assert run(capsys, *argv + ["--reversed"] * reversed_) == (0, want, "")
 
     def test_byte_identical_reruns(self, capsys):
         argv = ("edges", "--family", "finf", "--u", "2", "--mod", "5",

@@ -9,7 +9,9 @@ import re
 
 import pytest
 
+import suborbital.graph_io as graph_io_module
 import suborbital.graphs as graphs_module
+from suborbital.cli import main
 from suborbital.errors import (
     BoundTooLarge,
     InvalidBound,
@@ -503,6 +505,36 @@ class TestSweep:
     def test_every_document_parses_to_its_graph(self, sweep):
         for graph in sweep:
             assert parse_json(emit_json(graph)) == graph
+
+    def test_the_command_line_writes_the_same_bytes(self, sweep, capsys):
+        # edges writes the walk by position and emit_* a graph by its
+        # vertex map: the hashes pin both producers of positions
+        for fmt, digest in SWEEP_SHA256.items():
+            h = hashlib.sha256()
+            for graph in sweep:
+                family, u, m, reversed_ = graph.spec
+                argv = ["edges", "--family", family, "--u", str(u), "--mod", str(m),
+                        "--bound", str(graph.height_bound), "--format", fmt]
+                assert main(argv + ["--reversed"] * reversed_) == 0
+                out = capsys.readouterr().out
+                h.update((out[:-1] if fmt == "json" else out).encode())
+            assert h.hexdigest() == digest, fmt
+
+    def test_parse_walks_each_document_once(self, sweep, monkeypatch):
+        walks = []
+        walk = graphs_module._walk
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(graphs_module, "_walk", counted)
+        monkeypatch.setattr(graph_io_module, "_walk", counted)
+        documents = [emit_json(graph) for graph in sweep[::9]]
+        assert walks == []
+        for document, graph in zip(documents, sweep[::9]):
+            assert parse_json(document) == graph
+        assert walks == [(graph.spec, graph.height_bound) for graph in sweep[::9]]
 
 
 class TestDot:
