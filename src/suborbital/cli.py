@@ -27,12 +27,11 @@ from .errors import (
     SuborbitalError,
     refuse_above,
 )
-from .graph_io import _write_dot, _write_json, _write_svg, check_svg_width
+from .graph_io import check_svg_width, emit_dot, emit_json, emit_svg
 from .graphs import (
     FAMILY_INFINITY,
     FAMILY_ZERO,
     GraphSpec,
-    _walk,
     enumerate_graph,
     is_self_paired,
     paired_partner,
@@ -68,13 +67,14 @@ def cmd_edges(args: argparse.Namespace) -> int:
     spec = GraphSpec(args.family, args.u, args.mod, args.reversed)
     if args.format == "svg":
         check_svg_width(args.width)  # before the graph is walked
-    # the walk goes to the writer, which frees it early: no edge is built
+    # the graph goes straight to the writer, which frees it before its
+    # final join; no edge object is built
     if args.format == "json":
-        print(_write_json(spec, args.bound, _walk(spec, args.bound)))
+        print(emit_json(enumerate_graph(spec, args.bound)))
     elif args.format == "dot":
-        sys.stdout.write(_write_dot(spec, _walk(spec, args.bound)))
+        sys.stdout.write(emit_dot(enumerate_graph(spec, args.bound)))
     else:
-        sys.stdout.write(_write_svg(spec, args.bound, _walk(spec, args.bound), args.width))
+        sys.stdout.write(emit_svg(enumerate_graph(spec, args.bound), args.width))
     return EXIT_OK
 
 
@@ -193,20 +193,23 @@ def _suite_pairing(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
         partner = paired_partner(spec)
         graph = enumerate_graph(spec, height)
         mirror = enumerate_graph(partner, height)
-        flipped = {(e.dst, e.src) for e in graph.edges}
-        good = flipped == set(mirror.edges)
+        # a spec and its partner walk the same vertex list, so an edge is
+        # its position pair and reversal swaps the pair
+        edges = {(i, j) for i, found in graph.heads for j in found}
+        flipped = {(j, i) for i, found in mirror.heads for j in found}
+        good = edges == flipped
         ok = ok and good
         lines.append(
             f"pairing {spec.label()} <-> {partner.label()} at height {height}: "
-            f"{len(graph.edges)} edges, reversal bijection "
+            f"{len(edges)} edges, reversal bijection "
             + ("ok" if good else "FAILED")
         )
         reports.append({
             "spec": spec.label(),
             "partner": partner.label(),
             "height_bound": height,
-            "edges": len(graph.edges),
-            "partner_edges": len(mirror.edges),
+            "edges": len(edges),
+            "partner_edges": len(flipped),
             "ok": good,
         })
     return ok, lines, {"suite": "pairing", "reports": reports, "ok": ok}

@@ -7,16 +7,16 @@ upper-half-plane geodesics (semicircles between finite vertices,
 vertical rays toward infinity).  The parser checks a document's items
 in bulk passes and walks them one by one only to name a malformed one.
 
-The writers and the parser read a graph by vertex position, as
-graphs._walk gives it; the edges command hands them that walk, and each
-emit_* function maps the graph it is given to positions.
+A graph is its walk by vertex position, and the writers and the parser
+read it as it is held: each vertex is spelled once, as a list by
+position, and each edge is read off a tail's head positions.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from itertools import islice
 from operator import itemgetter
 
@@ -29,8 +29,8 @@ from .errors import (
     plain_int,
     refuse_above,
 )
-from .graphs import GraphSpec, SuborbitalGraph, _graph, _walk
-from .rational import POINT_TEXT, ProjectiveRational
+from .graphs import GraphSpec, SuborbitalGraph, enumerate_graph
+from .rational import POINT_TEXT
 
 __all__ = [
     "FORMAT_VERSION",
@@ -60,25 +60,15 @@ _SIGNS = ("+", "-")
 # denominator, ASCII digits without leading zeros
 _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 
-# a document edge as text (src, dst, sign), and a graph by position as _walk gives it
+# a document edge as text (src, dst, sign)
 _Edge = tuple[str, str, str]
-_Walk = tuple[Sequence[ProjectiveRational], Iterable[tuple[int, Iterable[int]]]]
 
 
-def _positions(graph: SuborbitalGraph) -> _Walk:
-    """The graph by position through one {vertex: position} map, each edge
-    as its tail's position and the 1-tuple of its head's."""
-    at = dict(zip(graph.vertices, range(len(graph.vertices)))).__getitem__
-    edges = graph.edges
-    return graph.vertices, zip(map(at, map(itemgetter(0), edges)),
-                               zip(map(at, map(itemgetter(1), edges))))
-
-
-def _spelling(walk: _Walk) -> tuple[list[str], Iterator[_Edge]]:
+def _spelling(graph: SuborbitalGraph) -> tuple[list[str], Iterator[_Edge]]:
     """Each vertex's str() once, as a list by position, and each edge as
     (src, dst, sign) texts read from it, the sign by the rule of
     DirectedEdge.sign: + exactly when r*y > s*x."""
-    vertices, heads = walk
+    vertices, heads = graph.vertices, graph.heads
     texts = list(map(POINT_TEXT.__mod__, vertices))
     def rows() -> Iterator[_Edge]:
         for i, found in heads:
@@ -90,20 +80,17 @@ def _spelling(walk: _Walk) -> tuple[list[str], Iterator[_Edge]]:
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
-    """Canonical JSON: fixed key order, compact separators, version "1"."""
-    return _write_json(graph.spec, graph.height_bound, _positions(graph))
+    """Canonical JSON: fixed key order, compact separators, version "1".
 
-
-def _write_json(spec: GraphSpec, height_bound: int, walk: _Walk) -> str:
-    """The JSON document of a walk: only the header goes through json.dumps,
-    and the rows are joined 4096 at a time until a chunk comes back empty,
-    so no string per edge is held.  The texts, and the walk unless the caller
-    holds it, are freed before the final join, which holds the document twice."""
+    Only the header goes through json.dumps, and the rows are joined 4096
+    at a time until a chunk comes back empty, so no string per edge is
+    held.  The texts, and the graph unless the caller holds it, are freed
+    before the final join, which holds the document twice."""
     # the header keys name the version, the spec's fields and the bound
-    header = dict(zip(_DOC_KEYS, (FORMAT_VERSION, *spec, height_bound)))
+    header = dict(zip(_DOC_KEYS, (FORMAT_VERSION, *graph.spec, graph.height_bound)))
     head = json.dumps(header, separators=(",", ":"))[:-1]
-    texts, rows = _spelling(walk)
-    del walk
+    texts, rows = _spelling(graph)
+    del graph
     vertices = ",".join([f'"{t}"' for t in texts])
     row = '{"src":"%s","dst":"%s","sign":"%s"}'.__mod__
     edges = ",".join(iter(lambda: ",".join(map(row, islice(rows, 4096))), ""))
@@ -131,8 +118,9 @@ def parse_json(text: str) -> SuborbitalGraph:
     MalformedDocument; a foreign version string raises VersionMismatch;
     lists that differ, as text, from the rows of one fresh walk raise
     InvariantViolation naming the first offending item, so an unreduced
-    -6/8 is an unknown vertex; that walk, materialized, is returned.  A
-    height bound that _walk refuses as too large raises BoundTooLarge.
+    -6/8 is an unknown vertex; the walked graph the document matched is
+    returned.  A height bound that enumerate_graph refuses as too large
+    raises BoundTooLarge.
 
     Before the graph is walked, bulk passes decide whether every item
     is well formed: each edge an object with exactly the keys src, dst and
@@ -190,16 +178,16 @@ def parse_json(text: str) -> SuborbitalGraph:
 
     height_bound = document["height_bound"]
     try:
-        walk = _walk(spec, height_bound)
+        graph = enumerate_graph(spec, height_bound)
     except InvalidBound as exc:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
-    texts, want = _spelling(walk)
+    texts, want = _spelling(graph)
     _check_list("vertex", "vertices", tuple(vertices), tuple(texts),
                 str, _unknown_vertex)
     _check_list("edge", "edges", rows, tuple(want),
                 "%s -> %s [%s]".__mod__, _unknown_edge)
-    return _graph(spec, height_bound, *walk)
+    return graph
 
 
 def _name_first_malformed(vertices: list, edges: list) -> None:
@@ -267,15 +255,11 @@ def _check_list(noun: str, field: str, have: tuple, want: tuple,
 
 
 def emit_dot(graph: SuborbitalGraph) -> str:
-    """Directed-graph text: one node line per vertex, one arc per edge."""
-    return _write_dot(graph.spec, _positions(graph))
-
-
-def _write_dot(spec: GraphSpec, walk: _Walk) -> str:
-    """The DOT text of a walk, its arcs joined in chunks as in _write_json."""
-    texts, rows = _spelling(walk)
-    del walk
-    lines = [f'digraph "{spec.label()}" {{']
+    """Directed-graph text: one node line per vertex, one arc per edge,
+    the arcs joined in chunks as in emit_json."""
+    texts, rows = _spelling(graph)
+    lines = [f'digraph "{graph.spec.label()}" {{']
+    del graph
     lines.extend([f'  "{t}";' for t in texts])
     arc = '  "%s" -> "%s" [label="%s"];'.__mod__
     lines.extend(iter(lambda: "\n".join(map(arc, islice(rows, 4096))), ""))
@@ -307,17 +291,12 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
     the document is a path.  Widths run from 64 px to WIDTH_CEILING.
     """
     check_svg_width(width_px)
-    return _write_svg(graph.spec, graph.height_bound, _positions(graph), width_px)
-
-
-def _write_svg(spec: GraphSpec, height_bound: int, walk: _Walk, width: int) -> str:
-    """The SVG drawing of a walk at a checked width."""
-    height = width // 2 + 48
+    height = width_px // 2 + 48
     pad = 16.0
     axis_y = float(height - 32)
     top_y = 16.0
 
-    vertices, heads = walk
+    vertices, heads = graph.vertices, graph.heads
     values = [num / den for num, den in vertices if den]
     if values:
         lo, hi = min(values), max(values)
@@ -328,22 +307,22 @@ def _write_svg(spec: GraphSpec, height_bound: int, walk: _Walk, width: int) -> s
     span = hi - lo
 
     # each finite vertex's x pixel and its text, by position, computed once
-    vx = [pad + (num / den - lo) / span * (width - 2.0 * pad) if den else None
+    vx = [pad + (num / den - lo) / span * (width_px - 2.0 * pad) if den else None
           for num, den in vertices]
     px = [None if x is None else f"{x:.2f}" for x in vx]
     axis, top, ray_end = f"{axis_y:.2f}", f"{top_y:.2f}", f"{axis_y - 4.0:.2f}"
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f"  <title>{spec.label()} at height {height_bound}</title>",
+        f'width="{width_px}" height="{height}" viewBox="0 0 {width_px} {height}">',
+        f"  <title>{graph.spec.label()} at height {graph.height_bound}</title>",
         "  <defs>",
         '    <marker id="arrow" markerWidth="6" markerHeight="6" refX="5" refY="2"'
         ' orient="auto" markerUnits="strokeWidth">',
         '      <polygon points="0 0, 6 2, 0 4" fill="#303030"/>',
         "    </marker>",
         "  </defs>",
-        f'  <line x1="{pad:.2f}" y1="{axis_y:.2f}" x2="{width - pad:.2f}"'
+        f'  <line x1="{pad:.2f}" y1="{axis_y:.2f}" x2="{width_px - pad:.2f}"'
         f' y2="{axis_y:.2f}" stroke="#303030" stroke-width="1"/>',
     ]
     for i, found in heads:  # each tail's paths joined as they come
@@ -368,7 +347,7 @@ def _write_svg(spec: GraphSpec, height_bound: int, walk: _Walk, width: int) -> s
                 ' stroke-width="1.5" marker-end="url(#arrow)"/>'
             )
         out.append("\n".join(paths))
-    for x, text in zip(px, _spelling(walk)[0]):
+    for x, text in zip(px, _spelling(graph)[0]):
         if x is not None:
             out.append(
                 f'  <circle cx="{x}" cy="{axis}" r="2.5" fill="#303030"/>\n'
@@ -381,4 +360,5 @@ def _write_svg(spec: GraphSpec, height_bound: int, walk: _Walk, width: int) -> s
             ' font-family="monospace">1/0</text>'
         )
     out.append("</svg>\n")
+    del graph, vertices, heads, values, vx, px  # before the final join
     return "\n".join(out)

@@ -19,9 +19,10 @@ second vertex to the first.
 Enumeration is output-sensitive: the congruences admit a tail by one
 residue up to sign and put its heads in one class of steps along the
 line r*y - s*x = +m, whose points with y <= 0 are the -m line's heads
-negated, so every point walked is an edge.  The walk gives each tail's
-heads as sorted vertex positions, which the writers read as they are,
-and enumerate_graph materializes it without the normalising constructors.
+negated, so every point walked is an edge.  The walk is the graph: a
+SuborbitalGraph holds the vertex list and each tail's sorted head
+positions, which the writers and the parser read as they are, and it
+builds DirectedEdge values only when its edges are asked for.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ class DirectedEdge(tuple):
 
     @property
     def sign(self) -> int:
-        """+1 exactly when the source is the greater vertex, else -1: the
-        sign of r*y - s*x for the edge r/s -> x/y, as edge_check returns."""
+        """The sign of r*y - s*x for the edge r/s -> x/y, as edge_check
+        returns it: +1 exactly when r*y > s*x, else -1."""
         (r, s), (x, y) = self
         return 1 if r * y > s * x else -1
 
@@ -196,8 +197,7 @@ def edge_check(
     The pair must have r*y - s*x = +m or -m, and its finf image must pass
     the congruences with the forward unit: (R src, R dst) for fzero, and
     (R dst, R src) for a reversed spec.  The returned sign is that of
-    r*y - s*x for the pair as given, which follows the order convention
-    of DirectedEdge: +1 when the source is the greater endpoint.
+    r*y - s*x for the pair as given, as DirectedEdge.sign reads it.
     """
     m = spec.modulus
     (r, s), (x, y) = src, dst
@@ -274,10 +274,10 @@ def _class_steps(
     return range(lo + (cls - lo) % mod, hi + 1, mod)
 
 
-def _walk(spec: GraphSpec, height_bound: int) -> tuple[list, list]:
-    """The graph by vertex position: the block's vertices up to the height
-    bound in (num, den) order, so positions sort as the points do, and
-    each tail that has heads as (its position, its sorted head positions).
+def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
+    """The graph as its walk: the block's vertices up to the height bound
+    in (num, den) order, so positions sort as the points do, and each tail
+    that has heads as (its position, its sorted head positions).
     The walk runs in finf coordinates: an fzero vertex is walked as its
     reflection R(v), and each head found is looked up by its reflection,
     so fzero is the R-image of finf and a reversed spec is its swapped
@@ -308,7 +308,7 @@ def _walk(spec: GraphSpec, height_bound: int) -> tuple[list, list]:
         + _candidate_estimate(spec, height_bound),
         ENUMERATION_CEILING,
     )
-    vertices = _block_vertices(spec, height_bound)
+    vertices = tuple(_block_vertices(spec, height_bound))
     tails = _as_finf(spec, vertices)
     find = dict(zip(tails, range(len(tails)))).get
     bound = height_bound
@@ -316,7 +316,7 @@ def _walk(spec: GraphSpec, height_bound: int) -> tuple[list, list]:
     u = spec.forward_u()
     t, c = (u, -spec.u) if spec.reversed else (1, u)
     admitted = {t % m, -t % m}
-    heads: list[tuple[int, list[int]]] = []
+    heads: list[tuple[int, tuple[int, ...]]] = []
     for i, (r, s) in enumerate(tails):
         if r % m not in admitted:
             continue
@@ -333,29 +333,30 @@ def _walk(spec: GraphSpec, height_bound: int) -> tuple[list, list]:
                 found.append(find((x0 + k * r, y) if y > 0 else (-x0 - k * r, -y)))
         if found:
             found.sort()  # the line runs in step order, not in vertex order
-            heads.append((i, found))
-    return vertices, heads
+            heads.append((i, tuple(found)))
+    return SuborbitalGraph(spec, height_bound, vertices, tuple(heads))
 
 
-def _graph(spec: GraphSpec, height_bound: int, vertices: list, heads: list):
-    """A walk materialized; an edge joins vertices with r*y - s*x = +-m,
-    never a loop, so DirectedEdge's check is skipped."""
-    edge = partial(tuple.__new__, DirectedEdge)
-    edges = [edge((vertices[i], vertices[j])) for i, found in heads for j in found]
-    return SuborbitalGraph(spec, height_bound, tuple(vertices), tuple(edges))
+class SuborbitalGraph(namedtuple("SuborbitalGraph", "spec height_bound vertices heads")):
+    """One enumerated graph, held as its walk by vertex position.
 
-
-def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
-    """All vertices of the base vertex's block up to the height bound, and
-    every edge among them that the congruences accept, sorted: the walk,
-    materialized.  Raises as _walk does."""
-    return _graph(spec, height_bound, *_walk(spec, height_bound))
-
-
-class SuborbitalGraph(namedtuple("SuborbitalGraph", "spec height_bound vertices edges")):
-    """One enumerated graph: spec, height bound, sorted vertices, sorted edges."""
+    vertices is the tuple of the block's points up to the height bound in
+    (num, den) order; heads holds, for each tail that has heads and in
+    tail order, the pair (tail position, sorted tuple of head positions).
+    Read tail by tail, the heads give the edges in sorted order.
+    """
 
     __slots__ = ()
+
+    @property
+    def edges(self) -> tuple[DirectedEdge, ...]:
+        """The sorted DirectedEdge tuple, built from the heads on every
+        read: O(edges) time and memory.  An edge joins vertices with
+        r*y - s*x = +-m, never a loop, so DirectedEdge's check is skipped."""
+        vertices = self.vertices
+        edge = partial(tuple.__new__, DirectedEdge)
+        return tuple([edge((vertices[i], vertices[j]))
+                      for i, found in self.heads for j in found])
 
 
 def is_self_paired(spec: GraphSpec) -> bool:

@@ -318,7 +318,7 @@ def compare_edges_vs_orbital(
         raise InvalidSpec(f"group {group.label} does not match graph "
                           f"modulus {spec.modulus}")
     _check_entry_bound(entry_bound)
-    graph = enumerate_graph(spec, height_bound)
+    edges = enumerate_graph(spec, height_bound).edges
     alpha, beta = spec.base_pair()
     cusp_first = alpha == (INFINITY if finf else ZERO)
     flip = _conjugated(group)  # m > l
@@ -368,9 +368,9 @@ def compare_edges_vs_orbital(
                     add((cusp, other) if cusp_first else (other, cusp))
     soundness = tuple(
         (ProjectiveRational(*src), ProjectiveRational(*dst))
-        for src, dst in sorted(window.difference(graph.edges))
+        for src, dst in sorted(window.difference(edges))
     )
-    misses = tuple(filterfalse(window.__contains__, graph.edges))
+    misses = tuple(filterfalse(window.__contains__, edges))
     return OrbitalReport(
         spec=spec,
         group=group,
@@ -378,7 +378,7 @@ def compare_edges_vs_orbital(
         height_bound=height_bound,
         member_count=members,
         orbital_in_bound=len(window),
-        edge_count=len(graph.edges),
+        edge_count=len(edges),
         soundness_failures=soundness,
         completeness_misses=misses,
     )

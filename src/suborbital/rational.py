@@ -38,11 +38,9 @@ class ProjectiveRational(tuple):
     * num == 0 implies den == 1, so 0/1 is the unique zero
     * den >= 0; the sign always lives on the numerator
 
-    A point equals and hashes as its plain pair, so plain (num, den)
-    tuples find it in sets and dicts and sort in canonical output order.
-    The comparison operators order points by value instead, 1/0 above
-    every finite value; they cross multiply, which is valid for 1/0 as
-    well because denominators are never negative.
+    A point equals, hashes and compares as its plain pair, so plain
+    (num, den) tuples find it in sets and dicts, and points sort in
+    canonical output order, the order of those integer pairs.
     """
 
     __slots__ = ()
@@ -72,19 +70,6 @@ class ProjectiveRational(tuple):
     def height(self) -> int:
         """max(|num|, den); the point at infinity has height 1."""
         return max(abs(self.num), self.den)
-
-    # tuple defines all four, so each value comparison is written out
-    def __lt__(self, other: tuple[int, int]) -> bool:
-        return self[0] * other[1] < other[0] * self[1]
-
-    def __le__(self, other: tuple[int, int]) -> bool:
-        return self[0] * other[1] <= other[0] * self[1]
-
-    def __gt__(self, other: tuple[int, int]) -> bool:
-        return self[0] * other[1] > other[0] * self[1]
-
-    def __ge__(self, other: tuple[int, int]) -> bool:
-        return self[0] * other[1] >= other[0] * self[1]
 
     # a point is a value, not a sequence: tuple concatenation and
     # repetition are refused, so + and * raise TypeError

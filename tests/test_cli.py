@@ -168,12 +168,10 @@ class TestEdgesCommand:
             "svg": lambda: graph_io_module.emit_svg(graph, 640),
         }[fmt]()
 
-        def materialized(*args):
-            raise AssertionError("edges materialized the graph")
+        def materialized(graph):
+            raise AssertionError("edges built the graph's edge objects")
 
-        for module in (graphs_module, cli_module, graph_io_module):
-            for name in ("enumerate_graph", "_graph"):
-                monkeypatch.setattr(module, name, materialized, raising=False)
+        monkeypatch.setattr(graphs_module.SuborbitalGraph, "edges", property(materialized))
         argv = ["edges", "--family", family, "--u", str(u), "--mod", str(mod),
                 "--bound", "14", "--format", fmt]
         assert run(capsys, *argv + ["--reversed"] * reversed_) == (0, want, "")
@@ -433,6 +431,27 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert "F[-5, 3]" in out and "bijection ok" in out
+
+    @pytest.mark.parametrize("dropped_from", ["spec", "partner"])
+    def test_pairing_fails_on_a_dropped_head(self, capsys, monkeypatch, dropped_from):
+        enumerate_graph = cli_module.enumerate_graph
+
+        def dropping(spec, height_bound):
+            graph = enumerate_graph(spec, height_bound)
+            if spec.reversed != (dropped_from == "partner"):
+                return graph
+            (i, found), *rest = graph.heads
+            return graph._replace(heads=((i, found[1:]), *rest))
+
+        monkeypatch.setattr(cli_module, "enumerate_graph", dropping)
+        argv = ("verify", "--suite", "pairing", "--mod", "5", "--u", "2",
+                "--height-bound", "12")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "reversal bijection FAILED" in out
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1
+        assert json.loads(out)[0]["ok"] is False
 
     def test_selfpaired_sweep_default(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "selfpaired")

@@ -35,7 +35,7 @@ from suborbital.graphs import (
 
 F12 = GraphSpec(family="finf", u=1, modulus=2)
 F32 = GraphSpec(family="fzero", u=2, modulus=3)
-EMPTY = SuborbitalGraph(spec=F12, height_bound=1, vertices=(), edges=())
+EMPTY = SuborbitalGraph(spec=F12, height_bound=1, vertices=(), heads=())
 
 TEST_GRAPHS = [
     enumerate_graph(F12, 4),
@@ -75,6 +75,19 @@ class TestJson:
             back = parse_json(text)
             assert back == graph
             assert emit_json(back) == text
+
+    def test_a_round_trip_builds_no_edge_object(self, monkeypatch):
+        # parse and every writer read the graph by position alone
+        want = [(emit_json(g), emit_dot(g), emit_svg(g, 640)) for g in TEST_GRAPHS]
+
+        def built(graph):
+            raise AssertionError("an edge object was built")
+
+        monkeypatch.setattr(SuborbitalGraph, "edges", property(built))
+        for document, dot, svg in want:
+            graph = parse_json(document)
+            assert (emit_json(graph), emit_dot(graph), emit_svg(graph, 640)) == (
+                document, dot, svg)
 
     def test_deterministic(self):
         for graph in TEST_GRAPHS:
@@ -522,14 +535,14 @@ class TestSweep:
 
     def test_parse_walks_each_document_once(self, sweep, monkeypatch):
         walks = []
-        walk = graphs_module._walk
+        walk = graphs_module.enumerate_graph
 
         def counted(*args):
             walks.append(args)
             return walk(*args)
 
-        monkeypatch.setattr(graphs_module, "_walk", counted)
-        monkeypatch.setattr(graph_io_module, "_walk", counted)
+        monkeypatch.setattr(graphs_module, "enumerate_graph", counted)
+        monkeypatch.setattr(graph_io_module, "enumerate_graph", counted)
         documents = [emit_json(graph) for graph in sweep[::9]]
         assert walks == []
         for document, graph in zip(documents, sweep[::9]):

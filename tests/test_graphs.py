@@ -598,7 +598,7 @@ class TestEnumerateGraph:
             for e in graph.edges:
                 delta = e.src.num * e.dst.den - e.src.den * e.dst.num
                 assert abs(delta) == spec.modulus
-                assert e.sign == (1 if e.src > e.dst else -1)
+                assert e.sign == (1 if delta > 0 else -1)
                 assert block_equivalent(e.src, base, spec.modulus)
                 assert block_equivalent(e.dst, base, spec.modulus)
 

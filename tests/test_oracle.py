@@ -331,10 +331,14 @@ def full_replay(spec, group, entry_bound, height_bound):
 
 
 def omit_edges(monkeypatch, dropped):
-    """Make the oracle read a graph without the edges dropped(edge) picks."""
+    """Make the oracle read a graph without the heads of the edges
+    dropped(edge) picks."""
     def enumerated(spec, height_bound):
         graph = enumerate_graph(spec, height_bound)
-        return graph._replace(edges=[e for e in graph.edges if not dropped(e)])
+        v = graph.vertices
+        heads = [(i, tuple(j for j in found if not dropped(DirectedEdge(v[i], v[j]))))
+                 for i, found in graph.heads]
+        return graph._replace(heads=tuple(heads))
 
     monkeypatch.setattr(oracle_module, "enumerate_graph", enumerated)
 

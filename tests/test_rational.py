@@ -47,12 +47,6 @@ def inverse_by_extended_gcd(u, m):
     return old_s % m
 
 
-def three_way(a, b):
-    """-1, 0 or +1 as a is less than, equal to or greater than b, read
-    off the ordering operators."""
-    return (a > b) - (a < b)
-
-
 def psi_by_divisor_sum(n):
     """Sum of n/d over squarefree divisors d; an independent route."""
     total = 0
@@ -129,50 +123,6 @@ class TestCanonicalForm:
         assert ZERO.height == 1
         assert ProjectiveRational(-7, 3).height == 7
         assert ProjectiveRational(3, 10).height == 10
-
-
-class TestOrdering:
-    def test_chain(self):
-        chain = [
-            ProjectiveRational(-3, 2),
-            ProjectiveRational(-1, 2),
-            ZERO,
-            ProjectiveRational(1, 3),
-            ProjectiveRational(1, 2),
-            ProjectiveRational(2, 1),
-            INFINITY,
-        ]
-        assert sorted(chain[::-1]) == chain
-
-    def test_infinity_is_strictly_greatest(self):
-        assert INFINITY > ProjectiveRational(10**9, 1)
-        assert not INFINITY < INFINITY
-        assert three_way(INFINITY, INFINITY) == 0
-
-    def test_compare_values(self):
-        assert three_way(ProjectiveRational(1, 2), ProjectiveRational(1, 3)) == 1
-        assert three_way(ProjectiveRational(1, 3), ProjectiveRational(1, 2)) == -1
-        assert three_way(ProjectiveRational(2, 4), ProjectiveRational(1, 2)) == 0
-
-    def test_all_four_operators_order_by_value(self):
-        # pairs whose tuple order is the opposite of their value order
-        for big, small in (
-            (INFINITY, ProjectiveRational(2, 1)),
-            (ProjectiveRational(1, 2), ProjectiveRational(2, 5)),
-            (ProjectiveRational(1, 2), ProjectiveRational(1, 3)),
-        ):
-            assert tuple(big) < tuple(small)
-            assert big > small and big >= small
-            assert small < big and small <= big
-            assert not (big < small or big <= small)
-            assert not (small > big or small >= big)
-        for v in (INFINITY, ZERO, ProjectiveRational(2, 5)):
-            assert v <= v and v >= v and not (v < v or v > v)
-
-    @given(numerators, nonzero, numerators, nonzero)
-    def test_order_matches_real_values(self, a, b, c, d):
-        v, w = ProjectiveRational(a, b), ProjectiveRational(c, d)
-        assert (v < w) == (a / b < c / d) or v == w
 
 
 class TestModInverse:

@@ -37,10 +37,7 @@ REPRS = [
     (enumerate_graph(F12, 2),
      "SuborbitalGraph(spec=GraphSpec(family='finf', u=1, modulus=2, reversed=False),"
      " height_bound=2, vertices=(ProjectiveRational(-1, 2), ProjectiveRational(1, 0),"
-     " ProjectiveRational(1, 2)), edges=((ProjectiveRational(-1, 2),"
-     " ProjectiveRational(1, 0)), (ProjectiveRational(1, 0), ProjectiveRational(-1, 2)),"
-     " (ProjectiveRational(1, 0), ProjectiveRational(1, 2)), (ProjectiveRational(1, 2),"
-     " ProjectiveRational(1, 0))))"),
+     " ProjectiveRational(1, 2)), heads=((0, (1,)), (1, (0, 2)), (2, (1,))))"),
     (enumerate_group(principal(3), 3),
      "BoundedGroupSample(group=SubgroupSpec(a_mod=3, b_mod=3, c_mod=3, d_mod=3,"
      " label='principal(3)'), entry_bound=3, elements=(UnimodularMatrix(-1, 0, 3, -1),"
@@ -91,7 +88,7 @@ def test_field_names_and_defaults():
     assert GraphSpec._fields == ("family", "u", "modulus", "reversed")
     assert GraphSpec(family="fzero", u=2, modulus=5) == ("fzero", 2, 5, False)
     assert SubgroupSpec._fields == ("a_mod", "b_mod", "c_mod", "d_mod", "label")
-    assert SuborbitalGraph._fields == ("spec", "height_bound", "vertices", "edges")
+    assert SuborbitalGraph._fields == ("spec", "height_bound", "vertices", "heads")
     assert BoundedGroupSample._fields == ("group", "entry_bound", "elements")
     assert OrbitalReport._fields == (
         "spec", "group", "entry_bound", "height_bound", "member_count",
