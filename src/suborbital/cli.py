@@ -38,12 +38,13 @@ from .graphs import (
 )
 from .oracle import (
     SCAN_CEILING,
+    check_entry_bound,
     compare_edges_vs_orbital,
     count_blocks,
     verify_lattice_identity,
     verify_self_paired,
 )
-from .group import gamma0_pair
+from .group import SubgroupSpec, gamma0_pair
 from .rational import dedekind_psi, phi_pair
 
 __all__ = ["main", "build_parser"]
@@ -131,32 +132,31 @@ def _collect(suite: str, reports: list) -> tuple[bool, list[str], dict]:
     return ok, lines, {"suite": suite, "reports": data, "ok": ok}
 
 
-def _oracle_configs(
-    args: argparse.Namespace,
-) -> list[tuple[GraphSpec, int, int, int, int]]:
-    entry = args.entry_bound if args.entry_bound is not None else 20
-    height = args.height_bound if args.height_bound is not None else 30
+def _oracle_configs(args: argparse.Namespace) -> list[tuple[GraphSpec, SubgroupSpec]]:
+    """(spec, group) of each oracle configuration, those of one spec
+    consecutive."""
     if _single_config(args, "oracle configuration"):
         modulus = args.l if args.family == FAMILY_INFINITY else args.m
         spec = GraphSpec(family=args.family, u=args.u, modulus=modulus)
-        return [(spec, args.l, args.m, entry, height)]
-    configs = []
-    for u, l in ORACLE_INFINITY_CONFIGS:
-        for m in sorted({1, 2, l}):
-            spec = GraphSpec(family=FAMILY_INFINITY, u=u, modulus=l)
-            configs.append((spec, l, m, entry, height))
-    for u, m in ORACLE_ZERO_CONFIGS:
-        for l in (1, 2):
-            spec = GraphSpec(family=FAMILY_ZERO, u=u, modulus=m)
-            configs.append((spec, l, m, entry, height))
-    return configs
+        return [(spec, gamma0_pair(args.l, args.m))]
+    finf = [(GraphSpec(FAMILY_INFINITY, u, l), gamma0_pair(l, m))
+            for u, l in ORACLE_INFINITY_CONFIGS for m in sorted({1, 2, l})]
+    fzero = [(GraphSpec(FAMILY_ZERO, u, m), gamma0_pair(l, m))
+             for u, m in ORACLE_ZERO_CONFIGS for l in (1, 2)]
+    return finf + fzero
 
 
 def _suite_oracle(args: argparse.Namespace) -> tuple[bool, list[str], dict]:
-    return _collect("oracle", [
-        compare_edges_vs_orbital(spec, gamma0_pair(l, m), entry, height)
-        for spec, l, m, entry, height in _oracle_configs(args)
-    ])
+    configs = _oracle_configs(args)
+    entry = args.entry_bound if args.entry_bound is not None else 20
+    height = args.height_bound if args.height_bound is not None else 30
+    check_entry_bound(entry)  # before any graph is walked
+    reports, graph = [], None
+    for spec, group in configs:
+        if graph is None or graph.spec != spec:  # one walk per spec
+            graph = enumerate_graph(spec, height)
+        reports.append(compare_edges_vs_orbital(graph, group, entry))
+    return _collect("oracle", reports)
 
 
 def _suite_selfpaired(args: argparse.Namespace) -> tuple[bool, list[str], dict]:

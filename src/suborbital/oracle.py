@@ -4,13 +4,14 @@ Everything here works from first principles: walks of bounded integer
 matrices, exhaustive over the residue classes of a, b and c a subgroup's
 moduli allow, in rows of one first column each filtered once by its
 membership test, built as matrices only for a sorted scan, a listed
-violation or a class representative; the one matrix carrying an edge onto another, solved from the
-endpoints' columns and filtered the same way; direct orbit marking over
-residue pairs; and raw group action on the base pair's columns, counted
-and solved for the height window row by row, then set against the
-enumerated edges, with points built only for soundness failures.  The
-graph module's edge predicate is never read, so agreement is evidence
-rather than circularity.  Samples and reports are tuple records that
+violation or a class representative; the one matrix carrying an edge
+onto another, solved from the endpoints' columns and filtered the same
+way; direct orbit marking over residue pairs; and raw group action on
+the base pair's columns, counted and solved for the height window row
+by row, then set against a walked graph's vertex pairs, with points
+built only for soundness failures and edges only for misses.  The graph
+module's edge predicate is never read, so agreement is evidence rather
+than circularity.  Samples and reports are tuple records that
 equal and hash as their field tuples.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import partial
 from itertools import filterfalse
 
 from .errors import InvalidBound, InvalidModulus, InvalidSpec, plain_int, refuse_above
@@ -26,8 +28,8 @@ from .graphs import (
     FAMILY_INFINITY,
     DirectedEdge,
     GraphSpec,
+    SuborbitalGraph,
     _class_steps,
-    enumerate_graph,
     is_self_paired,
 )
 from .group import (
@@ -42,6 +44,7 @@ from .rational import INFINITY, ZERO, ProjectiveRational
 
 __all__ = [
     "SCAN_CEILING",
+    "check_entry_bound",
     "BoundedGroupSample",
     "enumerate_group",
     "transitivity_witness",
@@ -144,7 +147,9 @@ def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, i
             yield (d, -c, -b, a) if flip else (a, b, c, d)
 
 
-def _check_entry_bound(entry_bound: int) -> None:
+def check_entry_bound(entry_bound: int) -> None:
+    """Refuse an entry bound that is no integer (bools included) or is below
+    1 (InvalidBound), or is above SCAN_CEILING."""
     if not plain_int(entry_bound) or entry_bound < 1:
         raise InvalidBound(f"entry bound must be an integer >= 1, got {entry_bound!r}")
     refuse_above("the entry bound", entry_bound, SCAN_CEILING)
@@ -159,7 +164,7 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
     tuple.  Raises InvalidBound for a bound that is no integer (bools
     included) or is below 1, and BoundTooLarge above the scan ceiling.
     """
-    _check_entry_bound(entry_bound)
+    check_entry_bound(entry_bound)
     elements = sorted(UnimodularMatrix(*g) for g in _members(group, entry_bound))
     return BoundedGroupSample(group, entry_bound, tuple(elements))
 
@@ -184,7 +189,7 @@ def transitivity_witness(
     under that filter.  Otherwise None, as for endpoints in different
     blocks.  Raises InvalidBound and BoundTooLarge as enumerate_group does.
     """
-    _check_entry_bound(entry_bound)
+    check_entry_bound(entry_bound)
     (a1, c1), (b1, d1) = e1
     (a2, c2), (b2, d2) = e2
     det = a1 * d1 - b1 * c1
@@ -222,12 +227,13 @@ class OrbitalReport(namedtuple("OrbitalReport", (
     soundness_failures lists, sorted, the orbital pairs inside the height
     window that are not enumerated edges, the only pairs built as points;
     a correct build keeps it empty.
-    completeness_misses lists enumerated edges the bounded orbital never
-    reached; they are reported, not failed.  The enumeration ignores the
-    group's other modulus, so where that exceeds 1 the edges whose
-    carrier is not a member stay missed at every entry bound: for F[1, 2]
-    against gamma0_pair(2, 2) at height 30 the misses level off at 372
-    from entry bound 30 on.
+    completeness_misses lists the enumerated edges the bounded orbital
+    never reached, the only edges built as DirectedEdge values; they are
+    reported, not failed.  The enumeration ignores the group's other
+    modulus, so where that exceeds 1 the edges whose carrier is not a
+    member stay missed at every entry bound: for F[1, 2] against
+    gamma0_pair(2, 2) at height 30 the misses level off at 372 from entry
+    bound 30 on.
     """
 
     __slots__ = ()
@@ -282,13 +288,9 @@ class OrbitalReport(namedtuple("OrbitalReport", (
         return lines
 
 
-def compare_edges_vs_orbital(
-    spec: GraphSpec,
-    group: SubgroupSpec,
-    entry_bound: int,
-    height_bound: int,
-) -> OrbitalReport:
-    """Compare the enumerated edge set against raw group images of the base pair.
+def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
+                             entry_bound: int) -> OrbitalReport:
+    """Compare a walked graph's edges with group images of its base pair.
 
     The group sample is walked once by rows (_member_rows), and each row
     is counted as its range length.  Two distinct points have a trivial
@@ -307,9 +309,12 @@ def compare_edges_vs_orbital(
     both images tested, with no membership test per k.  A determinant-one
     image of a primitive column is primitive, so a window image is held
     as its column with the sign fixed, which equals and hashes as the
-    point.  Soundness is the window pairs that are not edges, the misses
-    the edges that are not window pairs, and points are built only for
-    soundness failures.  The entry bound is checked first."""
+    point, and the edges are read from the heads as (src, dst) vertex
+    pairs.  The misses, each built as a DirectedEdge, are the edges that
+    are not window pairs.  Edges are distinct, so window pairs that are
+    not edges, the soundness failures and the only pairs built as points,
+    exist only if fewer edges than window pairs lie in the window."""
+    spec, h = graph.spec, graph.height_bound
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
         raise InvalidSpec("orbital comparison expects a gamma0_pair group")
@@ -317,8 +322,7 @@ def compare_edges_vs_orbital(
     if (l if finf else m) != spec.modulus:
         raise InvalidSpec(f"group {group.label} does not match graph "
                           f"modulus {spec.modulus}")
-    _check_entry_bound(entry_bound)
-    edges = enumerate_graph(spec, height_bound).edges
+    check_entry_bound(entry_bound)
     alpha, beta = spec.base_pair()
     cusp_first = alpha == (INFINITY if finf else ZERO)
     flip = _conjugated(group)  # m > l
@@ -327,7 +331,6 @@ def compare_edges_vs_orbital(
     x, y = beta if cusp_first else alpha
     if flip:
         x, y = -y, x
-    h = height_bound
 
     def point(p, q):
         # the canonical column of the group image of a walked image column
@@ -366,21 +369,18 @@ def compare_edges_vs_orbital(
                 if -h <= b <= h and -h <= d <= h and -h <= p <= h and -h <= q <= h:
                     cusp, other = point(b, d), point(p, q)
                     add((cusp, other) if cusp_first else (other, cusp))
-    soundness = tuple(
+    vertices = graph.vertices
+    pairs = [(vertices[i], vertices[j]) for i, found in graph.heads for j in found]
+    misses = tuple(map(partial(tuple.__new__, DirectedEdge),
+                       filterfalse(window.__contains__, pairs)))
+    soundness = () if len(window) == len(pairs) - len(misses) else tuple(
         (ProjectiveRational(*src), ProjectiveRational(*dst))
-        for src, dst in sorted(window.difference(edges))
+        for src, dst in sorted(window.difference(pairs))
     )
-    misses = tuple(filterfalse(window.__contains__, edges))
     return OrbitalReport(
-        spec=spec,
-        group=group,
-        entry_bound=entry_bound,
-        height_bound=height_bound,
-        member_count=members,
-        orbital_in_bound=len(window),
-        edge_count=len(edges),
-        soundness_failures=soundness,
-        completeness_misses=misses,
+        spec=spec, group=group, entry_bound=entry_bound, height_bound=h,
+        member_count=members, orbital_in_bound=len(window), edge_count=len(pairs),
+        soundness_failures=soundness, completeness_misses=misses,
     )
 
 
@@ -479,7 +479,7 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     """
     if not (plain_int(n1) and plain_int(n2)) or n1 < 1 or n2 < 1:
         raise InvalidModulus(f"moduli must be integers >= 1, got ({n1!r}, {n2!r})")
-    _check_entry_bound(entry_bound)
+    check_entry_bound(entry_bound)
     left, right, join = principal(n1), gamma0(n2), gamma0(math.gcd(n1, n2))
     meet_b, meet = principal(n2), principal(math.lcm(n1, n2))
     n = math.lcm(*join[:4])
@@ -572,7 +572,7 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
     R-conjugate.  An entry bound below its largest entry cannot decide
     the question and raises InvalidBound.
     """
-    _check_entry_bound(entry_bound)
+    check_entry_bound(entry_bound)
     predicted = is_self_paired(spec)
     u, m = spec.forward_u(), spec.modulus
     needed = max(u, m, (u * u + 1) // m)

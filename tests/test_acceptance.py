@@ -70,7 +70,7 @@ def test_criterion_2_infinity_family_soundness():
             for m in sorted({1, 2, l}):
                 spec = GraphSpec(family=FAMILY_INFINITY, u=u, modulus=l)
                 report = compare_edges_vs_orbital(
-                    spec, gamma0_pair(l, m), entry_bound=20, height_bound=30,
+                    enumerate_graph(spec, 30), gamma0_pair(l, m), entry_bound=20,
                 )
                 assert report.soundness_failures == ()
                 if report.completeness_misses:
@@ -88,7 +88,7 @@ def test_criterion_3_zero_family_soundness():
             for l in (1, 2):
                 spec = GraphSpec(family=FAMILY_ZERO, u=u, modulus=m)
                 report = compare_edges_vs_orbital(
-                    spec, gamma0_pair(l, m), entry_bound=20, height_bound=30,
+                    enumerate_graph(spec, 30), gamma0_pair(l, m), entry_bound=20,
                 )
                 assert report.soundness_failures == ()
                 if report.completeness_misses:

@@ -32,8 +32,8 @@ PUBLIC = {
     # oracle
     "BoundedGroupSample", "enumerate_group", "transitivity_witness",
     "compare_edges_vs_orbital", "count_blocks", "verify_lattice_identity",
-    "verify_self_paired", "SCAN_CEILING", "OrbitalReport", "LatticeReport",
-    "SelfPairedReport",
+    "verify_self_paired", "SCAN_CEILING", "check_entry_bound", "OrbitalReport",
+    "LatticeReport", "SelfPairedReport",
     # graph_io
     "emit_json", "parse_json", "emit_dot", "emit_svg", "FORMAT_VERSION",
     "check_svg_width",
@@ -111,7 +111,7 @@ def test_cold_cli_import_loads_no_introspection_modules():
     pytest.param(lambda: oracle.enumerate_group(FULL, True), errors.InvalidBound,
                  id="enumerate_group-True"),
     pytest.param(lambda: oracle.compare_edges_vs_orbital(
-        F12, group.gamma0_pair(2, 1), 20.0, 30), errors.InvalidBound,
+        GRAPH, group.gamma0_pair(2, 1), 20.0), errors.InvalidBound,
         id="compare_edges_vs_orbital-20.0"),
     pytest.param(lambda: oracle.verify_lattice_identity(2, 3, 5.0), errors.InvalidBound,
                  id="verify_lattice_identity-5.0"),
@@ -131,6 +131,8 @@ def test_cold_cli_import_loads_no_introspection_modules():
                  id="emit_svg-640.0"),
     pytest.param(lambda: graph_io.check_svg_width(True), errors.InvalidBound,
                  id="check_svg_width-True"),
+    pytest.param(lambda: oracle.check_entry_bound(True), errors.InvalidBound,
+                 id="check_entry_bound-True"),
     pytest.param(lambda: rational.dedekind_psi(4.0), errors.InvalidModulus,
                  id="dedekind_psi-4.0"),
     pytest.param(lambda: rational.factorize(4.0), errors.InvalidModulus,

@@ -336,6 +336,26 @@ class TestVerifyCommand:
         assert code == 0
         assert "soundness ok" in out
 
+    def test_oracle_walks_each_graph_once(self, capsys, monkeypatch):
+        # the 22 default oracle configurations hold 9 distinct graphs, each
+        # walked once and compared against each of its groups; the pairing
+        # suite walks 3 graphs and their partners
+        walk, walks = cli_module.enumerate_graph, []
+
+        def counted(spec, height_bound):
+            walks.append(spec)
+            return walk(spec, height_bound)
+
+        monkeypatch.setattr(cli_module, "enumerate_graph", counted)
+        single = ("--family", "fzero", "--u", "2", "--l", "2", "--m", "3")
+        for argv, count in ((("--suite", "oracle"), 9), (("--suite", "all"), 15),
+                            (("--suite", "oracle", *single), 1)):
+            walks.clear()
+            assert run(capsys, "verify", *argv)[0] == 0
+            assert len(walks) == count, argv
+            if argv[1] == "oracle":
+                assert len(set(walks)) == count
+
     def test_oracle_partial_flags_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "oracle", "--family", "finf")
         assert code == 2
@@ -647,16 +667,18 @@ class TestExitCodeContract:
 
 # sha256 over (exit code, stdout, stderr) of `verify --suite lattice` for
 # every n1, n2 <= 9 at each entry bound in LATTICE_BOUNDS, text then
-# --json, and of `verify --suite all --json`.  Every configuration that
-# ran when every product was formed and tested one by one prints what it
-# printed then; the 14 that a ceiling on len(left) * len(right) refused
-# then all have gcd(n1, n2) = 1, so their join is the full group and
-# they pass.
+# --json, and of `verify --suite all` with --json and as text; the text
+# carries each oracle configuration's miss count and smallest miss.
+# Every configuration that ran when every product was formed and tested
+# one by one prints what it printed then; the 14 that a ceiling on
+# len(left) * len(right) refused then all have gcd(n1, n2) = 1, so their
+# join is the full group and they pass.
 LATTICE_BOUNDS = (1, 5, 12, 20, 28)
 LATTICE_SHA256 = {
     "text": "a330db3743f47ada02c62c2e49591a9e650226102ae00e885d4703f5b785ddb7",
     "json": "2679747087fdc9dccc2bec3b67d8080f0c3b308ea684a656a23e2b9a5633607d",
     "all": "b4a9bca4d0dea87d146d415dcfbd8db6fcdfcb8c70b2ddfe0bc5930eb5ac42dc",
+    "all_text": "328e88bb7ef100f17d9bafafb9660d3d87498e142929cade71d13f24cbaf4bd4",
 }
 
 
@@ -709,3 +731,22 @@ class TestLatticeOutputs:
         digest, codes = self.digest(capsys, ["verify", "--suite", "all", "--json"])
         assert codes == {0: 1}
         assert digest == LATTICE_SHA256["all"]
+
+    def test_all_suites_text_is_byte_identical(self, capsys):
+        digest, codes = self.digest(capsys, ["verify", "--suite", "all"])
+        assert codes == {0: 1}
+        assert digest == LATTICE_SHA256["all_text"]
+
+    def test_no_command_builds_an_edge_list(self, capsys, monkeypatch):
+        # the oracle reads a graph's heads as vertex pairs and builds edge
+        # objects only for its misses, so with the edge tuple refused the
+        # sweep and the benchmark's largest bounds print the same bytes
+        def refused(graph):
+            raise AssertionError("an edge list was built")
+
+        monkeypatch.setattr(graphs_module.SuborbitalGraph, "edges", property(refused))
+        for flags, key in (((), "all_text"), (("--json",), "all")):
+            argv = ["verify", "--suite", "all", *flags]
+            assert self.digest(capsys, argv) == (LATTICE_SHA256[key], {0: 1})
+        for argv, code, sha in BENCH_BOUNDS_SHA256:
+            assert self.digest(capsys, argv) == (sha, {code: 1})

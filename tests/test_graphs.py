@@ -283,10 +283,10 @@ class TestEnumerateGraph:
     def test_frozen_lists_match_raw_group_action_exactly(self):
         # at these tiny bounds the bounded orbital reaches every edge,
         # so the frozen lists above equal the oracle set outright
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 4)
+        report = compare_edges_vs_orbital(enumerate_graph(F12, 4), gamma0_pair(2, 1), 20)
         assert report.soundness_failures == ()
         assert report.completeness_misses == ()
-        report = compare_edges_vs_orbital(F32, gamma0_pair(1, 3), 20, 4)
+        report = compare_edges_vs_orbital(enumerate_graph(F32, 4), gamma0_pair(1, 3), 20)
         assert report.soundness_failures == ()
         assert report.completeness_misses == ()
 
@@ -302,7 +302,7 @@ class TestEnumerateGraph:
         # completeness against the orbit shows them
         spec = GraphSpec(family=family, u=u, modulus=m)
         group = gamma0_pair(m, 1) if family == "finf" else gamma0_pair(1, m)
-        report = compare_edges_vs_orbital(spec, group, 60, 40)
+        report = compare_edges_vs_orbital(enumerate_graph(spec, 40), group, 60)
         assert report.edge_count > 0
         assert report.soundness_failures == ()
         assert report.completeness_misses == ()

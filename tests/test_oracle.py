@@ -330,33 +330,28 @@ def full_replay(spec, group, entry_bound, height_bound):
     )
 
 
-def omit_edges(monkeypatch, dropped):
-    """Make the oracle read a graph without the heads of the edges
-    dropped(edge) picks."""
-    def enumerated(spec, height_bound):
-        graph = enumerate_graph(spec, height_bound)
-        v = graph.vertices
-        heads = [(i, tuple(j for j in found if not dropped(DirectedEdge(v[i], v[j]))))
-                 for i, found in graph.heads]
-        return graph._replace(heads=tuple(heads))
-
-    monkeypatch.setattr(oracle_module, "enumerate_graph", enumerated)
+def omit_edges(graph, dropped):
+    """The graph without the heads of the edges dropped(edge) picks."""
+    v = graph.vertices
+    heads = [(i, tuple(j for j in found if not dropped(DirectedEdge(v[i], v[j]))))
+             for i, found in graph.heads]
+    return graph._replace(heads=tuple(heads))
 
 
 class TestCompareEdgesVsOrbital:
     def test_infinity_family_soundness(self):
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 10, 10)
+        report = compare_edges_vs_orbital(enumerate_graph(F12, 10), gamma0_pair(2, 1), 10)
         assert report.ok
         assert report.soundness_failures == ()
         assert report.orbital_in_bound > 0
 
     def test_zero_family_soundness(self):
-        report = compare_edges_vs_orbital(F32, gamma0_pair(1, 3), 10, 10)
+        report = compare_edges_vs_orbital(enumerate_graph(F32, 10), gamma0_pair(1, 3), 10)
         assert report.ok
         assert report.soundness_failures == ()
 
     def test_tiny_bound_misses_edges(self):
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 1, 10)
+        report = compare_edges_vs_orbital(enumerate_graph(F12, 10), gamma0_pair(2, 1), 1)
         assert report.completeness_misses != ()
         assert report.smallest_miss == report.completeness_misses[0]
         # misses are real edges, just unreached by the tiny sample
@@ -365,25 +360,25 @@ class TestCompareEdgesVsOrbital:
 
     def test_group_must_match_spec(self):
         with pytest.raises(InvalidSpec):
-            compare_edges_vs_orbital(F12, gamma0_pair(3, 1), 5, 5)
+            compare_edges_vs_orbital(enumerate_graph(F12, 5), gamma0_pair(3, 1), 5)
         with pytest.raises(InvalidSpec):
-            compare_edges_vs_orbital(F32, gamma0_pair(1, 2), 5, 5)
+            compare_edges_vs_orbital(enumerate_graph(F32, 5), gamma0_pair(1, 2), 5)
         with pytest.raises(InvalidSpec):
-            compare_edges_vs_orbital(F12, gamma0(2), 5, 5)
+            compare_edges_vs_orbital(enumerate_graph(F12, 5), gamma0(2), 5)
 
     def test_base_pair_is_reached(self):
         f11 = GraphSpec(family="finf", u=1, modulus=1)
         f13 = GraphSpec(family="finf", u=1, modulus=3)
         for spec, group in ((f11, gamma0_pair(1, 1)), (f13, gamma0_pair(3, 1)),
                             (f13, gamma0_pair(3, 2)), (F32, gamma0_pair(1, 3))):
-            report = compare_edges_vs_orbital(spec, group, 4, 10)
+            report = compare_edges_vs_orbital(enumerate_graph(spec, 10), group, 4)
             base = DirectedEdge(*spec.base_pair())
             assert base in enumerate_graph(spec, 10).edges
             assert base not in report.completeness_misses
 
     def test_translated_pair_is_reached(self):
         # [[1, 0], [2, 1]] carries 1/0 -> 1/2 onto 1/2 -> 1/4
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 5, 10)
+        report = compare_edges_vs_orbital(enumerate_graph(F12, 10), gamma0_pair(2, 1), 5)
         edge = DirectedEdge(ProjectiveRational(1, 2), ProjectiveRational(1, 4))
         assert edge in enumerate_graph(F12, 10).edges
         assert edge not in report.completeness_misses
@@ -408,7 +403,8 @@ class TestCompareEdgesVsOrbital:
                                  reversed=reversed_)
                 base_height = max(v.height for v in spec.base_pair())
                 for bounds in itertools.product((1, 7, 20), (1, 5, 30)):
-                    report = compare_edges_vs_orbital(spec, gamma0_pair(l, m), *bounds)
+                    report = compare_edges_vs_orbital(
+                        enumerate_graph(spec, bounds[1]), gamma0_pair(l, m), bounds[0])
                     reference = full_replay(spec, gamma0_pair(l, m), *bounds)
                     assert report.to_dict() == reference.to_dict(), (spec, l, m, bounds)
                     assert report.text_lines() == reference.text_lines()
@@ -429,25 +425,26 @@ class TestCompareEdgesVsOrbital:
 
         monkeypatch.setattr(oracle_module, "ProjectiveRational", counted)
         monkeypatch.setattr(oracle_module, "UnimodularMatrix", None)  # no matrix
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
+        graph = enumerate_graph(F12, 10)
+        report = compare_edges_vs_orbital(graph, gamma0_pair(2, 1), 20)
         assert 0 < report.orbital_in_bound < report.member_count
         assert report.to_dict()["orbital_pairs"] == report.member_count
         assert report.soundness_failures == () and calls == []
         # a graph that omits every edge leaving 1/0 fails those pairs
-        omit_edges(monkeypatch, lambda edge: edge.src == INFINITY)
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 20, 10)
+        graph = omit_edges(graph, lambda edge: edge.src == INFINITY)
+        report = compare_edges_vs_orbital(graph, gamma0_pair(2, 1), 20)
         failures = report.soundness_failures
         assert 0 < len(failures) < report.orbital_in_bound
         assert all(src == INFINITY for src, dst in failures)
         assert all(type(v) is ProjectiveRational for pair in failures for v in pair)
         assert len(calls) == 2 * len(failures)
 
-    def test_omitted_orbit_edge_fails_soundness(self, monkeypatch):
+    def test_omitted_orbit_edge_fails_soundness(self):
         # the base edge is an orbit pair in the window: a graph without it
         # is unsound, whatever the edge predicate says of the pair
         base = (INFINITY, ProjectiveRational(1, 2))
-        omit_edges(monkeypatch, lambda edge: edge == base)
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 10, 10)
+        graph = omit_edges(enumerate_graph(F12, 10), lambda edge: edge == base)
+        report = compare_edges_vs_orbital(graph, gamma0_pair(2, 1), 10)
         assert not report.ok
         assert report.soundness_failures == (base,)
 
@@ -481,10 +478,12 @@ class TestCompareEdgesVsOrbital:
 
         monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
         for config, reference in zip(configs, references):
-            assert compare_edges_vs_orbital(*config) == reference, config
+            spec, group, entry_bound, height_bound = config
+            graph = enumerate_graph(spec, height_bound)
+            assert compare_edges_vs_orbital(graph, group, entry_bound) == reference, config
 
     def test_report_serializes(self):
-        report = compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 5, 5)
+        report = compare_edges_vs_orbital(enumerate_graph(F12, 5), gamma0_pair(2, 1), 5)
         data = report.to_dict()
         assert data["ok"] is True
         assert data["soundness_failures"] == []

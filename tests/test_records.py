@@ -43,7 +43,7 @@ REPRS = [
      " label='principal(3)'), entry_bound=3, elements=(UnimodularMatrix(-1, 0, 3, -1),"
      " UnimodularMatrix(1, -3, 0, 1), UnimodularMatrix(1, 0, 0, 1),"
      " UnimodularMatrix(1, 0, 3, 1), UnimodularMatrix(1, 3, 0, 1)))"),
-    (compare_edges_vs_orbital(F12, gamma0_pair(2, 1), 3, 3),
+    (compare_edges_vs_orbital(enumerate_graph(F12, 3), gamma0_pair(2, 1), 3),
      "OrbitalReport(spec=GraphSpec(family='finf', u=1, modulus=2, reversed=False),"
      " group=SubgroupSpec(a_mod=2, b_mod=1, c_mod=2, d_mod=1, label='gamma0_pair(2,1)'),"
      " entry_bound=3, height_bound=3, member_count=19,"
