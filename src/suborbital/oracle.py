@@ -388,21 +388,23 @@ def count_blocks(n: int) -> int:
     """Number of unit-scaling orbits of primitive residue pairs mod n.
 
     Direct orbit marking over all pairs (x, y) in (Z/n)^2 with
-    gcd(x, y, n) == 1.  Independent of the multiplicative formula in the
+    gcd(x, y, n) == 1, in a flat table indexed x*n + y, with gcd(x, n)
+    taken once per row.  Independent of the multiplicative formula in the
     rational module, which it exists to corroborate.
     """
     if not plain_int(n) or n < 1:
         raise InvalidModulus(f"count_blocks needs an integer n >= 1, got {n!r}")
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
-    seen: set[tuple[int, int]] = set()
+    seen = bytearray(n * n)
     blocks = 0
     for x in range(n):
+        gx, row = math.gcd(x, n), x * n
         for y in range(n):
-            if (x, y) in seen or math.gcd(math.gcd(x, y), n) != 1:
+            if seen[row + y] or math.gcd(gx, y) != 1:
                 continue
             blocks += 1
             for u in units:
-                seen.add((u * x % n, u * y % n))
+                seen[u * x % n * n + u * y % n] = 1
     return blocks
 
 
@@ -463,16 +465,20 @@ class LatticeReport(namedtuple("LatticeReport", (
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
     """Scan-check the intersection and product lattice identities.
 
-    One walk of the full group's sample, as entry tuples, decides both
-    halves.  The intersection half builds a matrix only for a violation.
-    The product half counts the members of principal(n1) and gamma0(n2)
-    among the walked ones, and keeps the first member of each residue
-    class mod n, the lcm of the join's moduli.  join.contains reads b and
-    c mod their moduli and a and d on both sign lifts, so it depends only
-    on the entries mod n up to an overall sign.  Reduction mod n is a
-    ring homomorphism, so the factors' classes fix the product's entries
-    mod n, and the canonical lift of p * q only negates all four: one
-    product of representatives decides its whole pair of classes.
+    One walk of the full group's sample by rows (_member_rows) decides
+    both halves, and each row adds its range length to scanned.  A
+    canonical member can belong to a SubgroupSpec only if c == 0 mod its
+    c_mod, so only the rows whose c one factor allows are expanded, k by
+    k in walk order, as entry tuples.  The intersection half builds a
+    matrix only for a violation.  The product half counts the members of
+    principal(n1) and gamma0(n2) among the walked ones, and keeps the
+    first member of each residue class mod n, the lcm of the join's
+    moduli.  join.contains reads b and c mod their moduli and a and d on
+    both sign lifts, so it depends only on the entries mod n up to an
+    overall sign.  Reduction mod n is a ring homomorphism, so the factors'
+    classes fix the product's entries mod n, and the canonical lift of
+    p * q only negates all four: one product of representatives decides
+    its whole pair of classes.
     products_checked counts every product those decisions cover, and
     product_violations lists the representative products the join
     rejects, sorted, one per failing pair.
@@ -486,20 +492,28 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     scanned, bad_meet = 0, []
     left_count = right_count = 0
     left_reps, right_reps = {}, {}
-    for g in _members(full_group(), entry_bound):
-        scanned += 1
-        in_left, in_right = left.contains(g), right.contains(g)
-        if (in_left and meet_b.contains(g)) != meet.contains(g):
-            bad_meet.append(UnimodularMatrix(*g))
-        if in_left or in_right:
-            a, b, c, d = g
-            key = (a % n, b % n, c % n, d % n)
-            if in_left:
-                left_count += 1
-                left_reps.setdefault(key, g)
-            if in_right:
-                right_count += 1
-                right_reps.setdefault(key, g)
+    for a, c, b0, d0, ks in _member_rows(full_group(), entry_bound):
+        scanned += len(ks)
+        # a row whose c neither factor allows holds no member of
+        # principal(n1) or gamma0(n2), nor of principal(lcm(n1, n2)),
+        # which needs c == 0 mod the lcm, a multiple of n1: it adds no
+        # violation, no representative and no count
+        if c % left.c_mod and c % right.c_mod:
+            continue
+        for k in ks:
+            b, d = b0 + k * a, d0 + k * c
+            g = (a, b, c, d)
+            in_left, in_right = left.contains(g), right.contains(g)
+            if (in_left and meet_b.contains(g)) != meet.contains(g):
+                bad_meet.append(UnimodularMatrix(*g))
+            if in_left or in_right:
+                key = (a % n, b % n, c % n, d % n)
+                if in_left:
+                    left_count += 1
+                    left_reps.setdefault(key, g)
+                if in_right:
+                    right_count += 1
+                    right_reps.setdefault(key, g)
 
     lefts = [UnimodularMatrix(*g) for g in left_reps.values()]
     rights = [UnimodularMatrix(*g) for g in right_reps.values()]

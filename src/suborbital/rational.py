@@ -9,6 +9,7 @@ arithmetic; nothing ever rounds.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import itemgetter
 
 from .errors import InvalidModulus, NotInvertible, ZeroOverZero, plain_int, refuse_above
@@ -141,6 +142,13 @@ def dedekind_psi(n: int) -> int:
     """
     if not plain_int(n) or n < 1:
         raise InvalidModulus(f"dedekind_psi needs an integer n >= 1, got {n!r}")
+    return _psi(n)
+
+
+# keyed only by validated ints, so 4.0 and True never share 4's and 1's
+# entries; bounded, so a long-lived caller's distinct moduli cannot grow it
+@lru_cache(maxsize=1024)
+def _psi(n: int) -> int:
     value = 1
     for p, k in factorize(n):
         value *= p ** (k - 1) * (p + 1)
@@ -148,11 +156,11 @@ def dedekind_psi(n: int) -> int:
 
 
 def phi_pair(l: int, m: int) -> int:
-    """Block count for the two-parameter subgroup: psi(l) + psi(m).
+    """psi(l) + psi(m), the sum of the two moduli's block counts.
 
     The squarefull part of each argument enters through the p^(k-1)
     factors of psi, so no separate radical computation is needed.
     """
     if not (plain_int(l) and plain_int(m)) or l < 1 or m < 1:
         raise InvalidModulus(f"both arguments must be integers >= 1, got ({l!r}, {m!r})")
-    return dedekind_psi(l) + dedekind_psi(m)
+    return _psi(l) + _psi(m)

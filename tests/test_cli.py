@@ -18,6 +18,7 @@ import suborbital.cli as cli_module
 import suborbital.graph_io as graph_io_module
 import suborbital.graphs as graphs_module
 import suborbital.oracle as oracle_module
+import suborbital.rational as rational_module
 from suborbital.cli import build_parser, main
 from suborbital.group import UnimodularMatrix
 
@@ -189,6 +190,22 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "blocks", "--max", "20")
         assert code == 0
         assert "ok" in out
+
+    def test_blocks_suite_factorizes_each_modulus_once(self, capsys, monkeypatch):
+        # psi is asked for 20 moduli and for 400 pairs of them, and its
+        # value is computed once per modulus
+        factorized = collections.Counter()
+        factorize = rational_module.factorize
+
+        def counted(n):
+            factorized[n] += 1
+            return factorize(n)
+
+        rational_module._psi.cache_clear()
+        monkeypatch.setattr(rational_module, "factorize", counted)
+        assert run(capsys, "verify", "--suite", "blocks", "--max", "20")[0] == 0
+        assert set(factorized) == set(range(1, 21))
+        assert max(factorized.values()) == 1
 
     def test_blocks_max_has_work_ceiling(self, capsys, monkeypatch):
         # the refusal comes from the estimate alone: no block is counted

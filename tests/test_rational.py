@@ -213,6 +213,16 @@ class TestFactorizationAndPsi:
         with pytest.raises(InvalidModulus):
             dedekind_psi(-6)
 
+    def test_psi_refuses_non_ints_after_caching_equal_ints(self):
+        # 4.0 and True equal and hash as 4 and 1, whose values are cached
+        # by now; the argument check still comes first
+        assert (dedekind_psi(4), dedekind_psi(1)) == (6, 1)
+        for n in (4.0, True):
+            with pytest.raises(InvalidModulus):
+                dedekind_psi(n)
+            with pytest.raises(InvalidModulus):
+                phi_pair(n, 2)
+
     def test_phi_pair(self):
         assert phi_pair(2, 3) == 7
         assert phi_pair(1, 1) == 2
