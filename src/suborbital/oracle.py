@@ -38,7 +38,6 @@ from .group import (
     full_group,
     gamma0,
     gamma0_pair,
-    principal,
 )
 from .rational import INFINITY, ZERO, ProjectiveRational
 
@@ -462,23 +461,32 @@ class LatticeReport(namedtuple("LatticeReport", (
         ]
 
 
+def _lift_residues(a: int, n: int) -> set[int]:
+    """The residues mod n that d takes in a member of principal(n) whose
+    first entry is a: e mod n for each sign lift e = +-1 with a == e."""
+    return {e % n for e in (1, -1) if (a - e) % n == 0}
+
+
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
     """Scan-check the intersection and product lattice identities.
 
     One walk of the full group's sample by rows (_member_rows) decides
-    both halves, and each row adds its range length to scanned.  A
-    canonical member can belong to a SubgroupSpec only if c == 0 mod its
-    c_mod, so only the rows whose c one factor allows are expanded, k by
-    k in walk order, as entry tuples.  The intersection half builds a
-    matrix only for a violation.  The product half counts the members of
-    principal(n1) and gamma0(n2) among the walked ones, and keeps the
-    first member of each residue class mod n, the lcm of the join's
-    moduli.  join.contains reads b and c mod their moduli and a and d on
-    both sign lifts, so it depends only on the entries mod n up to an
-    overall sign.  Reduction mod n is a ring homomorphism, so the factors'
-    classes fix the product's entries mod n, and the canonical lift of
-    p * q only negates all four: one product of representatives decides
-    its whole pair of classes.
+    both halves, and each row adds its range length to scanned.  Along a
+    row a and c are fixed and only b and d move, so what depends on a and
+    c is decided once per row: gamma0(n2) is c == 0 mod n2 alone and holds
+    or misses the whole row, and principal(n1), principal(n2) and
+    principal(lcm) keep their c test and the sign lifts their a allows
+    per row; only their b and d tests run k by k, in walk order, and only
+    on rows that hold a member of principal(n1).  The intersection half
+    builds a matrix only for a violation.  The product half counts the
+    members of principal(n1) and gamma0(n2) among the walked ones, and
+    keeps the first member of each residue class mod n, the lcm of the
+    join's moduli.  join.contains reads b and c mod their moduli and a
+    and d on both sign lifts, so it depends only on the entries mod n up
+    to an overall sign.  Reduction mod n is a ring homomorphism, so the
+    factors' classes fix the product's entries mod n, and the canonical
+    lift of p * q only negates all four: one product of representatives
+    decides its whole pair of classes.
     products_checked counts every product those decisions cover, and
     product_violations lists the representative products the join
     rejects, sorted, one per failing pair.
@@ -486,34 +494,41 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     if not (plain_int(n1) and plain_int(n2)) or n1 < 1 or n2 < 1:
         raise InvalidModulus(f"moduli must be integers >= 1, got ({n1!r}, {n2!r})")
     check_entry_bound(entry_bound)
-    left, right, join = principal(n1), gamma0(n2), gamma0(math.gcd(n1, n2))
-    meet_b, meet = principal(n2), principal(math.lcm(n1, n2))
+    right, join = gamma0(n2), gamma0(math.gcd(n1, n2))
+    lcm = math.lcm(n1, n2)
     n = math.lcm(*join[:4])
     scanned, bad_meet = 0, []
     left_count = right_count = 0
     left_reps, right_reps = {}, {}
     for a, c, b0, d0, ks in _member_rows(full_group(), entry_bound):
         scanned += len(ks)
-        # a row whose c neither factor allows holds no member of
-        # principal(n1) or gamma0(n2), nor of principal(lcm(n1, n2)),
-        # which needs c == 0 mod the lcm, a multiple of n1: it adds no
-        # violation, no representative and no count
-        if c % left.c_mod and c % right.c_mod:
+        if c % right.c_mod == 0:  # gamma0(n2) tests c alone: the whole row
+            right_count += len(ks)
+            # b and d mod n repeat after n steps of k, so the row's first
+            # n members meet every class that it meets
+            for k in ks[:n]:
+                b, d = b0 + k * a, d0 + k * c
+                right_reps.setdefault((a % n, b % n, c % n, d % n), (a, b, c, d))
+        # principal(n1), principal(n2) and principal(lcm) each need c == 0
+        # and a == e (mod their modulus) for a sign lift e = +-1, which then
+        # needs d == e; a row with no such lift for n1 holds no member of
+        # principal(n1) or principal(lcm), nor a violation
+        d_left = _lift_residues(a, n1) if c % n1 == 0 else None
+        if not d_left:
             continue
+        # a member of principal(n1) and principal(n2) has c == 0 mod lcm
+        meets = c % lcm == 0
+        if meets:
+            d_meet_b, d_meet = _lift_residues(a, n2), _lift_residues(a, lcm)
         for k in ks:
             b, d = b0 + k * a, d0 + k * c
-            g = (a, b, c, d)
-            in_left, in_right = left.contains(g), right.contains(g)
-            if (in_left and meet_b.contains(g)) != meet.contains(g):
-                bad_meet.append(UnimodularMatrix(*g))
-            if in_left or in_right:
-                key = (a % n, b % n, c % n, d % n)
-                if in_left:
-                    left_count += 1
-                    left_reps.setdefault(key, g)
-                if in_right:
-                    right_count += 1
-                    right_reps.setdefault(key, g)
+            in_left = b % n1 == 0 and d % n1 in d_left
+            if meets and (in_left and b % n2 == 0 and d % n2 in d_meet_b) != (
+                    b % lcm == 0 and d % lcm in d_meet):
+                bad_meet.append(UnimodularMatrix(a, b, c, d))
+            if in_left:
+                left_count += 1
+                left_reps.setdefault((a % n, b % n, c % n, d % n), (a, b, c, d))
 
     lefts = [UnimodularMatrix(*g) for g in left_reps.values()]
     rights = [UnimodularMatrix(*g) for g in right_reps.values()]

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -580,6 +581,22 @@ class TestDot:
         for graph in TEST_GRAPHS:
             assert emit_dot(graph) == emit_dot(graph)
 
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize("write", [emit_json, emit_dot])
+    def test_peak_stays_within_two_and_a_half_documents(self, write):
+        # the edge rows are joined in chunks of tails, so beside the final
+        # join's two copies a writer holds one chunk and the texts; a list
+        # of every row's string would hold about 4.2 documents for JSON
+        graph = enumerate_graph(GraphSpec(family="finf", u=1, modulus=1), 150)
+        tracemalloc.start()
+        try:
+            document = write(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(document), peak / len(document)
 
 def svg_parts(svg):
     paths = re.findall(r'<path d="([^"]+)"', svg)

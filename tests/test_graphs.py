@@ -77,33 +77,44 @@ F32_AT_4_EDGES = [
 
 def record_lookups(monkeypatch, looked_up):
     """Make enumerate_graph's walk append every head it looks up to
-    looked_up, in finf coordinates and as the walk spells it.  A finite
-    tail walks one line, (x + k*dx, y + k*dy) for every k in the range the
-    real _class_steps returns, and looks each point up as itself if y > 0
-    and negated otherwise.  The tail 1/0 is admitted when the unit t that
-    tails must match (1, or the forward unit for a reversed spec) is 1 or
-    -1 mod m, and then looks up the (k, m) with |k| <= bound in the step
-    class c; those are recorded when _block_vertices starts an
-    enumeration."""
-    steps = graphs_module._class_steps
-    block = graphs_module._block_vertices
+    looked_up, in finf coordinates and as the walk spells it: the walk's
+    point index is patched in as a dict whose get records each key."""
 
-    def counted_steps(x, dx, y, dy, *rest):
-        ks = steps(x, dx, y, dy, *rest)
-        for k in ks:
-            px, py = x + k * dx, y + k * dy
-            looked_up.append((px, py) if py > 0 else (-px, -py))
-        return ks
+    class RecordingDict(dict):
+        def get(self, key, *default):
+            looked_up.append(key)
+            return super().get(key, *default)
 
-    def counted_block(spec, bound):
-        m, u = spec.modulus, spec.forward_u()
-        t, c = (u, -spec.u) if spec.reversed else (1, u)
-        if m <= bound and ((t - 1) % m == 0 or (t + 1) % m == 0):
-            looked_up.extend((k, m) for k in range(-bound, bound + 1) if (k - c) % m == 0)
-        return block(spec, bound)
+    monkeypatch.setattr(graphs_module, "dict", RecordingDict, raising=False)
 
-    monkeypatch.setattr(graphs_module, "_class_steps", counted_steps)
-    monkeypatch.setattr(graphs_module, "_block_vertices", counted_block)
+
+def window_lookups(spec, bound):
+    """The heads the walk must look up, tail by tail in vertex order and
+    each tail's in step order, derived from _class_steps.  The tail 1/0 is
+    admitted when the unit t that tails must match (1, or the forward unit
+    for a reversed spec) is 1 or -1 mod m, and then looks up the (k, m)
+    with |k| <= bound in the step class c.  An admitted finite tail r/s
+    walks the line (x0, y0) + k*(r, s) with r*y0 - s*x0 = m, for every k
+    in the range the real _class_steps returns, and looks each point up
+    as itself if y > 0 and negated otherwise."""
+    m, u = spec.modulus, spec.forward_u()
+    t, c = (u, -spec.u) if spec.reversed else (1, u)
+    want = []
+    vertices = graphs_module._block_vertices(spec, bound)
+    for r, s in graphs_module._as_finf(spec, vertices):
+        if (r - t) % m and (r + t) % m:
+            continue
+        if s == 0:
+            if m <= bound:
+                want += [(k, m) for k in range(-bound, bound + 1) if (k - c) % m == 0]
+            continue
+        y0 = pow(r, -1, s)
+        x0, y0 = m * ((r * y0 - 1) // s), m * y0
+        assert r * y0 - s * x0 == m
+        for k in graphs_module._class_steps(x0, r, y0, s, bound, c, m):
+            x, y = x0 + k * r, y0 + k * s
+            want.append((x, y) if y > 0 else (-x, -y))
+    return want
 
 
 class TestGraphSpec:
@@ -479,31 +490,20 @@ class TestEnumerateGraph:
         self, family, reversed_, monkeypatch
     ):
         # the +m line across the symmetric window holds the -m line's heads
-        # negated, so each admitted finite tail makes one _class_steps call
-        # and the tail 1/0 makes none
-        calls = 0
-        steps = graphs_module._class_steps
-
-        def counted_steps(*args):
-            nonlocal calls
-            calls += 1
-            return steps(*args)
-
-        monkeypatch.setattr(graphs_module, "_class_steps", counted_steps)
+        # negated, so each admitted finite tail looks up exactly the points
+        # of one _class_steps window, in step order, and the tail 1/0 the
+        # (k, m) of its one line
+        looked_up = []
+        record_lookups(monkeypatch, looked_up)
         for m in range(1, 13):
             for u in range(1, max(m, 2)):
                 if math.gcd(u, m) != 1:
                     continue
                 spec = GraphSpec(family=family, u=u, modulus=m, reversed=reversed_)
-                t = spec.forward_u() if reversed_ else 1
                 for bound in (1, 2, 7, 30):
-                    calls = 0
-                    graph = enumerate_graph(spec, bound)
-                    admitted = sum(
-                        s > 0 and ((r - t) % m == 0 or (r + t) % m == 0)
-                        for r, s in graphs_module._as_finf(spec, graph.vertices)
-                    )
-                    assert calls == admitted, (spec, bound)
+                    looked_up.clear()
+                    enumerate_graph(spec, bound)
+                    assert looked_up == window_lookups(spec, bound), (spec, bound)
 
     @pytest.mark.parametrize(
         "family, reversed_", [("finf", False), ("fzero", False), ("fzero", True)]

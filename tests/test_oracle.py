@@ -594,9 +594,10 @@ class TestLatticeIdentity:
         assert report.ok
         assert report.products_checked == products > 3 * scanned + pairs
         assert counts["mul"] <= pairs
-        # the walk tests its rows once each and each member at most four
-        # times, and each product once against the join
-        assert counts["contains"] <= rows + 4 * scanned + pairs
+        # the walk tests each row at most once, the suite decides its
+        # factors row by row without contains, and each product is tested
+        # once against the join
+        assert counts["contains"] <= rows + counts["mul"]
 
     @pytest.mark.parametrize("n1, n2, bound", [(3, 4, 28), (2, 3, 12), (4, 8, 20)])
     def test_meet_builds_matrices_only_for_violations(
