@@ -37,6 +37,7 @@ from .graphs import (
     paired_partner,
 )
 from .oracle import (
+    BLOCKS_WORK_CEILING,
     SCAN_CEILING,
     check_entry_bound,
     compare_edges_vs_orbital,
@@ -58,10 +59,6 @@ ORACLE_INFINITY_CONFIGS = ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5))
 ORACLE_ZERO_CONFIGS = ((1, 2), (2, 3), (2, 5), (3, 7))
 PAIRING_CONFIGS = ((5, 2), (7, 3), (8, 3))
 LATTICE_CONFIGS = ((2, 3), (2, 4), (4, 6))
-
-# the blocks suite marks about n*n residue pairs for each modulus n <= --max;
-# larger estimated totals are refused
-BLOCKS_WORK_CEILING = 1_000_000
 
 
 def cmd_edges(args: argparse.Namespace) -> int:

@@ -5,8 +5,8 @@ matrices, exhaustive over the residue classes of a, b and c a subgroup's
 moduli allow, in rows of one first column each filtered once by its
 membership test, built as matrices only for a sorted scan, a listed
 violation or a class representative; the one matrix carrying an edge
-onto another, solved from the endpoints' columns and filtered the same
-way; direct orbit marking over residue pairs; and raw group action on
+onto another, solved exactly from the endpoints' columns with no entry
+bound; direct orbit marking over residue pairs; and raw group action on
 the base pair's columns, counted and solved for the height window row
 by row, then set against a walked graph's vertex pairs, with points
 built only for soundness failures and edges only for misses.  The graph
@@ -49,6 +49,7 @@ __all__ = [
     "transitivity_witness",
     "OrbitalReport",
     "compare_edges_vs_orbital",
+    "BLOCKS_WORK_CEILING",
     "count_blocks",
     "LatticeReport",
     "verify_lattice_identity",
@@ -169,12 +170,9 @@ def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample
 
 
 def transitivity_witness(
-    e1: DirectedEdge,
-    e2: DirectedEdge,
-    group: SubgroupSpec,
-    entry_bound: int,
+    e1: DirectedEdge, e2: DirectedEdge, group: SubgroupSpec
 ) -> UnimodularMatrix | None:
-    """The bounded group element carrying edge e1 onto edge e2, if any.
+    """The group element carrying edge e1 onto edge e2, if any.
 
     A determinant-one matrix sends a primitive column onto plus or minus
     a primitive column.  So with M1, M2 the matrices whose columns are
@@ -182,13 +180,12 @@ def transitivity_witness(
     is g = M2 * diag(1, t) * M1**-1 for t = det M1 / det M2: integral
     exactly when |det M1| == |det M2| and det M1 divides every entry of
     M2 * diag(1, t) * adj(M1).  Two distinct points have a trivial joint
-    stabilizer, so g is unique up to sign, and returning it only if its
-    entries are within the bound, the group contains it and both vertex
-    images match exactly gives the only hit of enumerate_group's scan
-    under that filter.  Otherwise None, as for endpoints in different
-    blocks.  Raises InvalidBound and BoundTooLarge as enumerate_group does.
+    stabilizer, so g is unique up to sign, and returning it, however
+    large its entries, if the group contains it and both vertex images
+    match exactly gives the only hit of enumerate_group's scan under that
+    filter at any entry bound that holds it.  Otherwise None, as for
+    endpoints in different blocks.
     """
-    check_entry_bound(entry_bound)
     (a1, c1), (b1, d1) = e1
     (a2, c2), (b2, d2) = e2
     det = a1 * d1 - b1 * c1
@@ -201,7 +198,7 @@ def transitivity_witness(
     for n in (a2 * d1 - b2 * c1, b2 * a1 - a2 * b1,
               c2 * d1 - d2 * c1, d2 * a1 - c2 * b1):
         q, rem = divmod(n, det)
-        if rem or abs(q) > entry_bound:
+        if rem:
             return None
         entries.append(q)
     g = UnimodularMatrix(*entries)
@@ -383,16 +380,22 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
     )
 
 
+# residue pairs marked: n*n by count_blocks(n), their sum by the blocks suite
+BLOCKS_WORK_CEILING = 1_000_000
+
+
 def count_blocks(n: int) -> int:
     """Number of unit-scaling orbits of primitive residue pairs mod n.
 
     Direct orbit marking over all pairs (x, y) in (Z/n)^2 with
     gcd(x, y, n) == 1, in a flat table indexed x*n + y, with gcd(x, n)
     taken once per row.  Independent of the multiplicative formula in the
-    rational module, which it exists to corroborate.
+    rational module, which it exists to corroborate.  Raises
+    BoundTooLarge where n*n exceeds BLOCKS_WORK_CEILING.
     """
     if not plain_int(n) or n < 1:
         raise InvalidModulus(f"count_blocks needs an integer n >= 1, got {n!r}")
+    refuse_above(f"the residue pairs for count_blocks({n})", n * n, BLOCKS_WORK_CEILING)
     units = [u for u in range(1, n + 1) if math.gcd(u, n) == 1]
     seen = bytearray(n * n)
     blocks = 0
@@ -413,14 +416,16 @@ class LatticeReport(namedtuple("LatticeReport", (
 ))):
     """Scan evidence for the two subgroup lattice identities.
 
-    The intersection identity is checked as an equivalence matrix by
-    matrix.  The product identity is checked in the containment
-    direction only; the reverse inclusion needs unbounded factors and is
-    recorded as unchecked.  Every one of the products_checked products
-    is decided exactly, through the pair of residue classes of its
-    factors, and product_violations lists one product for each pair
-    that fails, sorted.  unchecked, the same on every report, is a class
-    attribute and not a field.
+    The intersection identity is checked on every scanned matrix, and
+    intersection_violations lists, sorted, the members of principal(n1)
+    and principal(n2) outside principal(lcm): the sign lifts with a == +-1
+    modulo n1 and n2 but not modulo lcm.  The product identity is checked
+    in the containment direction only; the reverse inclusion needs
+    unbounded factors and is recorded as unchecked.  Every one of the
+    products_checked products is decided exactly, through the pair of
+    residue classes of its factors, and product_violations lists one
+    product for each pair that fails, sorted.  unchecked, the same on
+    every report, is a class attribute and not a field.
     """
 
     __slots__ = ()
@@ -461,10 +466,11 @@ class LatticeReport(namedtuple("LatticeReport", (
         ]
 
 
-def _lift_residues(a: int, n: int) -> set[int]:
-    """The residues mod n that d takes in a member of principal(n) whose
-    first entry is a: e mod n for each sign lift e = +-1 with a == e."""
-    return {e % n for e in (1, -1) if (a - e) % n == 0}
+def _b_class(ks: range, a: int, b0: int, n: int) -> range:
+    """The k of a row's range (step one) whose member has b = b0 + k*a
+    == 0 (mod n), for a with a*a == 1 (mod n): a is then its own inverse
+    mod n, so they are the one class k == -b0*a (mod n)."""
+    return ks[(-b0 * a - ks.start) % n::n]
 
 
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
@@ -472,21 +478,23 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
 
     One walk of the full group's sample by rows (_member_rows) decides
     both halves, and each row adds its range length to scanned.  Along a
-    row a and c are fixed and only b and d move, so what depends on a and
-    c is decided once per row: gamma0(n2) is c == 0 mod n2 alone and holds
-    or misses the whole row, and principal(n1), principal(n2) and
-    principal(lcm) keep their c test and the sign lifts their a allows
-    per row; only their b and d tests run k by k, in walk order, and only
-    on rows that hold a member of principal(n1).  The intersection half
-    builds a matrix only for a violation.  The product half counts the
-    members of principal(n1) and gamma0(n2) among the walked ones, and
-    keeps the first member of each residue class mod n, the lcm of the
-    join's moduli.  join.contains reads b and c mod their moduli and a
-    and d on both sign lifts, so it depends only on the entries mod n up
-    to an overall sign.  Reduction mod n is a ring homomorphism, so the
-    factors' classes fix the product's entries mod n, and the canonical
-    lift of p * q only negates all four: one product of representatives
-    decides its whole pair of classes.
+    row a and c are fixed and only b and d move, so membership is decided
+    per row: gamma0(n2) is c == 0 mod n2 and holds or misses the whole
+    row.  With c == 0 mod n, a*d - b*c = 1 forces d == a^-1, so a row
+    meets principal(n) only where a == +-1 (mod n), and then on the one
+    class of k with b == 0 (mod n) (_b_class), counted by its length.  The
+    intersection violations, the only matrices its half builds, are that
+    class mod lcm on rows with c == 0 (mod lcm) and a == +-1 modulo n1
+    and n2 but not modulo lcm.  The product half counts the members of
+    principal(n1) and gamma0(n2) and keeps the first of each residue class
+    mod n, the lcm of the join's moduli: b and d mod n repeat after n
+    steps of k, and after n/gcd(n, n1) steps, one for the join
+    gamma0(gcd), along the principal(n1) class.  join.contains reads b and
+    c mod their moduli and a and d on both sign lifts, so it depends only
+    on the entries mod n up to an overall sign.  Reduction mod n is a ring
+    homomorphism, so the factors' classes fix the product's entries mod
+    n, and the canonical lift of p * q only negates all four: one product
+    of representatives decides its whole pair of classes.
     products_checked counts every product those decisions cover, and
     product_violations lists the representative products the join
     rejects, sorted, one per failing pair.
@@ -497,6 +505,7 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
     right, join = gamma0(n2), gamma0(math.gcd(n1, n2))
     lcm = math.lcm(n1, n2)
     n = math.lcm(*join[:4])
+    period = n // math.gcd(n, n1)
     scanned, bad_meet = 0, []
     left_count = right_count = 0
     left_reps, right_reps = {}, {}
@@ -504,31 +513,20 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
         scanned += len(ks)
         if c % right.c_mod == 0:  # gamma0(n2) tests c alone: the whole row
             right_count += len(ks)
-            # b and d mod n repeat after n steps of k, so the row's first
-            # n members meet every class that it meets
             for k in ks[:n]:
                 b, d = b0 + k * a, d0 + k * c
                 right_reps.setdefault((a % n, b % n, c % n, d % n), (a, b, c, d))
-        # principal(n1), principal(n2) and principal(lcm) each need c == 0
-        # and a == e (mod their modulus) for a sign lift e = +-1, which then
-        # needs d == e; a row with no such lift for n1 holds no member of
-        # principal(n1) or principal(lcm), nor a violation
-        d_left = _lift_residues(a, n1) if c % n1 == 0 else None
-        if not d_left:
-            continue
-        # a member of principal(n1) and principal(n2) has c == 0 mod lcm
-        meets = c % lcm == 0
-        if meets:
-            d_meet_b, d_meet = _lift_residues(a, n2), _lift_residues(a, lcm)
-        for k in ks:
+        if c % n1 or a % n1 not in (1, n1 - 1):
+            continue  # no member of principal(n1), nor of the intersection
+        left = _b_class(ks, a, b0, n1)
+        left_count += len(left)
+        for k in left[:period]:
             b, d = b0 + k * a, d0 + k * c
-            in_left = b % n1 == 0 and d % n1 in d_left
-            if meets and (in_left and b % n2 == 0 and d % n2 in d_meet_b) != (
-                    b % lcm == 0 and d % lcm in d_meet):
-                bad_meet.append(UnimodularMatrix(a, b, c, d))
-            if in_left:
-                left_count += 1
-                left_reps.setdefault((a % n, b % n, c % n, d % n), (a, b, c, d))
+            left_reps.setdefault((a % n, b % n, c % n, d % n), (a, b, c, d))
+        if c % lcm == 0 and a % n2 in (1, n2 - 1) and a % lcm not in (1, lcm - 1):
+            # a*a == 1 modulo n1 and n2, so modulo lcm
+            bad_meet += [UnimodularMatrix(a, b0 + k * a, c, d0 + k * c)
+                         for k in _b_class(ks, a, b0, lcm)]
 
     lefts = [UnimodularMatrix(*g) for g in left_reps.values()]
     rights = [UnimodularMatrix(*g) for g in right_reps.values()]
@@ -544,7 +542,7 @@ def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport
 
 
 class SelfPairedReport(namedtuple("SelfPairedReport", "spec entry_bound witness")):
-    """Bounded witness search for an element exchanging the base pair.
+    """Solved witness for an element exchanging the base pair.
 
     predicted, the closed-form answer is_self_paired(spec), is derived
     from the spec and not stored.
@@ -586,20 +584,21 @@ class SelfPairedReport(namedtuple("SelfPairedReport", "spec entry_bound witness"
 
 
 def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
-    """Search bounded determinant-one matrices for a base pair exchange.
+    """Solve for a determinant-one matrix exchanging the base pair.
 
-    The search is transitivity_witness from the base edge onto its
+    The witness is transitivity_witness from the base edge onto its
     reverse over the full group: an exchanging element exists
     independently of congruence restrictions or not at all, and the
     predicate under test quantifies over plain determinant-one matrices.
-    The witness is solved in constant time from the base vertices'
-    columns and is still the unique bounded hit of the scan; neither the
-    scan nor the predicate's formula below is used to find it.
+    It is solved exactly in constant time from the base vertices'
+    columns with no entry bound; neither a scan nor the predicate's
+    formula below is used to find it.
 
     When one exists it is unique up to sign; for the finf pair (1/0, u/m)
     it is [[u, -(u*u + 1)/m], [m, -u]], and an fzero pair uses its
-    R-conjugate.  An entry bound below its largest entry cannot decide
-    the question and raises InvalidBound.
+    R-conjugate.  The entry bound only frames the report: one below that
+    element's largest entry raises InvalidBound before any solve, so a
+    reported witness lies within it.
     """
     check_entry_bound(entry_bound)
     predicted = is_self_paired(spec)
@@ -612,6 +611,6 @@ def verify_self_paired(spec: GraphSpec, entry_bound: int) -> SelfPairedReport:
         )
     alpha, beta = spec.base_pair()
     witness = transitivity_witness(
-        DirectedEdge(alpha, beta), DirectedEdge(beta, alpha), full_group(), entry_bound
+        DirectedEdge(alpha, beta), DirectedEdge(beta, alpha), full_group()
     )
     return SelfPairedReport(spec, entry_bound, witness)

@@ -158,7 +158,7 @@ def test_criterion_6_transitivity_witnesses():
         )
         to_base = carrier[(base_src, base_dst)].inverse()
         for e2 in graph.edges:
-            found = transitivity_witness(base_edge, e2, group, 40)
+            found = transitivity_witness(base_edge, e2, group)
             assert found == carrier[(e2.src, e2.dst)] * to_base
 
 

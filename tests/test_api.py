@@ -31,7 +31,8 @@ PUBLIC = {
     "paired_partner", "ENUMERATION_CEILING",
     # oracle
     "BoundedGroupSample", "enumerate_group", "transitivity_witness",
-    "compare_edges_vs_orbital", "count_blocks", "verify_lattice_identity",
+    "compare_edges_vs_orbital", "BLOCKS_WORK_CEILING", "count_blocks",
+    "verify_lattice_identity",
     "verify_self_paired", "SCAN_CEILING", "check_entry_bound", "OrbitalReport",
     "LatticeReport", "SelfPairedReport",
     # graph_io

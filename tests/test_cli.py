@@ -217,8 +217,12 @@ class TestVerifyCommand:
             # sum of n*n over n <= 10**6
             assert "333333833333500000" in err
         monkeypatch.undo()
-        for limit in ("30", "35"):
+        for limit in ("30", "35", "143"):
             assert run(capsys, "verify", "--suite", "blocks", "--max", limit)[0] == 0
+        # the sum of n*n over n <= 144 is 1,005,720
+        assert run(capsys, "verify", "--suite", "blocks", "--max", "144") == (
+            3, "", "error: estimated residue pairs for --max 144 is 1005720, "
+                   "above the ceiling 1000000\n")
 
     def test_blocks_max_below_one_is_refused_before_any_work(
         self, capsys, monkeypatch

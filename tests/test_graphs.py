@@ -729,14 +729,14 @@ class TestTransitivityWitness:
     def test_identity_for_same_edge(self):
         graph = enumerate_graph(F12, 4)
         e = graph.edges[0]
-        g = transitivity_witness(e, e, gamma0_pair(2, 1), 5)
+        g = transitivity_witness(e, e, gamma0_pair(2, 1))
         assert g is not None
         assert g.apply(e.src) == e.src and g.apply(e.dst) == e.dst
 
     def test_base_edge_to_interior_edge(self):
         e1 = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         e2 = DirectedEdge(ProjectiveRational(1, 2), ProjectiveRational(1, 4))
-        g = transitivity_witness(e1, e2, gamma0_pair(2, 1), 10)
+        g = transitivity_witness(e1, e2, gamma0_pair(2, 1))
         assert g == UnimodularMatrix(1, 0, 2, 1)
         assert g.apply(e1.src) == e2.src
         assert g.apply(e1.dst) == e2.dst
@@ -746,4 +746,4 @@ class TestTransitivityWitness:
         e1 = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
         outside = DirectedEdge(ProjectiveRational(1, 1), ProjectiveRational(1, 3))
         assert not block_equivalent(e1.src, outside.src, 2)
-        assert transitivity_witness(e1, outside, gamma0_pair(2, 1), 10) is None
+        assert transitivity_witness(e1, outside, gamma0_pair(2, 1)) is None

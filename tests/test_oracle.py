@@ -22,6 +22,7 @@ from suborbital.group import (
     principal,
 )
 from suborbital.oracle import (
+    SCAN_CEILING,
     OrbitalReport,
     compare_edges_vs_orbital,
     count_blocks,
@@ -226,8 +227,12 @@ class TestTransitivityWitness:
                          if g.apply(e1.src) == e2.src and g.apply(e1.dst) == e2.dst),
                         None,
                     )
-                    assert transitivity_witness(e1, e2, group, bound) == first, (
-                        moduli, bound, e1, e2)
+                    # the witness has no bound: within this one it is the
+                    # scan's hit, and a hit within it is the witness
+                    witness = transitivity_witness(e1, e2, group)
+                    if witness is not None and max(map(abs, witness)) > bound:
+                        witness = None
+                    assert witness == first, (moduli, bound, e1, e2)
                     cases += 1
                     hits += first is not None
         assert cases == 5184
@@ -235,7 +240,8 @@ class TestTransitivityWitness:
 
     def test_makes_no_scan(self, capsys, monkeypatch):
         # criterion 6's edges, with the witnesses composed from scanned
-        # carriers as that criterion does, and the scan's refusals
+        # carriers as that criterion does, and the scan's refusals, which
+        # verify_self_paired repeats for its entry bound
         spec, group = F12, gamma0_pair(2, 1)
         graph = enumerate_graph(spec, 7)
         base_src, base_dst = spec.base_pair()
@@ -258,29 +264,49 @@ class TestTransitivityWitness:
         assert capsys.readouterr().out.count("-- agreement") == 31
         base_edge = DirectedEdge(base_src, base_dst)
         for e2 in graph.edges:
-            assert transitivity_witness(base_edge, e2, group, 40) == (
+            assert transitivity_witness(base_edge, e2, group) == (
                 carrier[(e2.src, e2.dst)] * to_base)
         for bound, kind, message in refusals:
-            with pytest.raises(kind) as caught:
-                transitivity_witness(base_edge, base_edge, full_group(), bound)
-            assert str(caught.value) == message
             with pytest.raises(kind) as caught:
                 verify_self_paired(F12, bound)
             assert str(caught.value) == message
 
     def test_large_entries_hit_exactly_at_their_bound(self):
-        # the solve must apply the entry bound to its quotients: each
-        # sampled member is found at its own largest entry, not below it
+        # each sampled member up to the scan ceiling is found as itself
         rng = random.Random(20261019)
         members = enumerate_group(full_group(), 60).elements
         base = DirectedEdge(INFINITY, ZERO)
         for g in rng.sample(members, 200):
             e2 = DirectedEdge(g.apply(base.src), g.apply(base.dst))
-            largest = max(abs(entry) for entry in g)
-            assert transitivity_witness(base, e2, full_group(), largest) == g
-            if largest >= 2:
-                assert transitivity_witness(
-                    base, e2, full_group(), largest - 1) is None
+            assert transitivity_witness(base, e2, full_group()) == g
+
+    @pytest.mark.parametrize("group", [
+        full_group(), gamma0_pair(2, 3), gamma0_pair(5, 4), principal(7),
+    ])
+    def test_carriers_far_above_the_scan_ceiling_are_solved(self, group):
+        # members with entries near 10**6 are returned as themselves; no
+        # entry bound is asked for or applied
+        rng = random.Random(20261020)
+        base = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
+        found = 0
+        while found < 20:
+            a = rng.randrange(900_000, 1_000_000)
+            c = rng.randrange(900_000 // group.c_mod, 1_000_000 // group.c_mod)
+            c *= group.c_mod
+            if math.gcd(a, c) != 1:
+                continue
+            d = pow(a, -1, c)
+            g = UnimodularMatrix(a, (a * d - 1) // c, c, d)
+            if not group.contains(g):
+                continue
+            found += 1
+            assert max(map(abs, g)) > 10 * SCAN_CEILING
+            e2 = DirectedEdge(g.apply(base.src), g.apply(base.dst))
+            witness = transitivity_witness(base, e2, group)
+            assert witness == g
+            assert group.contains(witness)
+            assert witness.apply(base.src) == e2.src
+            assert witness.apply(base.dst) == e2.dst
 
 
 class TestGroupImages:
@@ -504,6 +530,14 @@ class TestCountBlocks:
         with pytest.raises(InvalidModulus):
             count_blocks(0)
 
+    def test_table_is_priced_before_it_is_allocated(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "BLOCKS_WORK_CEILING", 100)
+        assert count_blocks(10) == dedekind_psi(10)
+        with pytest.raises(BoundTooLarge) as caught:
+            count_blocks(11)
+        assert str(caught.value) == (
+            "the residue pairs for count_blocks(11) is 121, above the ceiling 100")
+
 
 class TestLatticeIdentity:
     def test_example(self):
@@ -686,6 +720,29 @@ class TestLatticeIdentity:
             if not report.ok:
                 failing.add((n1, n2))
         assert failing == ({(3, 4), (4, 3), (4, 6), (6, 4)} if bound == 28 else set())
+
+    @pytest.mark.parametrize("n1, n2, bound, first", [
+        (3, 5, 41, True), (5, 3, 41, True), (3, 7, 34, True), (7, 3, 34, True),
+        (4, 5, 60, True), (5, 4, 60, True),
+        (3, 4, 60, False), (4, 3, 60, False), (4, 6, 60, False), (6, 4, 60, False),
+    ])
+    def test_violations_are_the_coset_outside_principal_lcm(
+        self, n1, n2, bound, first
+    ):
+        # past entry bound 28 the report still equals the per-member loop,
+        # and every violation is a sign lift == +-1 modulo n1 and n2 but
+        # not modulo lcm, with b == c == 0 (mod lcm); for the first three
+        # pairs and their swaps, bound is where violations first appear
+        report = verify_lattice_identity(n1, n2, bound)
+        assert tuple(report) == self.per_member(n1, n2, bound)
+        lcm = math.lcm(n1, n2)
+        assert report.intersection_violations
+        for a, b, c, d in report.intersection_violations:
+            assert b % lcm == c % lcm == 0
+            assert a % n1 in (1, n1 - 1) and a % n2 in (1, n2 - 1)
+            assert a % lcm not in (1, lcm - 1)
+        if first:
+            assert not verify_lattice_identity(n1, n2, bound - 1).intersection_violations
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidModulus):
