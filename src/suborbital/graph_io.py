@@ -4,8 +4,9 @@ Three emitters share one rule: the same graph always produces the same
 bytes.  JSON is the canonical interchange format and the only one that
 parses back; DOT is for graph tooling; SVG draws the edges as
 upper-half-plane geodesics (semicircles between finite vertices,
-vertical rays toward infinity).  The parser checks a document's items
-in bulk passes and walks them one by one only to name a malformed one.
+vertical rays toward infinity).  The parser compares a document with
+the JSON writer's chunks in place, decodes only one that differs, and
+walks its items one by one only to name a malformed one.
 
 A graph is its walk by vertex position, and the writers and the parser
 read it as it is held: each vertex is spelled once, as a list by
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -25,6 +26,7 @@ from .errors import (
     InvalidSpec,
     InvariantViolation,
     MalformedDocument,
+    SuborbitalError,
     VersionMismatch,
     plain_int,
     refuse_above,
@@ -62,6 +64,11 @@ _POINT = re.compile(r"1/0|0/1|-?[1-9][0-9]*/[1-9][0-9]*")
 
 # a document edge as text (src, dst, sign)
 _Edge = tuple[str, str, str]
+# the canonical header to the vertex list; digit runs far below int()'s limit
+_HEADER = re.compile(
+    r'\{"format_version":"%s","family":"(finf|fzero)","u":([1-9][0-9]{0,19}),'
+    r'"modulus":([1-9][0-9]{0,19}),"reversed":(false|true),'
+    r'"height_bound":([1-9][0-9]{0,19}),"vertices":\[' % FORMAT_VERSION)
 
 
 def _edge_rows(graph: SuborbitalGraph, texts: list[str], source: str,
@@ -69,7 +76,7 @@ def _edge_rows(graph: SuborbitalGraph, texts: list[str], source: str,
     """The graph's edge rows as text, joined by sep 1024 tails at a time
     until a chunk comes back empty.  Each tail's rows start with one
     prefix, source % its text, and each row goes on with its head's text
-    and ends[sign is +], by the rule of DirectedEdge.sign: + exactly when
+    and ends[sign is +]; the edge r/s -> x/y has sign + exactly when
     r*y > s*x.  The chunk size is measured: at 256, 512 or 2048 tails,
     `edges` for F[1, 1] at height 400 peaks at 142 to 144 MB of RSS, not
     123 MB."""
@@ -83,25 +90,33 @@ def _edge_rows(graph: SuborbitalGraph, texts: list[str], source: str,
     return iter(chunk, "")
 
 
-def emit_json(graph: SuborbitalGraph) -> str:
-    """Canonical JSON: fixed key order, compact separators, version "1".
-
-    Only the header goes through json.dumps.  The vertex texts are joined
-    at once, and the edge rows tail by tail in chunks of 1024 tails, so no
-    string per edge outlives its chunk.  The texts, and the graph unless
-    the caller holds it, are freed before the final join, which holds the
-    document twice."""
+def _json_chunks(graph: SuborbitalGraph) -> Iterator[str]:
+    """The canonical JSON text in order: the header up to the vertex list
+    (the only part json.dumps writes), the vertex texts joined at once,
+    then the edge rows chunk by chunk as _edge_rows joins them."""
     # the header keys name the version, the spec's fields and the bound
     header = dict(zip(_DOC_KEYS, (FORMAT_VERSION, *graph.spec, graph.height_bound)))
-    head = json.dumps(header, separators=(",", ":"))[:-1]
+    yield json.dumps(header, separators=(",", ":"))[:-1] + ',"vertices":['
     texts = list(map(POINT_TEXT.__mod__, graph.vertices))
     rows = _edge_rows(graph, texts, '{"src":"%s","dst":"',
                       ('","sign":"-"}', '","sign":"+"}'), ",")
     del graph
-    vertices = '"%s"' % '","'.join(texts) if texts else ""
-    edges = ",".join(rows)
-    del texts, rows
-    return f'{head},"vertices":[{vertices}],"edges":[{edges}]}}'
+    yield '"%s"' % '","'.join(texts) if texts else ""
+    yield '],"edges":['
+    yield next(rows, "")
+    yield from chain.from_iterable(zip(repeat(","), rows))  # "," before each later chunk
+    yield "]}"
+
+
+def emit_json(graph: SuborbitalGraph) -> str:
+    """Canonical JSON: fixed key order, compact separators, version "1".
+
+    The join of _json_chunks, so no string per edge outlives its chunk;
+    the texts, and the graph unless the caller holds it, are freed before
+    the join holds the document twice."""
+    chunks = _json_chunks(graph)
+    del graph
+    return "".join(chunks)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -115,25 +130,49 @@ def _point(text: object, where: str) -> None:
              f"{where} is not a num/den fraction: {text!r}")
 
 
+def _canonical_walk(text: str) -> SuborbitalGraph | None:
+    """The graph a canonical header at the text's start names, or None."""
+    if header := _HEADER.match(text):
+        family, u, modulus, reversed_, height_bound = header.groups()
+        try:
+            return enumerate_graph(
+                GraphSpec(family, int(u), int(modulus), reversed_ == "true"), int(height_bound))
+        except SuborbitalError:  # the decode path raises it again, in its order
+            pass
+    return None
+
+
 def parse_json(text: str) -> SuborbitalGraph:
     """Parse and fully re-validate a canonical JSON document.
+
+    A text that starts with a canonical header has the graph it names
+    walked; if the text is exactly that graph's _json_chunks, the graph is
+    returned with no json.loads.  Other texts are decoded, reusing the walk
+    if the header names the same spec and bound, so a malformed compact
+    document with a canonical header pays its walk, priced by
+    ENUMERATION_CEILING; any other text has its items checked in bulk
+    passes before a walk, and _name_first_malformed names the first
+    malformed item if one fails.
 
     Each point must be spelled exactly as emitted: lowest terms, sign on
     the numerator, ASCII digits, no leading zeros and no spaces.  Text
     that is no such fraction, like other structural problems, raises
     MalformedDocument; a foreign version string raises VersionMismatch;
-    lists that differ, as text, from the rows of one fresh walk raise
+    lists that differ, as text, from the rows of the walk raise
     InvariantViolation naming the first offending item, so an unreduced
-    -6/8 is an unknown vertex; the walked graph the document matched is
-    returned.  A height bound that enumerate_graph refuses as too large
-    raises BoundTooLarge.
-
-    Before the graph is walked, bulk passes decide whether every item
-    is well formed: each edge an object with exactly the keys src, dst and
-    sign, each sign + or -, and each distinct point text in the grammar.
-    Only if one fails does _name_first_malformed walk the items to name
-    the first malformed one.
+    -6/8 is an unknown vertex.  A height bound that enumerate_graph
+    refuses as too large raises BoundTooLarge.
     """
+    graph = _canonical_walk(text)
+    if graph is not None:
+        at = 0
+        for chunk in _json_chunks(graph):
+            if not text.startswith(chunk, at):
+                break
+            at += len(chunk)
+        else:
+            if at == len(text):
+                return graph
     try:
         document = json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad syntax, huge ints, deep nesting
@@ -183,13 +222,14 @@ def parse_json(text: str) -> SuborbitalGraph:
         _name_first_malformed(vertices, edges)
 
     height_bound = document["height_bound"]
-    try:
-        graph = enumerate_graph(spec, height_bound)
-    except InvalidBound as exc:
-        raise InvariantViolation(f"height bound invalid: {exc}") from None
+    if graph is None or (graph.spec, graph.height_bound) != (spec, height_bound):
+        try:
+            graph = enumerate_graph(spec, height_bound)
+        except InvalidBound as exc:
+            raise InvariantViolation(f"height bound invalid: {exc}") from None
 
     points, texts = graph.vertices, list(map(POINT_TEXT.__mod__, graph.vertices))
-    # the walk's rows, each sign by the rule of DirectedEdge.sign
+    # the walk's rows; the edge r/s -> x/y has sign + exactly when r*y > s*x
     want = tuple([(src, texts[j], "+" if r * y > s * x else "-")
                   for i, found in graph.heads
                   for (r, s), src in ((points[i], texts[i]),)
@@ -342,7 +382,7 @@ def emit_svg(graph: SuborbitalGraph, width_px: int) -> str:
         paths = []
         for j in found:
             x, y = vertices[j]
-            stroke = _STROKE[r * y > s * x]  # the rule of DirectedEdge.sign
+            stroke = _STROKE[r * y > s * x]  # sign + exactly when r*y > s*x
             if s == 0:  # 1/0 is the only point with denominator 0
                 d = f"M {px[j]} {top} L {px[j]} {ray_end}"
             elif y == 0:

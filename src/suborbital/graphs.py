@@ -197,7 +197,7 @@ def edge_check(
     The pair must have r*y - s*x = +m or -m, and its finf image must pass
     the congruences with the forward unit: (R src, R dst) for fzero, and
     (R dst, R src) for a reversed spec.  The returned sign is that of
-    r*y - s*x for the pair as given, as DirectedEdge.sign reads it.
+    r*y - s*x for the pair as given: +1 exactly when r*y > s*x.
     """
     m = spec.modulus
     (r, s), (x, y) = src, dst

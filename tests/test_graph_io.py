@@ -440,12 +440,146 @@ class TestNonCanonicalText:
             assert parse_json(text) == graph
             assert emit_json(parse_json(text)) == doc
 
+    def test_only_text_other_than_the_canonical_bytes_is_decoded(self, monkeypatch):
+        # both families, reversed specs, m <= 8, heights 1, 2 and 13
+        graphs = [graph for height in (1, 2, 13) for graph in every_graph(height, 8)]
+        assert len(graphs) == 198 and any(not graph.heads for graph in graphs)
+        cases = []
+        for graph in graphs:
+            doc = emit_json(graph)
+            data = json.loads(doc)
+            edges_reordered = [dict(reversed(list(e.items()))) for e in data["edges"]]
+            cases.append((graph, doc, [
+                json.dumps(data, indent=2),
+                compact(dict(reversed(list(data.items())))),
+                compact({**data, "edges": edges_reordered}),
+            ]))
+        canonical = {doc for _, doc, _ in cases}
+        decoded = []
+        json_loads = json.loads
+
+        def loads(text):
+            assert text not in canonical, "a canonical document was decoded"
+            decoded.append(text)
+            return json_loads(text)
+
+        monkeypatch.setattr(graph_io_module.json, "loads", loads)
+        for graph, doc, others in cases:
+            assert parse_json(doc) == graph
+            for text in others:
+                assert parse_json(text) == graph
+            assert decoded == [text for text in others if text != doc]
+            decoded.clear()
+
     def test_a_duplicated_header_key_keeps_its_last_value(self):
         graph = TEST_GRAPHS[0]
         doc = emit_json(graph)
         text = doc.replace('"u":1,', '"u":7,"u":1,')
         assert text != doc
         assert parse_json(text) == graph
+
+
+def compact(data):
+    return json.dumps(data, separators=(",", ":"))
+
+
+def tampered_documents(graph):
+    """(name, text) of the graph's document spoiled the ways the roundtrip
+    benchmark spoils one, and with two adjacent entries swapped; each is
+    re-encoded compactly, so its header stays canonical."""
+    doc = emit_json(graph)
+
+    def spoiled(name, spoil):
+        data = json.loads(doc)
+        spoil(data)
+        return name, compact(data)
+
+    def swap(items, i):
+        items[i], items[i + 1] = items[i + 1], items[i]
+
+    def flip(edge):
+        edge["sign"] = "-" if edge["sign"] == "+" else "+"
+
+    src, dst = graph.vertices[0], graph.vertices[-1]
+    extra = {"src": str(src), "dst": str(dst), "sign": "+"}
+    return [
+        spoiled("vertex dropped", lambda d: d["vertices"].pop(len(d["vertices"]) // 2)),
+        spoiled("edge dropped", lambda d: d["edges"].pop(len(d["edges"]) // 2)),
+        spoiled("extra edge", lambda d: d["edges"].insert(len(d["edges"]) // 2, extra)),
+        spoiled("sign flipped", lambda d: flip(d["edges"][len(d["edges"]) // 2])),
+        spoiled("unknown key", lambda d: d.update(comment="x")),
+        spoiled("foreign version", lambda d: d.update(format_version="2")),
+        spoiled("vertices swapped", lambda d: swap(d["vertices"], 1)),
+        spoiled("edges swapped", lambda d: swap(d["edges"], 1)),
+    ]
+
+
+def refusal_documents():
+    """(name, text) of documents near the canonical bytes: tampered,
+    with an odd header, malformed, cut short or changed by one byte."""
+    small = emit_json(TEST_GRAPHS[0])
+    # two chunks of 1024 tails
+    large = emit_json(enumerate_graph(GraphSpec(family="finf", u=1, modulus=1), 30))
+    cases = [case for graph in TEST_GRAPHS[::2] for case in tampered_documents(graph)]
+
+    def spoiled(name, spoil, text=small):
+        data = json.loads(text)
+        spoil(data)
+        return name, compact(data)
+
+    def set_item(items, i, value):
+        items[i] = value
+
+    height = '"height_bound":4,'
+    digit = large.rindex('","dst":') - 1  # the last edge's src, 30/29
+    cases += [
+        ("u 01", small.replace('"u":1,', '"u":01,')),
+        ("reversed 1", small.replace('"reversed":false', '"reversed":1')),
+        ("19-digit height", small.replace(height, '"height_bound":' + "9" * 19 + ",")),
+        ("5000-digit height", small.replace(height, '"height_bound":' + "1" * 5000 + ",")),
+        ("height above the ceiling", small.replace(height, '"height_bound":10000,')),
+        spoiled("height above the ceiling, malformed vertex",
+                lambda d: d.update(height_bound=10_000, vertices=["x"])),
+        ("non-unit u", small.replace('"u":1,"modulus":2', '"u":2,"modulus":4')),
+        ("escaped family", small.replace('"finf"', '"f\\u0069nf"')),
+        ("trailing newline", small + "\n"),
+        ("text after the document", small + "{}"),
+        spoiled("malformed vertex", lambda d: set_item(d["vertices"], 2, "-03/4")),
+        spoiled("malformed edge sign",
+                lambda d: d["edges"][-1].update(sign="positive")),
+        spoiled("edge not an object", lambda d: set_item(d["edges"], 0, "1/0 -> 1/2")),
+        spoiled("malformed last vertex", lambda d: set_item(d["vertices"], -1, "2/4"),
+                large),
+        ("cut after the last edge", large[:-2]),
+        ("cut inside the closing", large[:-1]),
+        ("last sign byte changed", large[:-5] + "x" + large[-4:]),
+        ("last sign flipped", large[:-5] + ("-" if large[-5] == "+" else "+")
+         + large[-4:]),
+        ("last edge digit changed", large[:digit] + "7" + large[digit + 1:]),
+    ]
+    return cases
+
+
+def outcome(text):
+    """What parse_json makes of the text: the refusal's type and message,
+    or the bytes the parsed graph is written as."""
+    try:
+        graph = parse_json(text)
+    except Exception as exc:  # every refusal's type and message is pinned
+        return f"{type(exc).__name__}: {exc}"
+    return "accepted: " + hashlib.sha256(emit_json(graph).encode()).hexdigest()
+
+
+# sha256 of the outcomes over refusal_documents(), as first written when
+# every document was decoded in full
+REFUSALS_SHA256 = "58f230ee6d5576548bf7baa84cf4968108bdb86ae38b15bf5e7940fdd785dc6a"
+
+
+class TestRefusals:
+    def test_every_refusal_keeps_its_type_and_message(self):
+        outcomes = [f"{name}: {outcome(text)}" for name, text in refusal_documents()]
+        digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+        assert digest == REFUSALS_SHA256, "\n".join(o[:200] for o in outcomes)
 
 
 # str() of a point: 1/0, 0/1, or a nonzero numerator over a positive
@@ -549,6 +683,19 @@ class TestSweep:
         for document, graph in zip(documents, sweep[::9]):
             assert parse_json(document) == graph
         assert walks == [(graph.spec, graph.height_bound) for graph in sweep[::9]]
+        # a tampered or re-encoded document is walked at most once too
+        others = [text for graph, document in zip(sweep[::9], documents)
+                  if len(graph.vertices) > 2 and sum(len(f) for _, f in graph.heads) > 2
+                  for text in [json.dumps(json.loads(document), indent=1)]
+                  + [text for _, text in tampered_documents(graph)]]
+        assert len(others) > 300
+        for text in others:
+            walks.clear()
+            try:
+                parse_json(text)
+            except (InvariantViolation, MalformedDocument, VersionMismatch):
+                pass
+            assert len(walks) <= 1, text
 
 
 class TestDot:
@@ -597,6 +744,22 @@ class TestWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * len(document), peak / len(document)
+
+
+class TestParserMemory:
+    def test_canonical_bytes_peak_within_two_and_a_half_documents(self):
+        # the text is compared with the writer's chunks one at a time, so
+        # beside the walk the parser holds the vertex texts and one chunk;
+        # decoding the document held about 12 documents
+        document = emit_json(enumerate_graph(GraphSpec(family="finf", u=1, modulus=1), 150))
+        tracemalloc.start()
+        try:
+            parse_json(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(document), peak / len(document)
+
 
 def svg_parts(svg):
     paths = re.findall(r'<path d="([^"]+)"', svg)
