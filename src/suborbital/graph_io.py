@@ -131,8 +131,9 @@ def _point(text: object, where: str) -> None:
 
 
 def _canonical_walk(text: str) -> SuborbitalGraph | None:
-    """The graph a canonical header at the text's start names, or None."""
-    if header := _HEADER.match(text):
+    """The graph a canonical header at the text's start names, or None
+    for a text that does not end with "]}" as _json_chunks always does."""
+    if text.endswith("]}") and (header := _HEADER.match(text)):
         family, u, modulus, reversed_, height_bound = header.groups()
         try:
             return enumerate_graph(
@@ -145,14 +146,14 @@ def _canonical_walk(text: str) -> SuborbitalGraph | None:
 def parse_json(text: str) -> SuborbitalGraph:
     """Parse and fully re-validate a canonical JSON document.
 
-    A text that starts with a canonical header has the graph it names
-    walked; if the text is exactly that graph's _json_chunks, the graph is
-    returned with no json.loads.  Other texts are decoded, reusing the walk
-    if the header names the same spec and bound, so a malformed compact
-    document with a canonical header pays its walk, priced by
-    ENUMERATION_CEILING; any other text has its items checked in bulk
-    passes before a walk, and _name_first_malformed names the first
-    malformed item if one fails.
+    A text that starts with a canonical header and ends with "]}" has the
+    graph it names walked; if the text is exactly that graph's
+    _json_chunks, the graph is returned with no json.loads.  Other texts
+    are decoded, reusing the walk if the header names the same spec and
+    bound, so a malformed compact document with a canonical header pays
+    its walk, priced by ENUMERATION_CEILING; any other text has its items
+    checked in bulk passes before a walk, and _name_first_malformed names
+    the first malformed item if one fails.
 
     Each point must be spelled exactly as emitted: lowest terms, sign on
     the numerator, ASCII digits, no leading zeros and no spaces.  Text

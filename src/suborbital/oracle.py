@@ -76,7 +76,8 @@ def _conjugated(group: SubgroupSpec) -> bool:
 
 
 def _member_rows(
-    group: SubgroupSpec, bound: int
+    group: SubgroupSpec, bound: int, reach: float = math.inf,
+    counted: list[int] | None = None,
 ) -> Iterator[tuple[int, int, int, int, range]]:
     """Every member with |entries| <= bound once, in rows (a, c, b0, d0, ks)
     holding the walked tuples (a, b0 + k*a, c, d0 + k*c) for k in ks.
@@ -101,6 +102,12 @@ def _member_rows(
     determinant, the entry box and membership, so each row with a > 0 is
     solved once and followed by its mirror (-a, c, b0, -d0, -ks), which
     holds equally many members.
+
+    Given a reach, a row whose first column has c > reach or |a| > reach
+    is counted and not walked: the members it and its mirror hold are
+    added to counted[0], from the k and hi its class steps were solved
+    to, with no range built and nothing yielded.  With no reach given,
+    every row is yielded.
     """
     flip = _conjugated(group)
     a_mod, b_mod, c_mod, d_mod = ((group.d_mod, group.c_mod, group.b_mod, group.a_mod)
@@ -110,22 +117,44 @@ def _member_rows(
         b, d = b0 + k * a, d0 + k * c
         return group.contains((d, -c, -b, a) if flip else (a, b, c, d))
 
-    yield 1, 0, 0, 1, range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
-    tops = [a for a in range(bound + 1) if math.gcd(a, b_mod) == 1
+    ks = range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
+    if reach:
+        yield 1, 0, 0, 1, ks
+    else:
+        counted[0] += len(ks)
+    tops = [(a, pow(a, -1, b_mod)) for a in range(bound + 1) if math.gcd(a, b_mod) == 1
             and ((a - 1) % a_mod == 0 or (a + 1) % a_mod == 0)]
     for c in range(c_mod, bound + 1, c_mod):
-        for a in tops:
+        # where d_mod divides b_mod*c, one contains test decides a whole row
+        whole, far = b_mod * c % d_mod == 0, c > reach
+        for a, a_inv in tops:
             if math.gcd(a, c) != 1:
                 continue
             d0 = pow(a, -1, c) if c > 1 else 0
             b0 = (a * d0 - 1) // c
-            first = -b0 * pow(a, -1, b_mod)
-            # b = b0 + k*a and d = d0 + k*c, both within the bound
-            ks = _class_steps(b0, a, d0, c, bound, first, b_mod)
-            if b_mod * c % d_mod == 0:
-                rows = [ks] if ks and kept(a, c, b0, d0, first) else []
+            # the k == -b0 * a^-1 (mod b_mod), from k to hi, that keep
+            # b = b0 + k*a and d = d0 + k*c within the bound, solved as in
+            # _class_steps; a == 0 only at c == 1, where b0 == -1
+            lo, hi = -((d0 + bound) // c), (bound - d0) // c
+            if a:
+                lo_a, hi_a = -((b0 + bound) // a), (bound - b0) // a
+                lo, hi = (lo if lo > lo_a else lo_a), (hi if hi < hi_a else hi_a)
+            k = lo + (-b0 * a_inv - lo) % b_mod
+            if k > hi:
+                continue
+            if whole:
+                if not kept(a, c, b0, d0, k):
+                    continue
+                if far or a > reach:
+                    counted[0] += ((hi - k) // b_mod + 1) * (2 if a else 1)
+                    continue
+                rows = [range(k, hi + 1, b_mod)]
             else:
-                rows = [range(k, k + 1) for k in ks if kept(a, c, b0, d0, k)]
+                rows = [range(j, j + 1) for j in range(k, hi + 1, b_mod)
+                        if kept(a, c, b0, d0, j)]
+                if far or a > reach:
+                    counted[0] += len(rows) * (2 if a else 1)
+                    continue
             for ks in rows:
                 yield a, c, b0, d0, ks
                 if a:
@@ -217,9 +246,11 @@ class OrbitalReport(namedtuple("OrbitalReport", (
     orbital pair count is derived, not stored: to_dict writes
     member_count as orbital_pairs.  member_count sums the range lengths
     of the member rows, a row and its mirror (-a, c) alike, and no member
-    is visited to be counted.  orbital_in_bound counts the pairs inside
-    the height window, solved per row where the cusp's image is fixed
-    along the row and taken k by k where the walk's orientation moves it.
+    is visited to be counted; a row beyond the height window's reach is
+    counted by the walk and never walked.  orbital_in_bound counts the
+    pairs inside the height window, solved per row where the cusp's image
+    is fixed along the row and taken k by k where the walk's orientation
+    moves it.
     soundness_failures lists, sorted, the orbital pairs inside the height
     window that are not enumerated edges, the only pairs built as points;
     a correct build keeps it empty.
@@ -292,24 +323,30 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
     is counted as its range length.  Two distinct points have a trivial
     joint stabilizer, so distinct members carry the base pair to distinct
     image pairs and the orbital count is the member count.  The walk
-    keeps the orientation with fewer rows, the S-conjugate when m > l.
-    Where that fixes the image of the family's cusp along each row, 1/0
-    maps to (a, c) on the group itself for finf, and 0/1 to (-c, a) on
-    the S-conjugate for fzero.  A row whose cusp image lies outside the
-    height window is then only counted, as is its mirror row (-a, c),
-    which the walk derives without a solve.  On every other row the other
-    base point's image is linear in k, and one _class_steps call solves
-    the k that keep it inside the window, intersected with the row's
-    range.  Where the orientation moves the cusp's image along each row
-    (finf with m > l, fzero with l >= m), the row's k are expanded and
-    both images tested, with no membership test per k.  A determinant-one
-    image of a primitive column is primitive, so a window image is held
-    as its column with the sign fixed, which equals and hashes as the
-    point, and the edges are read from the heads as (src, dst) vertex
-    pairs.  The misses, each built as a DirectedEdge, are the edges that
-    are not window pairs.  Edges are distinct, so window pairs that are
-    not edges, the soundness failures and the only pairs built as points,
-    exist only if fewer edges than window pairs lie in the window."""
+    keeps the orientation with fewer rows, the S-conjugate when m > l,
+    and is given a reach: a row (a, c, ...) holds a window pair only if
+    c and |a| are within it, and every other row, with its mirror
+    (-a, c), is counted by the walk, never yielded nor solved.  Where the
+    orientation fixes the image of the family's cusp along each row,
+    1/0 maps to (a, c) on the group itself for finf, and 0/1 to (-c, a)
+    on the S-conjugate for fzero, so the reach is the height bound h.  On
+    each row walked the other base point's image is linear in k, and one
+    _class_steps call solves the k that keep it inside the window,
+    intersected with the row's range.  Where the orientation moves the
+    cusp's image along each row (finf with m > l, fzero with l >= m), a
+    window pair needs |b|, |d|, |p|, |q| <= h, for (p, q) =
+    (a*x + b*y, c*x + d*y) the image of the other base point's walked
+    column (x, y), whose x is never 0.  Then |a*x| and |c*x| are at most
+    h*(1 + |y|), so the reach is h*(1 + |y|) // |x|, and each walked row's
+    k are expanded and both images tested, with no membership test per
+    k.  A determinant-one image of a primitive column is primitive, so a
+    window image is held as its column with the sign fixed, which equals
+    and hashes as the point, and the edges are read from the heads as
+    (src, dst) vertex pairs.  The misses, each built as a DirectedEdge,
+    are the edges that are not window pairs.  Edges are distinct, so
+    window pairs that are not edges, the soundness failures and the only
+    pairs built as points, exist only if fewer edges than window pairs
+    lie in the window."""
     spec, h = graph.spec, graph.height_bound
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
@@ -334,14 +371,15 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
             p, q = -q, p
         return (p, q) if q > 0 else (-p, -q) if q else (1, 0)
 
-    members, window = 0, set()
+    # a window pair needs |a|, |c| <= reach for the row's first column (a, c)
+    fixed = flip != finf
+    reach = h if fixed else h * (1 + abs(y)) // abs(x)
+    members, counted, window = 0, [0], set()
     add = window.add
-    rows = _member_rows(group, entry_bound)
-    if flip != finf:  # the cusp is walked as 1/0, with the image (a, c)
+    rows = _member_rows(group, entry_bound, reach, counted)
+    if fixed:  # the cusp is walked as 1/0, with the image (a, c)
         for a, c, b0, d0, ks in rows:
             members += len(ks)
-            if c > h or a > h or a < -h:
-                continue
             cusp = point(a, c)
             # the other image (t0 + k*dt, s0 + k*ds) inside the window
             t0, dt, s0, ds = a * x + b0 * y, a * y, c * x + d0 * y, c * y
@@ -375,7 +413,8 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
     )
     return OrbitalReport(
         spec=spec, group=group, entry_bound=entry_bound, height_bound=h,
-        member_count=members, orbital_in_bound=len(window), edge_count=len(pairs),
+        member_count=members + counted[0], orbital_in_bound=len(window),
+        edge_count=len(pairs),
         soundness_failures=soundness, completeness_misses=misses,
     )
 

@@ -471,6 +471,34 @@ class TestNonCanonicalText:
             assert decoded == [text for text in others if text != doc]
             decoded.clear()
 
+    def test_text_that_cannot_be_canonical_is_not_walked_first(self, monkeypatch):
+        # the writer's last chunk is "]}": a key after "edges" and text
+        # after the document are refused with no walk, and a trailing
+        # newline is decoded and walked once
+        walks = []
+        walk = graphs_module.enumerate_graph
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(graph_io_module, "enumerate_graph", counted)
+        for graph in TEST_GRAPHS:
+            doc = emit_json(graph)
+            for key in ("comment", "weight", "labels", "origin"):
+                text = compact({**json.loads(doc), key: "x"})
+                assert text.startswith(doc[:-1])
+                with pytest.raises(MalformedDocument, match="unexpected keys"):
+                    parse_json(text)
+                assert walks == [], key
+            for tail in ("x", " {}", "\n[1]"):
+                with pytest.raises(MalformedDocument, match="not valid JSON"):
+                    parse_json(doc + tail)
+                assert walks == [], tail
+            assert parse_json(doc + "\n") == graph
+            assert walks == [(graph.spec, graph.height_bound)]
+            walks.clear()
+
     def test_a_duplicated_header_key_keeps_its_last_value(self):
         graph = TEST_GRAPHS[0]
         doc = emit_json(graph)

@@ -439,6 +439,54 @@ class TestCompareEdgesVsOrbital:
         assert seen["outside"] >= 20
         assert min(seen[key] for key in itertools.product((False, True), repeat=2)) >= 20
 
+    @pytest.mark.parametrize("family", ["finf", "fzero"])
+    def test_window_replay_matches_full_replay_at_benchmark_bounds(self, family):
+        # entry bounds 40 and 60 against heights 24 and 35, as verify's
+        # oracle operations run them, where many rows lie beyond the reach
+        # and are only counted.  Both orientations, and reversed fzero specs
+        seen = collections.Counter()
+        for modulus, other in ((1, 2), (2, 1), (2, 3), (3, 3), (3, 1)):
+            l, m = (modulus, other) if family == "finf" else (other, modulus)
+            moving = m > l if family == "finf" else l >= m
+            flags = (False, True) if family == "fzero" else (False,)
+            for u, reversed_ in itertools.product(range(1, max(modulus, 2)), flags):
+                spec = GraphSpec(family=family, u=u, modulus=modulus, reversed=reversed_)
+                for bounds in itertools.product((40, 60), (24, 35)):
+                    report = compare_edges_vs_orbital(
+                        enumerate_graph(spec, bounds[1]), gamma0_pair(l, m), bounds[0])
+                    reference = full_replay(spec, gamma0_pair(l, m), *bounds)
+                    assert report.to_dict() == reference.to_dict(), (spec, l, m, bounds)
+                    seen[moving, reversed_] += 1
+        assert seen[False, False] >= 8 and seen[True, False] >= 8
+        assert family == "finf" or min(seen[False, True], seen[True, True]) >= 4
+
+    @pytest.mark.parametrize("spec, group", [(F12, gamma0_pair(2, 1)),
+                                             (F12, gamma0_pair(2, 3))])
+    def test_rows_beyond_the_reach_are_counted_not_walked(self, monkeypatch, spec, group):
+        # a window pair needs the row's first column (a, c) within the
+        # reach: the height bound 29 where the cusp's image is (a, c)
+        # itself, as against gamma0_pair(2, 1), and h*(1 + |y|)//|x| for the
+        # other base point's walked column (x, y) where the orientation
+        # moves the cusp's image, as against gamma0_pair(2, 3): 29 again,
+        # with (x, y) = (-2, 1).  No row beyond it reaches the window pass,
+        # and the member count is still exact
+        reference = full_replay(spec, group, 60, 29)
+        walked = []
+        rows = oracle_module._member_rows
+
+        def recorded(*args):
+            for row in rows(*args):
+                walked.append(row)
+                yield row
+
+        monkeypatch.setattr(oracle_module, "_member_rows", recorded)
+        report = compare_edges_vs_orbital(enumerate_graph(spec, 29), group, 60)
+        assert report == reference
+        assert max(max(abs(a), c) for a, c, *_ in walked) == 29
+        assert len(walked) < sum(1 for _ in rows(group, 60)) / 3
+        if group == gamma0_pair(2, 1):
+            assert report.member_count == 5881 and len(walked) == 357
+
     def test_images_are_built_only_in_the_window(self, monkeypatch):
         # window pairs are held as canonical integer columns: points are
         # built only for soundness failures, two per failing pair, and no
