@@ -137,13 +137,6 @@ class DirectedEdge(tuple):
     src = property(itemgetter(0))
     dst = property(itemgetter(1))
 
-    @property
-    def sign(self) -> int:
-        """The sign of r*y - s*x for the edge r/s -> x/y, as edge_check
-        returns it: +1 exactly when r*y > s*x, else -1."""
-        (r, s), (x, y) = self
-        return 1 if r * y > s * x else -1
-
     # an edge is a value, not a sequence: tuple concatenation and
     # repetition are refused, so + and * raise TypeError
     def __add__(self, other: object):
@@ -392,7 +385,8 @@ def is_self_paired(spec: GraphSpec) -> bool:
     exchanges the two base vertices has its first column forced by the
     first vertex and its determinant then forces the -1 residue, so no
     other unit admits an exchanging element at any entry size.  The
-    oracle's bounded witness search is the cross-check.
+    oracle's witness, solved exactly from the base pair's columns with no
+    entry bound, is the cross-check.
     """
     return (spec.u * spec.u + 1) % spec.modulus == 0
 

@@ -17,7 +17,6 @@ from .rational import ProjectiveRational
 
 __all__ = [
     "UnimodularMatrix",
-    "IDENTITY",
     "SubgroupSpec",
     "full_group",
     "principal",
@@ -67,10 +66,6 @@ class UnimodularMatrix(tuple):
 
     __radd__ = __rmul__ = __add__
 
-    def inverse(self) -> "UnimodularMatrix":
-        a, b, c, d = self
-        return UnimodularMatrix(d, -b, -c, a)
-
     def apply(self, v: ProjectiveRational) -> ProjectiveRational:
         """Fractional linear image (a*x + b*y) / (c*x + d*y) of v = x/y.
 
@@ -87,9 +82,6 @@ class UnimodularMatrix(tuple):
 
     def __repr__(self) -> str:
         return f"UnimodularMatrix{tuple.__repr__(self)}"
-
-
-IDENTITY = UnimodularMatrix(1, 0, 0, 1)
 
 
 class SubgroupSpec(namedtuple("SubgroupSpec", "a_mod b_mod c_mod d_mod label")):

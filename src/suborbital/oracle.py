@@ -3,16 +3,16 @@
 Everything here works from first principles: walks of bounded integer
 matrices, exhaustive over the residue classes of a, b and c a subgroup's
 moduli allow, in rows of one first column each filtered once by its
-membership test, built as matrices only for a sorted scan, a listed
-violation or a class representative; the one matrix carrying an edge
-onto another, solved exactly from the endpoints' columns with no entry
-bound; direct orbit marking over residue pairs; and raw group action on
-the base pair's columns, counted and solved for the height window row
-by row, then set against a walked graph's vertex pairs, with points
-built only for soundness failures and edges only for misses.  The graph
-module's edge predicate is never read, so agreement is evidence rather
-than circularity.  Samples and reports are tuple records that
-equal and hash as their field tuples.
+membership test, built as matrices only for a listed violation or a
+class representative; the one matrix carrying an edge onto another,
+solved exactly from the endpoints' columns with no entry bound; direct
+orbit marking over residue pairs; and raw group action on the base
+pair's columns, counted and solved for the height window row by row,
+then set against a walked graph's vertex pairs, with points built only
+for soundness failures and edges only for misses.  The graph module's
+edge predicate is never read, so agreement is evidence rather than
+circularity.  Reports are tuple records that equal and hash as their
+field tuples.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .rational import INFINITY, ZERO, ProjectiveRational
 __all__ = [
     "SCAN_CEILING",
     "check_entry_bound",
-    "BoundedGroupSample",
-    "enumerate_group",
     "transitivity_witness",
     "OrbitalReport",
     "compare_edges_vs_orbital",
@@ -57,15 +55,9 @@ __all__ = [
     "verify_self_paired",
 ]
 
-class BoundedGroupSample(namedtuple("BoundedGroupSample", "group entry_bound elements")):
-    """Every canonical member matrix with all entries inside the bound."""
-
-    __slots__ = ()
-
-
-# larger entry bounds are refused; a scan grows with the bound's square,
-# to 17,626 matrices for the full group at 60 and a fraction of that for
-# a subgroup, whose scan visits only the classes its moduli allow
+# larger entry bounds are refused; a member walk grows with the bound's
+# square, to 17,626 members of the full group at 60 and a fraction of
+# that for a subgroup, whose walk visits only the classes its moduli allow
 SCAN_CEILING = 60
 
 
@@ -94,14 +86,14 @@ def _member_rows(
     wherever b == 0 (mod b_mod), so a row is walked only for a a unit mod
     b_mod, and then b == 0 (mod b_mod) holds for one class of k mod b_mod:
     ks is that class within the entry bound.  Along it only d moves the
-    membership test, by b_mod*c per class step.  Where d_mod divides
-    that, group.contains is tested once per row, on its first k; on every
-    factory of the group module the walked d_mod divides b_mod itself, so
-    every row is.  Any other spec is tested k by k, and each k kept is a
-    row of its own.  The mirror (a, b, c, d) -> (-a, b, c, -d) keeps the
-    determinant, the entry box and membership, so each row with a > 0 is
-    solved once and followed by its mirror (-a, c, b0, -d0, -ks), which
-    holds equally many members.
+    membership test, by b_mod*c per class step, so group.contains decides
+    a whole row on its first k.  That needs the walked d_mod to divide the
+    walked b_mod, which every factory of the group module meets, and so
+    every group the oracle is given: gamma0_pair and the full group.  The
+    mirror (a, b, c, d) -> (-a, b, c, -d) keeps the determinant, the
+    entry box and membership, so each row with a > 0 is solved once and
+    followed by its mirror (-a, c, b0, -d0, -ks), which holds equally
+    many members.
 
     Given a reach, a row whose first column has c > reach or |a| > reach
     is counted and not walked: the members it and its mirror hold are
@@ -110,13 +102,7 @@ def _member_rows(
     every row is yielded.
     """
     flip = _conjugated(group)
-    a_mod, b_mod, c_mod, d_mod = ((group.d_mod, group.c_mod, group.b_mod, group.a_mod)
-                                  if flip else group[:4])
-
-    def kept(a, c, b0, d0, k):
-        b, d = b0 + k * a, d0 + k * c
-        return group.contains((d, -c, -b, a) if flip else (a, b, c, d))
-
+    a_mod, b_mod, c_mod = (group.d_mod, group.c_mod, group.b_mod) if flip else group[:3]
     ks = range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
     if reach:
         yield 1, 0, 0, 1, ks
@@ -125,8 +111,7 @@ def _member_rows(
     tops = [(a, pow(a, -1, b_mod)) for a in range(bound + 1) if math.gcd(a, b_mod) == 1
             and ((a - 1) % a_mod == 0 or (a + 1) % a_mod == 0)]
     for c in range(c_mod, bound + 1, c_mod):
-        # where d_mod divides b_mod*c, one contains test decides a whole row
-        whole, far = b_mod * c % d_mod == 0, c > reach
+        far = c > reach
         for a, a_inv in tops:
             if math.gcd(a, c) != 1:
                 continue
@@ -142,38 +127,16 @@ def _member_rows(
             k = lo + (-b0 * a_inv - lo) % b_mod
             if k > hi:
                 continue
-            if whole:
-                if not kept(a, c, b0, d0, k):
-                    continue
-                if far or a > reach:
-                    counted[0] += ((hi - k) // b_mod + 1) * (2 if a else 1)
-                    continue
-                rows = [range(k, hi + 1, b_mod)]
-            else:
-                rows = [range(j, j + 1) for j in range(k, hi + 1, b_mod)
-                        if kept(a, c, b0, d0, j)]
-                if far or a > reach:
-                    counted[0] += len(rows) * (2 if a else 1)
-                    continue
-            for ks in rows:
-                yield a, c, b0, d0, ks
-                if a:
-                    yield -a, c, b0, -d0, range(-ks[-1], 1 - ks[0], ks.step)
-
-
-def _members(group: SubgroupSpec, bound: int) -> Iterator[tuple[int, int, int, int]]:
-    """Every member with |entries| <= bound once, as the entry tuple
-    (a, b, c, d) of the sign lift the walk reaches: the rows of
-    _member_rows expanded k by k and mapped back from the S-conjugate
-    where that was walked.  The walk yields the naive scan-and-filter
-    set; matrices are built only for listed violations, class
-    representatives and the sorted scan.
-    """
-    flip = _conjugated(group)
-    for a, c, b0, d0, ks in _member_rows(group, bound):
-        for k in ks:
             b, d = b0 + k * a, d0 + k * c
-            yield (d, -c, -b, a) if flip else (a, b, c, d)
+            if not group.contains((d, -c, -b, a) if flip else (a, b, c, d)):
+                continue
+            if far or a > reach:
+                counted[0] += ((hi - k) // b_mod + 1) * (2 if a else 1)
+                continue
+            ks = range(k, hi + 1, b_mod)
+            yield a, c, b0, d0, ks
+            if a:
+                yield -a, c, b0, -d0, range(-ks[-1], 1 - ks[0], b_mod)
 
 
 def check_entry_bound(entry_bound: int) -> None:
@@ -182,20 +145,6 @@ def check_entry_bound(entry_bound: int) -> None:
     if not plain_int(entry_bound) or entry_bound < 1:
         raise InvalidBound(f"entry bound must be an integer >= 1, got {entry_bound!r}")
     refuse_above("the entry bound", entry_bound, SCAN_CEILING)
-
-
-def enumerate_group(group: SubgroupSpec, entry_bound: int) -> BoundedGroupSample:
-    """Exactly the canonical member matrices with |entries| <= entry_bound.
-
-    The walk over the residue classes the group's moduli allow, with every
-    candidate kept only if group.contains accepts it, so the sample equals
-    a naive scan of the whole box filtered by contains, ordered by entry
-    tuple.  Raises InvalidBound for a bound that is no integer (bools
-    included) or is below 1, and BoundTooLarge above the scan ceiling.
-    """
-    check_entry_bound(entry_bound)
-    elements = sorted(UnimodularMatrix(*g) for g in _members(group, entry_bound))
-    return BoundedGroupSample(group, entry_bound, tuple(elements))
 
 
 def transitivity_witness(
@@ -209,11 +158,10 @@ def transitivity_witness(
     is g = M2 * diag(1, t) * M1**-1 for t = det M1 / det M2: integral
     exactly when |det M1| == |det M2| and det M1 divides every entry of
     M2 * diag(1, t) * adj(M1).  Two distinct points have a trivial joint
-    stabilizer, so g is unique up to sign, and returning it, however
-    large its entries, if the group contains it and both vertex images
-    match exactly gives the only hit of enumerate_group's scan under that
-    filter at any entry bound that holds it.  Otherwise None, as for
-    endpoints in different blocks.
+    stabilizer, so g is unique up to sign: it is returned, however large
+    its entries, if the group contains it and both vertex images match
+    exactly, and no other member carries e1 onto e2.  Otherwise None, as
+    for endpoints in different blocks.
     """
     (a1, c1), (b1, d1) = e1
     (a2, c2), (b2, d2) = e2
@@ -319,10 +267,11 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
                              entry_bound: int) -> OrbitalReport:
     """Compare a walked graph's edges with group images of its base pair.
 
-    The group sample is walked once by rows (_member_rows), and each row
-    is counted as its range length.  Two distinct points have a trivial
-    joint stabilizer, so distinct members carry the base pair to distinct
-    image pairs and the orbital count is the member count.  The walk
+    The group's members within the entry bound are walked once by rows
+    (_member_rows), and each row is counted as its range length.  Two
+    distinct points have a trivial joint stabilizer, so distinct members
+    carry the base pair to distinct image pairs and the orbital count is
+    the member count.  The walk
     keeps the orientation with fewer rows, the S-conjugate when m > l,
     and is given a reach: a row (a, c, ...) holds a window pair only if
     c and |a| are within it, and every other row, with its mirror
@@ -515,7 +464,7 @@ def _b_class(ks: range, a: int, b0: int, n: int) -> range:
 def verify_lattice_identity(n1: int, n2: int, entry_bound: int) -> LatticeReport:
     """Scan-check the intersection and product lattice identities.
 
-    One walk of the full group's sample by rows (_member_rows) decides
+    One walk of the full group's members by rows (_member_rows) decides
     both halves, and each row adds its range length to scanned.  Along a
     row a and c are fixed and only b and d move, so membership is decided
     per row: gamma0(n2) is c == 0 mod n2 and holds or misses the whole

@@ -63,15 +63,6 @@ class ProjectiveRational(tuple):
     num = property(itemgetter(0))
     den = property(itemgetter(1))
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.den == 0
-
-    @property
-    def height(self) -> int:
-        """max(|num|, den); the point at infinity has height 1."""
-        return max(abs(self.num), self.den)
-
     # a point is a value, not a sequence: tuple concatenation and
     # repetition are refused, so + and * raise TypeError
     def __add__(self, other: object):

@@ -23,14 +23,14 @@ PUBLIC = {
     "ProjectiveRational", "INFINITY", "ZERO", "mod_inverse", "factorize",
     "dedekind_psi", "phi_pair",
     # group
-    "UnimodularMatrix", "IDENTITY", "SubgroupSpec", "full_group", "principal",
+    "UnimodularMatrix", "SubgroupSpec", "full_group", "principal",
     "gamma0", "gamma0_pair", "gamma00_pair", "block_equivalent",
     # graphs
     "GraphSpec", "DirectedEdge", "SuborbitalGraph", "FAMILY_INFINITY",
     "FAMILY_ZERO", "edge_check", "enumerate_graph", "is_self_paired",
     "paired_partner", "ENUMERATION_CEILING",
     # oracle
-    "BoundedGroupSample", "enumerate_group", "transitivity_witness",
+    "transitivity_witness",
     "compare_edges_vs_orbital", "BLOCKS_WORK_CEILING", "count_blocks",
     "verify_lattice_identity",
     "verify_self_paired", "SCAN_CEILING", "check_entry_bound", "OrbitalReport",
@@ -41,7 +41,6 @@ PUBLIC = {
 }
 
 F12 = graphs.GraphSpec("finf", 1, 2)
-FULL = group.full_group()
 GRAPH = graphs.enumerate_graph(F12, 4)
 
 
@@ -107,10 +106,8 @@ def test_cold_cli_import_loads_no_introspection_modules():
 # fields do: floats and bools are refused by class, not by a raw
 # TypeError or AttributeError, nor accepted
 @pytest.mark.parametrize("call, error", [
-    pytest.param(lambda: oracle.enumerate_group(FULL, 1e3), errors.InvalidBound,
-                 id="enumerate_group-1e3"),
-    pytest.param(lambda: oracle.enumerate_group(FULL, True), errors.InvalidBound,
-                 id="enumerate_group-True"),
+    pytest.param(lambda: oracle.check_entry_bound(1e3), errors.InvalidBound,
+                 id="check_entry_bound-1e3"),
     pytest.param(lambda: oracle.compare_edges_vs_orbital(
         GRAPH, group.gamma0_pair(2, 1), 20.0), errors.InvalidBound,
         id="compare_edges_vs_orbital-20.0"),

@@ -523,8 +523,6 @@ class TestVerifyCommand:
         def no_scan(*args):
             raise AssertionError("the group was scanned")
 
-        monkeypatch.setattr(oracle_module, "enumerate_group", no_scan)
-        monkeypatch.setattr(oracle_module, "_members", no_scan)
         monkeypatch.setattr(oracle_module, "_member_rows", no_scan)
         flags = ("verify", "--suite", "oracle", "--family", "finf", "--u", "1",
                  "--l", "2", "--m", "1", "--height-bound", "100000")

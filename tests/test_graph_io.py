@@ -33,6 +33,7 @@ from suborbital.graphs import (
     enumerate_graph,
     paired_partner,
 )
+from suborbital.rational import INFINITY
 
 F12 = GraphSpec(family="finf", u=1, modulus=2)
 F32 = GraphSpec(family="fzero", u=2, modulus=3)
@@ -839,8 +840,8 @@ class TestSvg:
         assert len(paths) == len(graph.edges)
         for path, edge in zip(paths, graph.edges):
             numbers = [float(t) for t in re.findall(r"-?\d+\.\d+", path)]
-            if edge.src.is_infinite or edge.dst.is_infinite:
-                foot = edge.dst if edge.src.is_infinite else edge.src
+            if INFINITY in edge:
+                foot = edge.dst if edge.src == INFINITY else edge.src
                 assert "L" in path and "A" not in path
                 x_start, _, x_end, _ = numbers
                 assert x_start == x_end == circles[str(foot)]

@@ -118,12 +118,6 @@ class TestCanonicalForm:
             with pytest.raises(TypeError):
                 op(x, y)
 
-    def test_height(self):
-        assert INFINITY.height == 1
-        assert ZERO.height == 1
-        assert ProjectiveRational(-7, 3).height == 7
-        assert ProjectiveRational(3, 10).height == 10
-
 
 class TestModInverse:
     def test_examples(self):

@@ -1,4 +1,4 @@
-"""Specs, graphs, samples and reports are tuple records.
+"""Specs, graphs and reports are tuple records.
 
 Each keeps its field names, its defaults and its pinned repr, equals and hashes as its plain field tuple, refuses
 attribute assignment, and the two specs with checks refuse bad values on
@@ -13,14 +13,12 @@ import pytest
 from suborbital.errors import InvalidBound, InvalidModulus, InvalidSpec
 from suborbital.graph_io import emit_json, parse_json
 from suborbital.graphs import GraphSpec, SuborbitalGraph, enumerate_graph
-from suborbital.group import SubgroupSpec, gamma0_pair, principal
+from suborbital.group import SubgroupSpec, gamma0_pair
 from suborbital.oracle import (
-    BoundedGroupSample,
     LatticeReport,
     OrbitalReport,
     SelfPairedReport,
     compare_edges_vs_orbital,
-    enumerate_group,
     verify_lattice_identity,
     verify_self_paired,
 )
@@ -38,11 +36,6 @@ REPRS = [
      "SuborbitalGraph(spec=GraphSpec(family='finf', u=1, modulus=2, reversed=False),"
      " height_bound=2, vertices=(ProjectiveRational(-1, 2), ProjectiveRational(1, 0),"
      " ProjectiveRational(1, 2)), heads=((0, (1,)), (1, (0, 2)), (2, (1,))))"),
-    (enumerate_group(principal(3), 3),
-     "BoundedGroupSample(group=SubgroupSpec(a_mod=3, b_mod=3, c_mod=3, d_mod=3,"
-     " label='principal(3)'), entry_bound=3, elements=(UnimodularMatrix(-1, 0, 3, -1),"
-     " UnimodularMatrix(1, -3, 0, 1), UnimodularMatrix(1, 0, 0, 1),"
-     " UnimodularMatrix(1, 0, 3, 1), UnimodularMatrix(1, 3, 0, 1)))"),
     (compare_edges_vs_orbital(enumerate_graph(F12, 3), gamma0_pair(2, 1), 3),
      "OrbitalReport(spec=GraphSpec(family='finf', u=1, modulus=2, reversed=False),"
      " group=SubgroupSpec(a_mod=2, b_mod=1, c_mod=2, d_mod=1, label='gamma0_pair(2,1)'),"
@@ -89,7 +82,6 @@ def test_field_names_and_defaults():
     assert GraphSpec(family="fzero", u=2, modulus=5) == ("fzero", 2, 5, False)
     assert SubgroupSpec._fields == ("a_mod", "b_mod", "c_mod", "d_mod", "label")
     assert SuborbitalGraph._fields == ("spec", "height_bound", "vertices", "heads")
-    assert BoundedGroupSample._fields == ("group", "entry_bound", "elements")
     assert OrbitalReport._fields == (
         "spec", "group", "entry_bound", "height_bound", "member_count",
         "orbital_in_bound", "edge_count", "soundness_failures",
