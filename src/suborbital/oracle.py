@@ -7,7 +7,8 @@ membership test, built as matrices only for a listed violation or a
 class representative; the one matrix carrying an edge onto another,
 solved exactly from the endpoints' columns with no entry bound; direct
 orbit marking over residue pairs; and raw group action on the base
-pair's columns, counted and solved for the height window row by row,
+pair's columns, an fzero pair's reflected onto the block of 1/0,
+counted and solved for the height window row by row,
 then set against a walked graph's vertex pairs, with points built only
 for soundness failures and edges only for misses.  The graph module's
 edge predicate is never read, so agreement is evidence rather than
@@ -61,12 +62,6 @@ __all__ = [
 SCAN_CEILING = 60
 
 
-def _conjugated(group: SubgroupSpec) -> bool:
-    """Whether _member_rows walks the S-conjugate, which steps c by b_mod
-    and so has fewer rows when b_mod > c_mod."""
-    return group.b_mod > group.c_mod
-
-
 def _member_rows(
     group: SubgroupSpec, bound: int, reach: float = math.inf,
     counted: list[int] | None = None,
@@ -74,10 +69,6 @@ def _member_rows(
     """Every member with |entries| <= bound once, in rows (a, c, b0, d0, ks)
     holding the walked tuples (a, b0 + k*a, c, d0 + k*c) for k in ks.
 
-    Where _conjugated(group), the walk runs on the conjugate by
-    S = [[0, -1], [1, 0]]: (a, b, c, d) -> (d, -c, -b, a) has moduli
-    (d_mod, c_mod, b_mod, a_mod) and the same entry bound, and is its own
-    inverse, so a walked tuple stands for the member (d, -c, -b, a).
     Canonical lifts have c > 0, or c == 0 with a == d == 1, a row that
     steps b by b_mod and holds members only.  A member has c == 0
     (mod c_mod) and a == +-1 (mod a_mod), so only those (a, c) are walked;
@@ -87,13 +78,12 @@ def _member_rows(
     b_mod, and then b == 0 (mod b_mod) holds for one class of k mod b_mod:
     ks is that class within the entry bound.  Along it only d moves the
     membership test, by b_mod*c per class step, so group.contains decides
-    a whole row on its first k.  That needs the walked d_mod to divide the
-    walked b_mod, which every factory of the group module meets, and so
-    every group the oracle is given: gamma0_pair and the full group.  The
-    mirror (a, b, c, d) -> (-a, b, c, -d) keeps the determinant, the
-    entry box and membership, so each row with a > 0 is solved once and
-    followed by its mirror (-a, c, b0, -d0, -ks), which holds equally
-    many members.
+    a whole row on its first k.  That needs d_mod to divide b_mod, which
+    every factory of the group module meets, and so every group the
+    oracle walks: gamma0_pair and the full group.  The mirror
+    (a, b, c, d) -> (-a, b, c, -d) keeps the determinant, the entry box
+    and membership, so each row with a > 0 is solved once and followed by
+    its mirror (-a, c, b0, -d0, -ks), which holds equally many members.
 
     Given a reach, a row whose first column has c > reach or |a| > reach
     is counted and not walked: the members it and its mirror hold are
@@ -101,13 +91,8 @@ def _member_rows(
     to, with no range built and nothing yielded.  With no reach given,
     every row is yielded.
     """
-    flip = _conjugated(group)
-    a_mod, b_mod, c_mod = (group.d_mod, group.c_mod, group.b_mod) if flip else group[:3]
-    ks = range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
-    if reach:
-        yield 1, 0, 0, 1, ks
-    else:
-        counted[0] += len(ks)
+    a_mod, b_mod, c_mod = group[:3]
+    yield 1, 0, 0, 1, range(-(bound // b_mod) * b_mod, bound + 1, b_mod)
     tops = [(a, pow(a, -1, b_mod)) for a in range(bound + 1) if math.gcd(a, b_mod) == 1
             and ((a - 1) % a_mod == 0 or (a + 1) % a_mod == 0)]
     for c in range(c_mod, bound + 1, c_mod):
@@ -127,8 +112,7 @@ def _member_rows(
             k = lo + (-b0 * a_inv - lo) % b_mod
             if k > hi:
                 continue
-            b, d = b0 + k * a, d0 + k * c
-            if not group.contains((d, -c, -b, a) if flip else (a, b, c, d)):
+            if not group.contains((a, b0 + k * a, c, d0 + k * c)):
                 continue
             if far or a > reach:
                 counted[0] += ((hi - k) // b_mod + 1) * (2 if a else 1)
@@ -196,9 +180,7 @@ class OrbitalReport(namedtuple("OrbitalReport", (
     of the member rows, a row and its mirror (-a, c) alike, and no member
     is visited to be counted; a row beyond the height window's reach is
     counted by the walk and never walked.  orbital_in_bound counts the
-    pairs inside the height window, solved per row where the cusp's image
-    is fixed along the row and taken k by k where the walk's orientation
-    moves it.
+    pairs inside the height window, solved per row.
     soundness_failures lists, sorted, the orbital pairs inside the height
     window that are not enumerated edges, the only pairs built as points;
     a correct build keeps it empty.
@@ -271,31 +253,25 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
     (_member_rows), and each row is counted as its range length.  Two
     distinct points have a trivial joint stabilizer, so distinct members
     carry the base pair to distinct image pairs and the orbital count is
-    the member count.  The walk
-    keeps the orientation with fewer rows, the S-conjugate when m > l,
-    and is given a reach: a row (a, c, ...) holds a window pair only if
-    c and |a| are within it, and every other row, with its mirror
-    (-a, c), is counted by the walk, never yielded nor solved.  Where the
-    orientation fixes the image of the family's cusp along each row,
-    1/0 maps to (a, c) on the group itself for finf, and 0/1 to (-c, a)
-    on the S-conjugate for fzero, so the reach is the height bound h.  On
-    each row walked the other base point's image is linear in k, and one
-    _class_steps call solves the k that keep it inside the window,
-    intersected with the row's range.  Where the orientation moves the
-    cusp's image along each row (finf with m > l, fzero with l >= m), a
-    window pair needs |b|, |d|, |p|, |q| <= h, for (p, q) =
-    (a*x + b*y, c*x + d*y) the image of the other base point's walked
-    column (x, y), whose x is never 0.  Then |a*x| and |c*x| are at most
-    h*(1 + |y|), so the reach is h*(1 + |y|) // |x|, and each walked row's
-    k are expanded and both images tested, with no membership test per
-    k.  A determinant-one image of a primitive column is primitive, so a
-    window image is held as its column with the sign fixed, which equals
-    and hashes as the point, and the edges are read from the heads as
-    (src, dst) vertex pairs.  The misses, each built as a DirectedEdge,
-    are the edges that are not window pairs.  Edges are distinct, so
-    window pairs that are not edges, the soundness failures and the only
-    pairs built as points, exist only if fewer edges than window pairs
-    lie in the window."""
+    the member count.  A finf pair is walked on the group itself, and an
+    fzero pair as its image under R: x/y -> y/x, on gamma0_pair(m, l):
+    R*[[a, b], [c, d]]*R = [[d, c], [b, a]] maps gamma0_pair(l, m) onto
+    it, keeps the entry box and every height, and takes 0/1 to 1/0, as
+    graphs._as_finf walks fzero.  So the cusp's image is each row's first
+    column (a, c), and a row holds a window pair only if c and |a| are
+    within the height bound h: the walk is given h as its reach, and every
+    other row, with its mirror (-a, c), is counted by the walk, never
+    yielded nor solved.  On each row walked the other base point's image
+    is linear in k, and one _class_steps call solves the k that keep it
+    inside the window, intersected with the row's range; each image column
+    is reflected back by R for fzero.  A determinant-one image of a
+    primitive column is primitive, so a window image is held as its column
+    with the sign fixed, which equals and hashes as the point, and the
+    edges are read from the heads as (src, dst) vertex pairs.  The misses,
+    each built as a DirectedEdge, are the edges that are not window pairs.
+    Edges are distinct, so window pairs that are not edges, the soundness
+    failures and the only pairs built as points, exist only if fewer edges
+    than window pairs lie in the window."""
     spec, h = graph.spec, graph.height_bound
     l, m = group.a_mod, group.b_mod
     if group != gamma0_pair(l, m):
@@ -307,51 +283,35 @@ def compare_edges_vs_orbital(graph: SuborbitalGraph, group: SubgroupSpec,
     check_entry_bound(entry_bound)
     alpha, beta = spec.base_pair()
     cusp_first = alpha == (INFINITY if finf else ZERO)
-    flip = _conjugated(group)  # m > l
-    # the other base point as a walked column: S^-1 of it on the conjugate,
-    # up to sign, with a positive second entry either way
+    # the other base point as a walked column, reflected by R for fzero
     x, y = beta if cusp_first else alpha
-    if flip:
-        x, y = -y, x
+    if not finf:
+        x, y = y, x
 
     def point(p, q):
         # the canonical column of the group image of a walked image column
-        if flip:
-            p, q = -q, p
+        if not finf:
+            p, q = q, p
         return (p, q) if q > 0 else (-p, -q) if q else (1, 0)
 
-    # a window pair needs |a|, |c| <= reach for the row's first column (a, c)
-    fixed = flip != finf
-    reach = h if fixed else h * (1 + abs(y)) // abs(x)
     members, counted, window = 0, [0], set()
     add = window.add
-    rows = _member_rows(group, entry_bound, reach, counted)
-    if fixed:  # the cusp is walked as 1/0, with the image (a, c)
-        for a, c, b0, d0, ks in rows:
-            members += len(ks)
-            cusp = point(a, c)
-            # the other image (t0 + k*dt, s0 + k*ds) inside the window
-            t0, dt, s0, ds = a * x + b0 * y, a * y, c * x + d0 * y, c * y
-            if c:
-                steps = _class_steps(t0, dt, s0, ds, h, ks.start, ks.step)
-            else:  # the row (1, k, 0, 1) moves the first entry alone
-                steps = _class_steps(s0, 0, t0, dt, h, ks.start, ks.step)
-            lo = steps.start if steps.start > ks.start else ks.start
-            hi = steps.stop if steps.stop < ks.stop else ks.stop
-            for k in range(lo, hi, ks.step):
-                other = point(t0 + k * dt, s0 + k * ds)
-                add((cusp, other) if cusp_first else (other, cusp))
-    else:  # the cusp is walked as 0/1, with the image (b, d); these rows
-        # are short, and expanding them beats both a second window solve
-        # and the other orientation's walk, which has more rows
-        for a, c, b0, d0, ks in rows:
-            members += len(ks)
-            for k in ks:
-                b, d = b0 + k * a, d0 + k * c
-                p, q = a * x + b * y, c * x + d * y
-                if -h <= b <= h and -h <= d <= h and -h <= p <= h and -h <= q <= h:
-                    cusp, other = point(b, d), point(p, q)
-                    add((cusp, other) if cusp_first else (other, cusp))
+    walk = group if finf else gamma0_pair(m, l)
+    # a window pair needs the cusp's image (a, c) within the height bound
+    for a, c, b0, d0, ks in _member_rows(walk, entry_bound, h, counted):
+        members += len(ks)
+        cusp = point(a, c)
+        # the other image (t0 + k*dt, s0 + k*ds) inside the window
+        t0, dt, s0, ds = a * x + b0 * y, a * y, c * x + d0 * y, c * y
+        if c:
+            steps = _class_steps(t0, dt, s0, ds, h, ks.start, ks.step)
+        else:  # the row (1, k, 0, 1) moves the first entry alone
+            steps = _class_steps(s0, 0, t0, dt, h, ks.start, ks.step)
+        lo = steps.start if steps.start > ks.start else ks.start
+        hi = steps.stop if steps.stop < ks.stop else ks.stop
+        for k in range(lo, hi, ks.step):
+            other = point(t0 + k * dt, s0 + k * ds)
+            add((cusp, other) if cusp_first else (other, cusp))
     vertices = graph.vertices
     pairs = [(vertices[i], vertices[j]) for i, found in graph.heads for j in found]
     misses = tuple(map(partial(tuple.__new__, DirectedEdge),

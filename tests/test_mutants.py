@@ -35,7 +35,29 @@ MUTANTS = [
         [("        k = lo + (c - lo) % m\n",
           "        k = lo + ((-c if (r + 1) % m == 0 else c) - lo) % m\n")],
         ALL, 1, id="class-minus-c-on-tails-with-r-minus-one"),
+    # fzero pairs reflected by R but walked on gamma0_pair(l, m) itself:
+    # soundness fails, first on F[2, 1] against gamma0_pair(1, 2)
+    pytest.param(
+        "oracle.py",
+        [("    walk = group if finf else gamma0_pair(m, l)\n", "    walk = group\n")],
+        ("verify", "--suite", "oracle"), 1, id="fzero-walked-against-the-unreflected-group"),
+    # F[3, 5] and F[7, 10] disagree with their solved witnesses
+    pytest.param(
+        "graphs.py",
+        [("    return (spec.u * spec.u + 1) % spec.modulus == 0\n",
+          "    return (spec.u * spec.u + 1) % spec.modulus == 0 and 2 * spec.u <= spec.modulus\n")],
+        ("verify", "--suite", "selfpaired"), 1, id="self-paired-keeps-only-the-smaller-root"),
+    # F[5, 2] and F[7, 3] fail the reversal bijection
+    pytest.param(
+        "graphs.py",
+        [("    partner_u = mod_inverse(spec.u, m) if m > 1 else 1\n",
+          "    partner_u = spec.u\n")],
+        ("verify", "--suite", "pairing"), 1, id="partner-keeps-u-instead-of-its-inverse"),
 ]
+
+# the lattice suite's principal(n1) rows taking the +I lift alone
+PLUS_ONE_LIFT = ("oracle.py", [("        if c % n1 or a % n1 not in (1, n1 - 1):\n",
+                                "        if c % n1 or a % n1 != 1 % n1:\n")])
 
 # Mutants no command catches yet, each with the ROADMAP item that will; the
 # exit code is the one the command gives today.
@@ -63,12 +85,18 @@ BLIND = [
     # completeness misses only shrink (28 to 26).
     pytest.param(
         "oracle.py",
-        [("            b, d = b0 + k * a, d0 + k * c\n"
-          "            if not group.contains((d, -c, -b, a) if flip else (a, b, c, d)):\n"
+        [("            if not group.contains((a, b0 + k * a, c, d0 + k * c)):\n"
           "                continue\n", "")],
         ("verify", "--suite", "oracle", "--family", "finf", "--u", "1", "--l", "5",
          "--m", "3", "--entry-bound", "20", "--height-bound", "20"),
         0, id="delete-the-row-membership-test"),
+    # ROADMAP item 8: the suite fails only on a violation it finds, and the
+    # lost -I rows only shrink the products checked (2,211 to 1,340 for
+    # principal(4) * gamma0(6)), a count that no check reads.
+    pytest.param(*PLUS_ONE_LIFT, ("verify", "--suite", "lattice"), 0,
+                 id="lattice-principal-rows-take-only-plus-one"),
+    pytest.param(*PLUS_ONE_LIFT, ALL, 0,
+                 id="lattice-principal-rows-take-only-plus-one-under-all"),
 ]
 
 

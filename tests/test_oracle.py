@@ -64,15 +64,9 @@ def naive_scan(bound):
 
 
 def walked_tuples(group, bound):
-    """The entry tuples of the member walk's rows, k by k, each mapped
-    back from the S-conjugate where that was walked."""
-    flip = oracle_module._conjugated(group)
-    out = []
-    for a, c, b0, d0, ks in oracle_module._member_rows(group, bound):
-        for k in ks:
-            b, d = b0 + k * a, d0 + k * c
-            out.append((d, -c, -b, a) if flip else (a, b, c, d))
-    return out
+    """The entry tuples of the member walk's rows, k by k."""
+    return [(a, b0 + k * a, c, d0 + k * c)
+            for a, c, b0, d0, ks in oracle_module._member_rows(group, bound) for k in ks]
 
 
 def walked(group, bound):
@@ -81,11 +75,9 @@ def walked(group, bound):
 
 
 def rows_decided_whole(moduli):
-    """Whether the walk takes the spec: its walked d_mod divides its
-    walked b_mod, as on every factory of the group module."""
+    """Whether the walk takes the spec: its d_mod divides its b_mod, as
+    on every factory of the group module."""
     a_mod, b_mod, c_mod, d_mod = moduli
-    if b_mod > c_mod:  # the S-conjugate, with moduli (d_mod, c_mod, b_mod, a_mod)
-        return c_mod % a_mod == 0
     return b_mod % d_mod == 0
 
 
@@ -101,10 +93,10 @@ class TestMemberWalk:
             assert walked(full_group(), bound) == box(full_group(), bound)
 
     def test_every_pair_group_is_the_box_filtered_by_contains(self):
-        # every gamma0_pair(l, m) with l, m <= 6, so that both walk
-        # orientations occur and contains rejects rows, as on (5, 3) and
-        # (4, 3), and the full group, at entry bounds up to 30; the rows
-        # (a, c) and (-a, c) hold equally many members
+        # every gamma0_pair(l, m) with l, m <= 6, so that either modulus
+        # leads and contains rejects rows, as on (5, 3) and (4, 3), and the
+        # full group, at entry bounds up to 30; the rows (a, c) and (-a, c)
+        # hold equally many members
         groups = [gamma0_pair(l, m) for l, m in itertools.product(range(1, 7), repeat=2)]
         for group in [full_group(), *groups]:
             for bound in (1, 2, 3, 5, 8, 13, 21, 30):
@@ -117,7 +109,7 @@ class TestMemberWalk:
 
     def test_every_small_spec_the_walk_takes_is_the_box(self):
         # plain entry tuples in the walk's own sign lift, each member once,
-        # for every spec whose walked d_mod divides its walked b_mod
+        # for every spec whose d_mod divides its b_mod
         taken = 0
         for bound in range(1, 9):
             for moduli in itertools.product(range(1, 6), repeat=4):
@@ -129,9 +121,10 @@ class TestMemberWalk:
                 assert len(set(tuples)) == len(tuples), (moduli, bound)
                 assert walked(group, bound) == box(group, bound), (moduli, bound)
                 taken += 1
-        assert taken == 8 * 220
-        # on the S-conjugate walk the c == 0 row is (1, 0, -b, 1)
-        assert (1, 0, -1, 1) in walked_tuples(SubgroupSpec(1, 2, 1, 1, "s"), 1)
+        assert taken == 8 * 250
+        # the c == 0 row is (1, b, 0, 1), stepping b by b_mod
+        tuples = walked_tuples(SubgroupSpec(1, 2, 1, 1, "s"), 2)
+        assert [g for g in tuples if g[2] == 0] == [(1, -2, 0, 1), (1, 0, 0, 1), (1, 2, 0, 1)]
 
     def test_member_walk_is_filtered_by_contains(self, monkeypatch):
         # the walk steps only the classes the moduli allow, which still
@@ -414,8 +407,9 @@ class TestCompareEdgesVsOrbital:
         # every unit, l and m up to 5, and height bounds below the base
         # pair's height, so that it falls outside the window.  Reversed
         # fzero specs have the cusp 0/1 as their second base point.  Where
-        # the walk's orientation moves the cusp's image along each row
-        # (finf with m > l, fzero with l >= m), the rows are expanded: those
+        # the walked group, gamma0_pair(l, m) for finf and gamma0_pair(m, l)
+        # for fzero, steps b by a modulus at least its c step (finf with
+        # m > l, fzero with l >= m), its rows are many and short: those
         # cases come with entry bounds both below and above the height bound
         seen = collections.Counter()
         for modulus, other in itertools.product(range(1, 6), repeat=2):
@@ -443,7 +437,8 @@ class TestCompareEdgesVsOrbital:
     def test_window_replay_matches_full_replay_at_benchmark_bounds(self, family):
         # entry bounds 40 and 60 against heights 24 and 35, as verify's
         # oracle operations run them, where many rows lie beyond the reach
-        # and are only counted.  Both orientations, and reversed fzero specs
+        # and are only counted.  Either modulus leading, and reversed fzero
+        # specs
         seen = collections.Counter()
         for modulus, other in ((1, 2), (2, 1), (2, 3), (3, 3), (3, 1)):
             l, m = (modulus, other) if family == "finf" else (other, modulus)
@@ -460,32 +455,40 @@ class TestCompareEdgesVsOrbital:
         assert seen[False, False] >= 8 and seen[True, False] >= 8
         assert family == "finf" or min(seen[False, True], seen[True, True]) >= 4
 
-    @pytest.mark.parametrize("spec, group", [(F12, gamma0_pair(2, 1)),
-                                             (F12, gamma0_pair(2, 3))])
-    def test_rows_beyond_the_reach_are_counted_not_walked(self, monkeypatch, spec, group):
-        # a window pair needs the row's first column (a, c) within the
-        # reach: the height bound 29 where the cusp's image is (a, c)
-        # itself, as against gamma0_pair(2, 1), and h*(1 + |y|)//|x| for the
-        # other base point's walked column (x, y) where the orientation
-        # moves the cusp's image, as against gamma0_pair(2, 3): 29 again,
-        # with (x, y) = (-2, 1).  No row beyond it reaches the window pass,
-        # and the member count is still exact
+    @pytest.mark.parametrize("spec, group, rows_walked, members, in_bound", [
+        (F12, gamma0_pair(2, 1), 357, 5881, 712),
+        (F12, gamma0_pair(2, 3), 265, 1489, 180),
+        (GraphSpec(family="fzero", u=1, modulus=1), gamma0_pair(2, 1), 723, 5881, 1444),
+        (GraphSpec(family="fzero", u=1, modulus=1, reversed=True), gamma0_pair(1, 1),
+         1080, 17626, 4314),
+    ])
+    def test_rows_beyond_the_reach_are_counted_not_walked(
+        self, monkeypatch, spec, group, rows_walked, members, in_bound
+    ):
+        # the cusp's image is the row's first column (a, c), on the group
+        # itself for finf and on its R-image gamma0_pair(m, l) for fzero,
+        # so a window pair needs c and |a| within the height bound 29: no
+        # row beyond it reaches the window pass, on finf, fzero and
+        # reversed fzero alike, and the member count is still exact
         reference = full_replay(spec, group, 60, 29)
-        walked = []
+        walked, groups = [], []
         rows = oracle_module._member_rows
 
-        def recorded(*args):
-            for row in rows(*args):
+        def recorded(walk, *args):
+            groups.append(walk)
+            for row in rows(walk, *args):
                 walked.append(row)
                 yield row
 
         monkeypatch.setattr(oracle_module, "_member_rows", recorded)
         report = compare_edges_vs_orbital(enumerate_graph(spec, 29), group, 60)
         assert report == reference
+        l, m = group.a_mod, group.b_mod
+        assert groups == [group if spec.family == "finf" else gamma0_pair(m, l)]
         assert max(max(abs(a), c) for a, c, *_ in walked) == 29
-        assert len(walked) < sum(1 for _ in rows(group, 60)) / 3
-        if group == gamma0_pair(2, 1):
-            assert report.member_count == 5881 and len(walked) == 357
+        assert len(walked) < sum(1 for _ in rows(groups[0], 60)) / 3
+        assert len(walked) == rows_walked
+        assert (report.member_count, report.orbital_in_bound) == (members, in_bound)
 
     def test_images_are_built_only_in_the_window(self, monkeypatch):
         # window pairs are held as canonical integer columns: points are
