@@ -13,7 +13,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .errors import InvalidModulus, plain_int
-from .rational import ProjectiveRational
+from .rational import ProjectiveRational, _Value
 
 __all__ = [
     "UnimodularMatrix",
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-class UnimodularMatrix(tuple):
+class UnimodularMatrix(_Value):
     """2x2 integer matrix [[a, b], [c, d]] with a*d - b*c == 1, held as
     its entry tuple (a, b, c, d) and ordered as that tuple.
 
@@ -50,6 +50,7 @@ class UnimodularMatrix(tuple):
     c = property(itemgetter(2))
     d = property(itemgetter(3))
 
+    # the matrix product replaces the base's refused *; n * g stays refused
     def __mul__(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
         if not isinstance(other, UnimodularMatrix):
             return NotImplemented
@@ -58,13 +59,6 @@ class UnimodularMatrix(tuple):
         return UnimodularMatrix(
             a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
         )
-
-    # * is the matrix product only: tuple concatenation and repetition
-    # are refused, so + and int * matrix raise TypeError
-    def __add__(self, other: object):
-        return NotImplemented
-
-    __radd__ = __rmul__ = __add__
 
     def apply(self, v: ProjectiveRational) -> ProjectiveRational:
         """Fractional linear image (a*x + b*y) / (c*x + d*y) of v = x/y.
@@ -79,9 +73,6 @@ class UnimodularMatrix(tuple):
     def __str__(self) -> str:
         a, b, c, d = self
         return f"[[{a}, {b}], [{c}, {d}]]"
-
-    def __repr__(self) -> str:
-        return f"UnimodularMatrix{tuple.__repr__(self)}"
 
 
 class SubgroupSpec(namedtuple("SubgroupSpec", "a_mod b_mod c_mod d_mod label")):

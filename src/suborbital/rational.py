@@ -2,8 +2,9 @@
 
 The central type is ProjectiveRational: a reduced fraction num/den together
 with a single point at infinity written 1/0, held as its (num, den) tuple
-and normalized once at construction.  Everything here is integer
-arithmetic; nothing ever rounds.
+and normalized once at construction.  Points, matrices and edges derive
+from one private base, _Value, which holds their value contract once.
+Everything here is integer arithmetic; nothing ever rounds.
 """
 
 from __future__ import annotations
@@ -29,7 +30,29 @@ __all__ = [
 POINT_TEXT = "%d/%d"
 
 
-class ProjectiveRational(tuple):
+class _Value(tuple):
+    """The contract of a tuple value: a point, a matrix, an edge.
+
+    A value equals, hashes and orders as its plain tuple, but is no
+    sequence: + and * raise TypeError from either side, () + v included,
+    and its repr is its type's name followed by the tuple's repr.
+    """
+
+    __slots__ = ()
+
+    # raising, not returning NotImplemented, keeps a plain tuple on the
+    # left from concatenating through its own +
+    def __add__(self, other: object):
+        raise TypeError(f"{type(self).__name__} is a value, not a sequence: "
+                        "tuple + and * are refused")
+
+    __radd__ = __mul__ = __rmul__ = __add__
+
+    def __repr__(self) -> str:
+        return type(self).__name__ + tuple.__repr__(self)
+
+
+class ProjectiveRational(_Value):
     """A point of the extended rational line: the reduced pair (num, den).
 
     Invariants enforced by the constructor:
@@ -63,18 +86,8 @@ class ProjectiveRational(tuple):
     num = property(itemgetter(0))
     den = property(itemgetter(1))
 
-    # a point is a value, not a sequence: tuple concatenation and
-    # repetition are refused, so + and * raise TypeError
-    def __add__(self, other: object):
-        return NotImplemented
-
-    __radd__ = __mul__ = __rmul__ = __add__
-
     def __str__(self) -> str:
         return POINT_TEXT % self
-
-    def __repr__(self) -> str:
-        return f"ProjectiveRational({self.num}, {self.den})"
 
 
 INFINITY = ProjectiveRational(1, 0)

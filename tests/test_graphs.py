@@ -9,7 +9,6 @@ test.
 
 import itertools
 import math
-import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,13 +175,6 @@ class TestDirectedEdge:
         assert hash(e) == hash(((1, 2), (1, 0)))
         assert ((1, 2), (1, 0)) in {e}
         assert (e.src, e.dst) == tuple(e)
-
-    def test_tuple_arithmetic_is_refused(self):
-        e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))
-        for op, x, y in ((operator.add, e, e), (operator.mul, 2, e),
-                         (operator.mul, e, 2)):
-            with pytest.raises(TypeError):
-                op(x, y)
 
     def test_fields_are_read_only(self):
         e = DirectedEdge(INFINITY, ProjectiveRational(1, 2))

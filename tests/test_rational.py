@@ -6,12 +6,13 @@ before being compared with the library's fast paths.
 """
 
 import math
-import operator
 
 import pytest
 from hypothesis import given, strategies as st
 
 from suborbital.errors import BoundTooLarge, InvalidModulus, NotInvertible, ZeroOverZero
+from suborbital.graphs import DirectedEdge
+from suborbital.group import UnimodularMatrix
 from suborbital.rational import (
     INFINITY,
     ZERO,
@@ -111,12 +112,32 @@ class TestCanonicalForm:
         assert index[(1, 0)] is INFINITY and index[(-3, 4)] is v
         assert tuple(v) == (v.num, v.den) == (-3, 4)
 
-    def test_tuple_arithmetic_is_refused(self):
-        v = ProjectiveRational(1, 2)
-        for op, x, y in ((operator.add, INFINITY, ZERO), (operator.add, v, v),
-                         (operator.mul, 2, v), (operator.mul, v, 2)):
-            with pytest.raises(TypeError):
-                op(x, y)
+
+# a point, a matrix and an edge share one value contract: no tuple + or *
+# from either side, a plain tuple on the left included, and a repr that
+# evaluates back to the value
+VALUES = [ProjectiveRational(1, 2), UnimodularMatrix(1, 1, 0, 1),
+          DirectedEdge(INFINITY, ProjectiveRational(1, 2))]
+REFUSED = {
+    "v+v": lambda v: v + v,
+    "2*v": lambda v: 2 * v,
+    "v*2": lambda v: v * 2,
+    "()+v": lambda v: () + v,
+    "(0,)+v": lambda v: (0,) + v,
+}
+
+
+@pytest.mark.parametrize("op", list(REFUSED.values()), ids=list(REFUSED))
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_a_value_refuses_tuple_arithmetic(value, op):
+    with pytest.raises(TypeError):
+        op(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_a_value_repr_evaluates_to_the_value(value):
+    again = eval(repr(value))
+    assert again == value and type(again) is type(value)
 
 
 class TestModInverse:

@@ -28,11 +28,8 @@ UNREACHED = {
     "group.block_equivalent": "waits for ROADMAP item 11",
     "group.principal": "waits for ROADMAP item 8",
     "graphs.SuborbitalGraph.edges": "read by bench/tracing.py",
-    "graphs.DirectedEdge.__add__": "refuses tuple concatenation and repetition",
-    "group.UnimodularMatrix.__add__": "refuses tuple concatenation and repetition",
-    "rational.ProjectiveRational.__add__": "refuses tuple concatenation and repetition",
-    "group.UnimodularMatrix.__repr__": "a repr, which no output writes",
-    "rational.ProjectiveRational.__repr__": "a repr, which no output writes",
+    "rational._Value.__add__": "refuses tuple concatenation and repetition",
+    "rational._Value.__repr__": "a repr, which no output writes",
     "rational.ProjectiveRational.__str__": "writes soundness failures, which only a faulty build has",
 }
 

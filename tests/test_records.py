@@ -2,7 +2,8 @@
 
 Each keeps its field names, its defaults and its pinned repr, equals and hashes as its plain field tuple, refuses
 attribute assignment, and the two specs with checks refuse bad values on
-every construction path.
+every construction path.  An edge is a value, not a record, but its
+repr is pinned here too.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import pytest
 
 from suborbital.errors import InvalidBound, InvalidModulus, InvalidSpec
 from suborbital.graph_io import emit_json, parse_json
-from suborbital.graphs import GraphSpec, SuborbitalGraph, enumerate_graph
+from suborbital.graphs import DirectedEdge, GraphSpec, SuborbitalGraph, enumerate_graph
 from suborbital.group import SubgroupSpec, gamma0_pair
 from suborbital.oracle import (
     LatticeReport,
@@ -22,6 +23,7 @@ from suborbital.oracle import (
     verify_lattice_identity,
     verify_self_paired,
 )
+from suborbital.rational import INFINITY, ProjectiveRational
 
 F12 = GraphSpec("finf", 1, 2)
 
@@ -53,9 +55,12 @@ REPRS = [
 ]
 RECORDS = [record for record, _ in REPRS]
 IDS = [type(record).__name__ for record in RECORDS]
+# an edge is a value, not a record: its repr is the constructor call
+EDGE_REPR = (DirectedEdge(INFINITY, ProjectiveRational(1, 2)),
+             "DirectedEdge(ProjectiveRational(1, 0), ProjectiveRational(1, 2))")
 
 
-@pytest.mark.parametrize(("record", "text"), REPRS, ids=IDS)
+@pytest.mark.parametrize(("record", "text"), REPRS + [EDGE_REPR], ids=IDS + ["DirectedEdge"])
 def test_repr_is_unchanged(record, text):
     assert repr(record) == text
 
